@@ -18,7 +18,7 @@ from .embedding import (EmbeddingParams, embed, embed_parts, init_embedding,
                         load_table, round_argmax, round_logits, sample_z0,
                         save_table)
 from .encoding import (Batch, EncodedInstance, decode_fixations,
-                       encode_instance, stack_instances)
+                       encode_instance, stack_instances, trim_batch)
 from .errors import ConfigError, CorpusFormatError, ValidationError
 from .inference import GenerationResult, dump_latent_trace, generate
 from .measures import SUMMARY_MEASURES, ReadingMeasures, reading_measures
@@ -56,5 +56,5 @@ __all__ = [
     "sample_z0", "save_checkpoint", "save_corpus", "save_sentences",
     "save_split_plan", "save_table", "stack_instances", "synthetic_corpus",
     "tokenize_sentence", "tokenize_word", "train", "trainlabel_baseline",
-    "uniform_baseline", "write_evaluation_report",
+    "trim_batch", "uniform_baseline", "write_evaluation_report",
 ]

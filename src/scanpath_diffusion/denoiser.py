@@ -10,7 +10,11 @@ latents already carry one). Attention never attends to padding slots.
 Forward and backward are written out by hand on float64 numpy; forward can
 record a cache that backward consumes, returning both parameter gradients
 and the gradient with respect to the input latents (the training loss
-needs the latter, since the latents are built from trainable tables).
+needs the latter, since the latents are built from trainable tables). The
+cache keeps each GELU's normal CDF Phi(u) in place of its output u*Phi(u):
+backward rebuilds the output with the same product and reuses Phi in the
+derivative, so erf is evaluated once per step and the results are
+bit-identical to evaluating it again.
 """
 
 from __future__ import annotations
@@ -61,12 +65,18 @@ def _linear_bwd(d_out, x, w):
     return d_x, d_w, d_b
 
 
+def _gelu_cdf(x):
+    """Phi(x), the standard normal CDF; GELU(x) = x * Phi(x)."""
+    return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+
+
 def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+    return x * _gelu_cdf(x)
 
 
-def _gelu_grad(x):
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+def _gelu_grad(x, phi):
+    """d GELU / dx, given phi = _gelu_cdf(x) from the forward pass."""
+    return phi + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 def timestep_embedding(t, dim: int, max_period: float = 10000.0) -> np.ndarray:
@@ -168,8 +178,8 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
     t_arr = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)), (bsz,))
     t_code = timestep_embedding(t_arr, dim)
     t_hid = _linear(t_code, p["time_w1"], p["time_b1"])
-    t_act = _gelu(t_hid)
-    t_vec = _linear(t_act, p["time_w2"], p["time_b2"])
+    t_phi = _gelu_cdf(t_hid)
+    t_vec = _linear(t_hid * t_phi, p["time_w2"], p["time_b2"])
 
     z_in = z + t_vec[:, None, :]
     h, ln_in_cache = _layer_norm(z_in, p["ln_in_g"], p["ln_in_b"])
@@ -196,20 +206,20 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
         h_pre_ffn = h
         fin, ln2_cache = _layer_norm(h, p[pre + "ln2_g"], p[pre + "ln2_b"])
         u = _linear(fin, p[pre + "ffn_w1"], p[pre + "ffn_b1"])
-        g = _gelu(u)
-        ffn_out = _linear(g, p[pre + "ffn_w2"], p[pre + "ffn_b2"])
+        phi = _gelu_cdf(u)
+        ffn_out = _linear(u * phi, p[pre + "ffn_w2"], p[pre + "ffn_b2"])
         h = h_pre_ffn + ffn_out
         if need_cache:
             blocks.append({
                 "a": a, "ln1": ln1_cache, "q": q, "k": k, "v": v, "att": att,
-                "ctx": ctx, "ln2": ln2_cache, "fin": fin, "u": u, "g": g,
+                "ctx": ctx, "ln2": ln2_cache, "fin": fin, "u": u, "phi": phi,
             })
 
     out, ln_out_cache = _layer_norm(h, p["ln_out_g"], p["ln_out_b"])
     if not need_cache:
         return out, None
     cache = {
-        "z_shape": z.shape, "t_code": t_code, "t_hid": t_hid, "t_act": t_act,
+        "z_shape": z.shape, "t_code": t_code, "t_hid": t_hid, "t_phi": t_phi,
         "ln_in": ln_in_cache, "ln_out": ln_out_cache, "blocks": blocks,
     }
     return out, cache
@@ -235,10 +245,11 @@ def backward(params: DenoiserParams, cache, d_out):
 
         # feed-forward branch
         d_ffn_out = d_h
-        d_g_act, d_w2, d_b2 = _linear_bwd(d_ffn_out, blk["g"], p[pre + "ffn_w2"])
+        u, phi = blk["u"], blk["phi"]
+        d_g_act, d_w2, d_b2 = _linear_bwd(d_ffn_out, u * phi, p[pre + "ffn_w2"])
         grads[pre + "ffn_w2"] += d_w2
         grads[pre + "ffn_b2"] += d_b2
-        d_u = d_g_act * _gelu_grad(blk["u"])
+        d_u = d_g_act * _gelu_grad(u, phi)
         d_fin, d_w1, d_b1 = _linear_bwd(d_u, blk["fin"], p[pre + "ffn_w1"])
         grads[pre + "ffn_w1"] += d_w1
         grads[pre + "ffn_b1"] += d_b1
@@ -275,10 +286,11 @@ def backward(params: DenoiserParams, cache, d_out):
     grads["ln_in_b"] += d_b_in
 
     d_t_vec = d_z_in.sum(axis=1)
-    d_t_act, d_tw2, d_tb2 = _linear_bwd(d_t_vec, cache["t_act"], p["time_w2"])
+    t_hid, t_phi = cache["t_hid"], cache["t_phi"]
+    d_t_act, d_tw2, d_tb2 = _linear_bwd(d_t_vec, t_hid * t_phi, p["time_w2"])
     grads["time_w2"] += d_tw2
     grads["time_b2"] += d_tb2
-    d_t_hid = d_t_act * _gelu_grad(cache["t_hid"])
+    d_t_hid = d_t_act * _gelu_grad(t_hid, t_phi)
     _, d_tw1, d_tb1 = _linear_bwd(d_t_hid, cache["t_code"], p["time_w1"])
     grads["time_w1"] += d_tw1
     grads["time_b1"] += d_tb1

@@ -16,11 +16,17 @@ and is described by three aligned integer sequences plus three masks:
 condition_mask covers the sentence side, target_mask the scanpath side;
 they are disjoint and union to pad_mask. For generation the scanpath side
 is built from placeholder zeros over a caller-sized budget.
+
+Real slots always form a prefix of the frame, so a stacked batch can be cut
+after its last column that holds a real slot in any frame (trim_batch):
+only all-padding trailing columns go, and since padding is never an
+attention key and never enters a loss, the cut changes results only by
+summation order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -171,3 +177,9 @@ def stack_instances(instances) -> Batch:
         target_mask=np.stack([i.target_mask for i in instances]),
         pad_mask=np.stack([i.pad_mask for i in instances]),
     )
+
+
+def trim_batch(batch: Batch) -> Batch:
+    """Drop the trailing columns that are padding in every frame."""
+    width = int(np.flatnonzero(batch.pad_mask.any(axis=0))[-1]) + 1
+    return Batch(**{f.name: getattr(batch, f.name)[:, :width] for f in fields(Batch)})

@@ -17,6 +17,12 @@ sampled-t estimator stays unbiased; the rounding term sits outside the sum
 over t and is left unweighted. Gradients flow through every trainable
 tensor, including through the loss target (the clean latent is built from
 the same tables the denoiser consumes).
+
+The training loop cuts each batch after its longest real frame
+(encoding.trim_batch). Both noise tensors are still drawn per full frame,
+(B, max_len, dim), and then cut to the batch width, so the trim moves
+neither the random stream nor any later draw: a trimmed step matches the
+untrimmed one up to summation order.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 
 from . import denoiser as dn
 from .embedding import embed_parts
-from .encoding import Batch, stack_instances
+from .encoding import Batch, stack_instances, trim_batch
 from .errors import ValidationError
 from .model import Model, save_checkpoint
 from .schedules import NoiseSchedule, TimestepSampler
@@ -58,11 +64,15 @@ def loss_forward(model: Model, batch: Batch, t_arr, sched: NoiseSchedule,
                  need_cache: bool = False):
     """Forward pass of the full training loss for one batch.
 
-    t_arr holds one step index in 0..t_max per frame. Returns
+    t_arr holds one step index in 0..t_max per frame. The batch may be
+    narrower than the model's frame (see trim_batch), never wider. Returns
     (LossBreakdown, cache); the cache feeds loss_backward.
     """
     t_arr = np.asarray(t_arr, dtype=np.int64)
-    bsz = batch.size
+    bsz, width = batch.x_idx.shape
+    max_len = model.config.max_len
+    if width > max_len:
+        raise ValidationError(f"batch width {width} exceeds the model frame of {max_len}")
     if t_arr.shape != (bsz,):
         raise ValidationError(f"expected t of shape ({bsz},), got {t_arr.shape}")
     if np.any(t_arr < 0) or np.any(t_arr > sched.t_max):
@@ -71,13 +81,14 @@ def loss_forward(model: Model, batch: Batch, t_arr, sched: NoiseSchedule,
 
     emb_idx, emb_ctx = embed_parts(model.emb, batch.x_idx, batch.x_bert, batch.x_pos)
     emb_total = emb_idx + emb_ctx
-    eps0 = rng.standard_normal(emb_total.shape)
+    full_frame = (bsz, max_len, emb_total.shape[-1])
+    eps0 = rng.standard_normal(full_frame)[:, :width]
     z0_idx = emb_idx + math.sqrt(b0) * eps0
     z0 = z0_idx + emb_ctx
 
     # noise the scanpath side of rows with t >= 1; the multiplier on the
     # clean component is what the backward pass needs
-    eps = rng.standard_normal(emb_total.shape)
+    eps = rng.standard_normal(full_frame)[:, :width]
     ab = np.where(t_arr >= 1, sched.alpha_bar[np.maximum(t_arr, 1) - 1], 1.0)
     noised = (batch.target_mask & (t_arr >= 1)[:, None])[..., None]
     coef = np.where(noised, np.sqrt(ab)[:, None, None], 1.0)
@@ -284,7 +295,7 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     try:
         for step in range(1, steps + 1):
             picks = rng.integers(0, len(instances), size=batch)
-            frame_batch = stack_instances([instances[int(i)] for i in picks])
+            frame_batch = trim_batch(stack_instances([instances[int(i)] for i in picks]))
             t_arr, weights = sampler.sample(rng, size=batch)
             breakdown, cache = loss_forward(
                 model, frame_batch, t_arr, sched, rng, beta_zero, need_cache=True

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from scanpath_diffusion import ValidationError, init_denoiser
 from scanpath_diffusion import denoiser as dn
@@ -270,3 +271,48 @@ def test_per_row_t_changes_only_that_row():
     bumped, _ = dn.forward(params, z, np.array([3, 9]), pad)
     assert np.allclose(base[0], bumped[0], atol=1e-15)
     assert not np.allclose(base[1], bumped[1])
+
+
+def _gelu_reference(x):
+    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+
+
+def _gelu_grad_reference(x):
+    return 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+@pytest.mark.parametrize("dim,n_blocks,n_heads,seed",
+                         [(4, 1, 1, 30), (8, 2, 2, 31), (12, 3, 3, 32)])
+def test_cached_gelu_cdf_is_bit_identical(monkeypatch, dim, n_blocks, n_heads, seed):
+    """Reusing the forward's normal CDF in backward changes no bit of the
+    prediction, the input gradient or any parameter gradient."""
+    rng = np.random.default_rng(seed)
+    params = init_denoiser(dim, n_blocks, n_heads, rng)
+    for _, arr in params.tensors.items():
+        arr[...] = rng.normal(0, 0.5, size=arr.shape)
+    z = rng.standard_normal((3, 7, dim))
+    pad = np.ones((3, 7), dtype=bool)
+    pad[1, 5:] = False
+    pad[2, 3:] = False
+    t = np.array([0, 4, 9])
+    d_out = np.where(pad[..., None], rng.standard_normal((3, 7, dim)), 0.0)
+
+    out, cache = dn.forward(params, z, t, pad, need_cache=True)
+    grads, d_z = dn.backward(params, cache, d_out)
+
+    # forward: every GELU output u * Phi(u) is the one-expression GELU; all
+    # other forward arithmetic is unchanged, so the prediction is too
+    pre = [cache["t_hid"]] + [blk["u"] for blk in cache["blocks"]]
+    phis = [cache["t_phi"]] + [blk["phi"] for blk in cache["blocks"]]
+    for u, phi in zip(pre, phis):
+        assert np.array_equal(u * phi, _gelu_reference(u))
+        assert np.array_equal(dn._gelu(u), _gelu_reference(u))
+    assert np.array_equal(dn.forward(params, z, t, pad)[0], out)
+
+    # backward: the reference evaluates erf again from the pre-activation
+    monkeypatch.setattr(dn, "_gelu_grad", lambda x, phi: _gelu_grad_reference(x))
+    ref_grads, ref_d_z = dn.backward(params, cache, d_out)
+    assert np.array_equal(d_z, ref_d_z)
+    assert set(grads) == set(ref_grads)
+    for name, g in ref_grads.items():
+        assert np.array_equal(grads[name], g), name

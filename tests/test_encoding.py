@@ -1,13 +1,15 @@
 """Frame layout, masks, and fixation decoding."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scanpath_diffusion import (ValidationError, Vocabulary, decode_fixations,
-                                encode_instance, stack_instances,
-                                tokenize_sentence)
+from scanpath_diffusion import (Batch, ValidationError, Vocabulary,
+                                decode_fixations, encode_instance,
+                                stack_instances, tokenize_sentence, trim_batch)
 
 VOCAB = Vocabulary.from_tokens(
     ["[UNK]", "[PAD]", "[CLS]", "[SEP]", "the", "dog", "ran", "walk", "##ing"]
@@ -188,3 +190,31 @@ def test_stack_rejects_mixed_widths():
 def test_stack_rejects_empty():
     with pytest.raises(ValidationError):
         stack_instances([])
+
+
+def test_trim_cuts_after_last_real_column():
+    a = enc(["the", "dog"], [1, 2], max_len=16)      # 2 + 2 + 4 = 8 slots
+    b = enc(["ran"], [1, 1, 1], max_len=16)          # 1 + 3 + 4 = 8 slots
+    c = enc(["the", "dog", "ran"], [3], max_len=16)  # 3 + 1 + 4 = 8 slots
+    d = enc(["the", "walking", "dog"], [1, 3, 2], max_len=16)  # 11 slots
+    full = stack_instances([a, b, c, d])
+    trimmed = trim_batch(full)
+    assert trimmed.size == 4
+    for f in fields(Batch):
+        cut, whole = getattr(trimmed, f.name), getattr(full, f.name)
+        assert cut.shape == (4, 11), f.name
+        assert np.array_equal(cut, whole[:, :11]), f.name
+    # only columns that are padding in every frame were dropped
+    assert not full.pad_mask[:, 11:].any()
+    assert full.pad_mask[:, 10].any()
+    assert trimmed.pad_mask.sum() == full.pad_mask.sum()
+
+
+def test_trim_keeps_batch_with_a_full_width_frame():
+    short = enc(["the", "dog"], [1, 2], max_len=12)
+    tok = tokenize_sentence(["the", "dog"], VOCAB)
+    full_width = encode_instance(tok, None, 12, VOCAB)  # budget fills the frame
+    batch = stack_instances([short, full_width])
+    trimmed = trim_batch(batch)
+    for f in fields(Batch):
+        assert np.array_equal(getattr(trimmed, f.name), getattr(batch, f.name)), f.name

@@ -9,7 +9,7 @@ import pytest
 from scanpath_diffusion import AdamW, ValidationError, init_model, train
 from scanpath_diffusion import denoiser as dn
 from scanpath_diffusion.embedding import embed_parts
-from scanpath_diffusion.encoding import stack_instances
+from scanpath_diffusion.encoding import stack_instances, trim_batch
 from scanpath_diffusion.training import (METRICS_HEADER, clip_global_norm,
                                          loss_backward, loss_forward,
                                          loss_terms)
@@ -98,6 +98,53 @@ def test_loss_forward_validates_t(tiny_vocab, small_corpus):
         loss_forward(model, batch, np.zeros(batch.size + 1, dtype=int), sched, rng)
     with pytest.raises(ValidationError):
         loss_forward(model, batch, np.full(batch.size, sched.t_max + 1), sched, rng)
+
+
+def test_loss_forward_rejects_batch_wider_than_frame(tiny_vocab, small_corpus):
+    """The noise is drawn per model frame, so a wider batch cannot be served."""
+    model = make_model(v_bert=len(tiny_vocab))
+    wide = stack_instances(
+        encode_corpus(small_corpus, tiny_vocab, model.config.max_len + 4)[:4])
+    with pytest.raises(ValidationError, match="exceeds the model frame"):
+        loss_forward(model, wide, np.zeros(4, dtype=np.int64), model.schedule(),
+                     np.random.default_rng(0))
+
+
+def test_trimmed_batch_matches_full_frame(tiny_vocab, small_corpus):
+    """Cutting all-padding columns changes the loss and every gradient only
+    by summation order, and draws exactly the same random numbers."""
+    model = make_model(v_bert=len(tiny_vocab), max_len=32, v_idx=32)
+    rng = np.random.default_rng(21)
+    # randomise every tensor so the zero-init residual closers hide nothing
+    for arr in model.trainable_tensors().values():
+        arr[...] = rng.normal(0.0, 0.3, size=arr.shape)
+    batch = make_batch(model, tiny_vocab, small_corpus, n=6)
+    trimmed = trim_batch(batch)
+    assert trimmed.x_idx.shape[1] < batch.x_idx.shape[1]
+    sched = model.schedule()
+    t_arr = np.array([0, 1, 2, 5, 9, 10])
+    weights = np.array([0.4, 1.0, 1.7, 0.9, 1.2, 2.1])
+
+    def run(b, k):
+        gen = np.random.default_rng(k)
+        breakdown, cache = loss_forward(model, b, t_arr, sched, gen,
+                                        need_cache=True)
+        return breakdown, loss_backward(model, cache, weights), gen
+
+    for k in (0, 1, 2):
+        full, g_full, rng_full = run(batch, k)
+        cut, g_cut, rng_cut = run(trimmed, k)
+        for term in ("l_vlb", "l_emb", "l_round", "total"):
+            assert getattr(cut, term) == pytest.approx(getattr(full, term),
+                                                       rel=1e-12), term
+        assert set(g_cut) == set(g_full)
+        # the absolute floor is relative to the largest gradient entry: the
+        # key biases have a true gradient of exactly zero (softmax ignores a
+        # per-query constant), so their entries are roundoff on both sides
+        floor = 1e-12 * max(float(np.abs(g).max()) for g in g_full.values())
+        for name, g in g_full.items():
+            assert np.allclose(g_cut[name], g, rtol=1e-12, atol=floor), name
+        assert rng_cut.bit_generator.state == rng_full.bit_generator.state
 
 
 def test_full_loss_gradients_match_finite_differences(tiny_vocab, small_corpus):

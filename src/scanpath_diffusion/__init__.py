@@ -22,7 +22,7 @@ from .encoding import (Batch, EncodedInstance, decode_fixations,
 from .errors import ConfigError, CorpusFormatError, ValidationError
 from .inference import GenerationResult, dump_latent_trace, generate
 from .measures import SUMMARY_MEASURES, ReadingMeasures, reading_measures
-from .metrics import levenshtein, nld, pearson
+from .metrics import levenshtein, levenshtein_many, nld, pearson
 from .model import Model, init_model, load_checkpoint, save_checkpoint
 from .reports import (EvaluationReport, evaluation_report,
                       export_word_measures, pair_records,
@@ -49,7 +49,7 @@ __all__ = [
     "embed_parts", "encode_instance", "evaluation_report",
     "export_word_measures", "filter_encodable", "generate", "human_baseline",
     "init_denoiser", "init_embedding", "init_model", "levenshtein",
-    "load_checkpoint", "load_corpus", "load_predictors", "load_sentences",
+    "levenshtein_many", "load_checkpoint", "load_corpus", "load_predictors", "load_sentences",
     "load_split_plan", "load_table", "loss_terms", "make_splits", "nld",
     "pair_records", "parse_kv_file", "pearson", "posterior_params", "q_sample",
     "reading_measures", "resolve_settings", "round_argmax", "round_logits",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Corpus, ScanpathRecord
 from .errors import ValidationError
-from .metrics import nld
+from .metrics import levenshtein_many
 
 __all__ = [
     "TrainStats", "uniform_baseline", "trainlabel_baseline",
@@ -95,7 +95,12 @@ class HumanBaseline:
 def human_baseline(corpus: Corpus) -> HumanBaseline:
     """Inter-reader agreement: grand mean (± standard error) over scanpaths
     of each scanpath's mean distance to other readers' scanpaths on the
-    same sentence."""
+    same sentence.
+
+    The distance is symmetric, so each unordered pair of records by two
+    different readers is scored once per sentence, in one batched edit-
+    distance call, and both records read it from the same table.
+    """
     if len(corpus.readers) < 2:
         raise ValidationError("inter-reader score needs at least 2 readers")
     by_sentence: dict[str, list[ScanpathRecord]] = {}
@@ -103,13 +108,20 @@ def human_baseline(corpus: Corpus) -> HumanBaseline:
         by_sentence.setdefault(rec.sentence_id, []).append(rec)
     per_scanpath = []
     for recs in by_sentence.values():
-        for rec in recs:
-            others = [o for o in recs if o.reader_id != rec.reader_id]
+        pairs = [(i, k) for i in range(len(recs)) for k in range(i + 1, len(recs))
+                 if recs[i].reader_id != recs[k].reader_id]
+        dists = levenshtein_many((recs[i].fixations, recs[k].fixations) for i, k in pairs)
+        table: dict[tuple[int, int], int] = {}
+        for (i, k), d in zip(pairs, dists):
+            table[i, k] = table[k, i] = d
+        for i, rec in enumerate(recs):
+            others = [k for k, o in enumerate(recs) if o.reader_id != rec.reader_id]
             if not others:
                 continue
-            per_scanpath.append(
-                float(np.mean([nld(rec.fixations, o.fixations) for o in others]))
-            )
+            per_scanpath.append(float(np.mean([
+                table[i, k] / max(len(rec.fixations), len(recs[k].fixations))
+                for k in others
+            ])))
     if not per_scanpath:
         raise ValidationError("no sentence is shared by two readers")
     arr = np.asarray(per_scanpath)

@@ -21,7 +21,7 @@ from .config import ModelConfig, parse_kv_file, resolve_settings, write_kv_file
 from .corpus import (Corpus, ScanpathRecord, filter_encodable, load_corpus,
                      load_predictors, load_sentences, save_corpus)
 from .embedding import load_table
-from .encoding import encode_instance
+from .encoding import encode_instance, scanpath_room
 from .errors import ValidationError
 from .inference import dump_latent_trace, generate
 from .model import init_model, load_checkpoint, save_checkpoint
@@ -188,7 +188,7 @@ def _cmd_generate(args) -> int:
     for sid in sorted(sentences):
         words = sentences[sid]
         n = len(tokenize_sentence(words, vocab).pieces)
-        if n + 1 + 4 > model.config.max_len:
+        if scanpath_room(n, model.config.max_len) < 1:
             log.warning("skipping sentence %s: does not fit the model frame", sid)
             continue
         usable[sid] = words

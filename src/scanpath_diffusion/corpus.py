@@ -16,6 +16,7 @@ import csv
 import logging
 from dataclasses import dataclass, field
 
+from .encoding import scanpath_room
 from .errors import CorpusFormatError, ValidationError
 from .tokenization import Vocabulary, tokenize_sentence
 
@@ -202,7 +203,7 @@ def filter_encodable(corpus: Corpus, vocab: Vocabulary, max_len: int) -> Corpus:
     n_pieces: dict[str, int] = {}
     for sid, words in corpus.sentences.items():
         n = len(tokenize_sentence(words, vocab).pieces)
-        if n + 1 + 4 > max_len:
+        if scanpath_room(n, max_len) < 1:
             log.warning(
                 "dropping sentence %s: %d subword pieces cannot fit in frame of %d",
                 sid, n, max_len,
@@ -214,7 +215,7 @@ def filter_encodable(corpus: Corpus, vocab: Vocabulary, max_len: int) -> Corpus:
     for rec in corpus.records:
         if rec.sentence_id not in kept_sentences:
             continue
-        if n_pieces[rec.sentence_id] + len(rec.fixations) + 4 > max_len:
+        if len(rec.fixations) > scanpath_room(n_pieces[rec.sentence_id], max_len):
             log.warning(
                 "dropping scanpath (%s, %s): %d pieces + %d fixations exceed frame of %d",
                 rec.reader_id, rec.sentence_id,

@@ -34,6 +34,12 @@ from .errors import ValidationError
 from .tokenization import TokenizedSentence, Vocabulary
 
 
+def scanpath_room(n_pieces: int, max_len: int) -> int:
+    """Scanpath slots a max_len frame has left beside n_pieces subword
+    pieces and the 4 markers; a scanpath fits iff its length is <= this."""
+    return max_len - n_pieces - 4
+
+
 @dataclass(frozen=True)
 class EncodedInstance:
     x_idx: np.ndarray
@@ -62,7 +68,7 @@ def encode_instance(
     n = len(tok.pieces)
     m = tok.word_count
     if fixations is None:
-        budget = max_len - n - 4 if target_budget is None else target_budget
+        budget = scanpath_room(n, max_len) if target_budget is None else target_budget
         if budget < 1:
             raise ValidationError(
                 f"target budget {budget} < 1 (sentence has {n} pieces, frame {max_len})"
@@ -78,7 +84,7 @@ def encode_instance(
             if not 1 <= f <= m:
                 raise ValidationError(f"fixation index {f} out of range 1..{m}")
     seq_len = n + len(fix_values) + 4
-    if seq_len > max_len:
+    if len(fix_values) > scanpath_room(n, max_len):
         raise ValidationError(
             f"{n} pieces + {len(fix_values)} scanpath slots + 4 markers "
             f"= {seq_len} exceeds frame of {max_len}"

@@ -75,20 +75,19 @@ def reading_measures(scanpath, word_count: int) -> ReadingMeasures:
     tfc = np.zeros(m, dtype=np.int64)
     ffc = np.zeros(m, dtype=np.int64)
     fpr = np.zeros(m, dtype=np.int64)
-    first_visit = {}   # word -> index into path
+    first_visit = {}   # word -> (index into path, frontier before that visit)
     frontier = 0
     for j, f in enumerate(path):
         tfc[f - 1] += 1
         if f not in first_visit:
-            first_visit[f] = j
+            first_visit[f] = (j, frontier)
         if f > frontier:
             for w in range(frontier + 1, f):
                 if w not in first_visit:
                     sr[w - 1] = 1
             frontier = f
 
-    for f, j in first_visit.items():
-        prior_frontier = max(path[:j], default=0)
+    for f, (j, prior_frontier) in first_visit.items():
         if prior_frontier > f:
             continue  # entered after being passed: no first pass
         run = 0

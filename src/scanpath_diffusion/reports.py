@@ -28,7 +28,7 @@ import numpy as np
 from .corpus import Corpus, ScanpathRecord
 from .errors import ValidationError
 from .measures import SUMMARY_MEASURES, reading_measures
-from .metrics import levenshtein, nld, pearson
+from .metrics import levenshtein_many, pearson
 
 __all__ = [
     "pair_records", "evaluation_report", "write_evaluation_report",
@@ -74,9 +74,9 @@ class EvaluationReport:
 def evaluation_report(true: Corpus, pred: Corpus) -> EvaluationReport:
     pairs = pair_records(true, pred)
 
+    dists = levenshtein_many((t.fixations, p.fixations) for t, p in pairs)
     nld_rows = []
-    for t, p in pairs:
-        dist = levenshtein(t.fixations, p.fixations)
+    for (t, p), dist in zip(pairs, dists):
         nld_rows.append({
             "reader_id": t.reader_id,
             "sentence_id": t.sentence_id,

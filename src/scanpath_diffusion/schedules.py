@@ -21,6 +21,7 @@ schedules.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,8 +77,13 @@ class NoiseSchedule:
             raise ValidationError(f"step {t} outside 1..{self.t_max}")
 
 
+@functools.lru_cache(maxsize=16)
 def build_schedule(kind: str, t_max: int, s: float = 1e-4) -> NoiseSchedule:
-    """Construct a schedule; betas stay in (0, 1) and alpha_bar decreases."""
+    """Construct a schedule; betas stay in (0, 1) and alpha_bar decreases.
+
+    Built once per (kind, t_max, s) and shared by every caller, so its
+    arrays are read-only.
+    """
     if kind not in KINDS:
         raise ValidationError(f"unknown schedule kind {kind!r}; expected one of {KINDS}")
     if t_max < 1:
@@ -96,6 +102,8 @@ def build_schedule(kind: str, t_max: int, s: float = 1e-4) -> NoiseSchedule:
         beta_zero = 1.0 - ab(0.0)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
+    for arr in (beta, alpha, alpha_bar):
+        arr.flags.writeable = False
     return NoiseSchedule(
         kind=kind, t_max=t_max, s=s,
         beta=beta, alpha=alpha, alpha_bar=alpha_bar,

@@ -14,10 +14,12 @@ from scipy import stats as scipy_stats
 from scanpath_diffusion import (Corpus, HumanBaseline, ScanpathRecord,
                                 TrainStats, ValidationError, baseline_corpus,
                                 evaluation_report, export_word_measures,
-                                human_baseline, levenshtein, nld,
+                                human_baseline, levenshtein,
+                                levenshtein_many, nld,
                                 pair_records, pearson, reading_measures,
                                 trainlabel_baseline, uniform_baseline,
                                 write_evaluation_report)
+from scanpath_diffusion import metrics
 from scanpath_diffusion.measures import SUMMARY_MEASURES
 from scanpath_diffusion.reports import WORD_EXPORT_BASE
 
@@ -66,6 +68,50 @@ def test_nld_hand_cases():
     assert nld([7], [7]) == 0.0
     with pytest.raises(ValidationError):
         nld([], [])
+
+
+def random_pairs(rng, count, lengths):
+    """Pairs of word-index sequences, each side's length drawn from lengths."""
+    return [(rng.integers(1, 7, size=int(rng.choice(lengths))).tolist(),
+             rng.integers(1, 7, size=int(rng.choice(lengths))).tolist())
+            for _ in range(count)]
+
+
+def assert_matches_oracle(pairs):
+    dists = levenshtein_many(pairs)
+    assert all(type(d) is int for d in dists)
+    assert dists == [lev_oracle(a, b) for a, b in pairs]
+
+
+def test_levenshtein_many_matches_recursive_oracle():
+    rng = np.random.default_rng(7)
+    pairs = random_pairs(rng, 200, np.arange(61))
+    assert any(not a for a, _ in pairs) and any(not b for _, b in pairs)
+    assert_matches_oracle(pairs)
+
+
+def test_levenshtein_many_mixed_lengths_in_one_block():
+    # very short and very long pairs share one padded block, in both
+    # orientations, next to pairs with an empty side
+    rng = np.random.default_rng(8)
+    short, long_ = np.arange(0, 3), np.arange(55, 61)
+    pairs = (random_pairs(rng, 20, short) + random_pairs(rng, 20, long_)
+             + [(a, b) for (a, _), (b, _) in zip(random_pairs(rng, 20, short),
+                                                  random_pairs(rng, 20, long_))]
+             + [(b, a) for (a, _), (b, _) in zip(random_pairs(rng, 20, short),
+                                                  random_pairs(rng, 20, long_))]
+             + [([], []), ([], [1] * 60), ([2] * 60, [])])
+    rng.shuffle(pairs)
+    assert_matches_oracle(pairs)
+
+
+def test_levenshtein_many_spans_several_chunks():
+    rng = np.random.default_rng(9)
+    assert_matches_oracle(random_pairs(rng, 2 * metrics._CHUNK + 37, np.arange(13)))
+
+
+def test_levenshtein_many_empty_input():
+    assert levenshtein_many([]) == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -366,6 +412,66 @@ def test_human_baseline_needs_overlap():
         human_baseline(Corpus(sentences=sentences, records=records))
 
 
+def human_baseline_all_ordered_pairs(corpus):
+    """The inter-reader score as first written: every ordered pair of
+    different readers' records on a sentence goes through nld."""
+    by_sentence = {}
+    for rec in corpus.records:
+        by_sentence.setdefault(rec.sentence_id, []).append(rec)
+    per_scanpath = []
+    for recs in by_sentence.values():
+        for rec in recs:
+            others = [o for o in recs if o.reader_id != rec.reader_id]
+            if not others:
+                continue
+            per_scanpath.append(
+                float(np.mean([nld(rec.fixations, o.fixations) for o in others]))
+            )
+    arr = np.asarray(per_scanpath)
+    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return HumanBaseline(mean=float(arr.mean()), se=se, count=arr.size)
+
+
+def random_reading_corpus(rng, n_readers, n_sentences):
+    """Each reader reads a random subset of the sentences (some sentences
+    end up with a single reader) with scanpaths of 1..40 fixations."""
+    sentences = {f"s{k}": tuple(f"w{i}" for i in range(int(rng.integers(3, 16))))
+                 for k in range(n_sentences)}
+    records = []
+    for r in range(n_readers):
+        for sid, words in sentences.items():
+            if rng.random() < 0.7:
+                n = int(rng.integers(1, 41))
+                records.append(ScanpathRecord(
+                    f"r{r}", sid, tuple(rng.integers(1, len(words) + 1, size=n).tolist())))
+    return Corpus(sentences=sentences, records=records)
+
+
+def test_human_baseline_equals_all_ordered_pairs():
+    rng = np.random.default_rng(12)
+    for n_readers, n_sentences in [(2, 3), (3, 5), (5, 4), (8, 6)]:
+        corpus = random_reading_corpus(rng, n_readers, n_sentences)
+        if len(corpus.readers) < 2:
+            continue
+        hb = human_baseline(corpus)
+        old = human_baseline_all_ordered_pairs(corpus)
+        assert (hb.mean, hb.se, hb.count) == (old.mean, old.se, old.count)
+
+
+def test_human_baseline_reader_with_two_records_on_a_sentence():
+    rng = np.random.default_rng(13)
+    corpus = random_reading_corpus(rng, 4, 3)
+    rec = corpus.records[0]
+    assert any(o.sentence_id == rec.sentence_id and o.reader_id != rec.reader_id
+               for o in corpus.records)
+    m = len(corpus.sentences[rec.sentence_id])
+    corpus.records.insert(2, ScanpathRecord(
+        rec.reader_id, rec.sentence_id, tuple(rng.integers(1, m + 1, size=9).tolist())))
+    hb = human_baseline(corpus)
+    old = human_baseline_all_ordered_pairs(corpus)
+    assert (hb.mean, hb.se, hb.count) == (old.mean, old.se, old.count)
+
+
 # ---------------------------------------------------------------------------
 # pairing and the evaluation report
 
@@ -589,6 +695,18 @@ def test_write_evaluation_report_files(tmp_path):
     header, rows = read_csv(files["nld_measure_correlations"])
     assert header == ["measure", "pearson_r", "p_value", "n", "note"]
     assert len(rows) == len(SUMMARY_MEASURES)
+
+
+def test_nld_per_scanpath_csv_holds_plain_numbers(tmp_path):
+    # distances are Python ints: a numpy scalar would be written as its repr
+    true, pred = readers_and_model()
+    files = write_evaluation_report(evaluation_report(true, pred), tmp_path)
+    text = files["nld_per_scanpath"].read_text()
+    assert "np." not in text
+    header, rows = read_csv(files["nld_per_scanpath"])
+    col = header.index("levenshtein")
+    for row in rows:
+        assert row[col] == str(int(row[col]))
 
 
 def test_export_word_measures(tmp_path):

@@ -107,6 +107,15 @@ def test_bad_kind_and_t_max():
         build_schedule("linear", 0)
 
 
+def test_schedule_built_once_and_read_only():
+    sched = build_schedule("sqrt", 30, 1e-4)
+    assert build_schedule("sqrt", 30, 1e-4) is sched
+    assert build_schedule("sqrt", 30, 1e-3) is not sched
+    for arr in (sched.beta, sched.alpha, sched.alpha_bar):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+
 def test_step_accessors_range_checked():
     sched = build_schedule("linear", 5)
     with pytest.raises(ValidationError):

@@ -1,7 +1,7 @@
 """End-to-end library run: train on a tiny synthetic corpus, sample
 scanpaths, and score them against the trivial baselines.
 
-Run:  python3 demos/memorize_tiny.py        (about half a minute)
+Run:  python3 demos/memorize_tiny.py        (a few seconds)
 """
 
 import time
@@ -11,7 +11,7 @@ import numpy as np
 from scanpath_diffusion import (Corpus, ModelConfig, ScanpathRecord,
                                 TrainStats, baseline_corpus, build_vocab,
                                 encode_instance, evaluation_report, generate,
-                                init_model, synthetic_corpus,
+                                init_model, sentence_rng, synthetic_corpus,
                                 tokenize_sentence, train)
 
 # ---------------------------------------------------------------------------
@@ -48,12 +48,13 @@ print(f"\ntrained {result.steps_done} steps in {time.perf_counter() - t0:.1f}s, 
 
 # ---------------------------------------------------------------------------
 # Sample one scanpath per sentence. The budget covers the longest training
-# scanpath; each sentence gets its own rng stream so order does not matter.
+# scanpath; each sentence draws from its own stream, sentence_rng(seed, i),
+# the rule the CLI's generate uses, so order does not matter.
 
 budget = max(len(r.fixations) for r in corpus.records) + 2
 records = []
 for i, sid in enumerate(sorted(corpus.sentences)):
-    out = generate(model, toks[sid], vocab, rng=np.random.default_rng([42, i]),
+    out = generate(model, toks[sid], vocab, rng=sentence_rng(42, i),
                    target_budget=budget)
     records.append(ScanpathRecord("model", sid, tuple(out.fixations)))
 generated = Corpus(sentences=dict(corpus.sentences), records=records)

@@ -60,12 +60,13 @@ pred = Corpus(sentences=sentences, records=[
     ScanpathRecord("model", "s1", (1, 2, 3, 4)),
     ScanpathRecord("model", "s2", (1, 2, 3, 4)),
 ])
-out = Path(tempfile.mkdtemp(prefix="scanpath_report_"))
 report = evaluation_report(truth, pred)
-write_evaluation_report(report, out)
-print(f"\nmodel mean NLD {report.mean_nld:.4f}; report files in {out}:")
-for f in sorted(out.iterdir()):
-    print(f"  {f.name}: {f.read_text().splitlines()[0]}")
+with tempfile.TemporaryDirectory(prefix="scanpath_report_") as tmp:
+    out = Path(tmp)
+    write_evaluation_report(report, out)
+    print(f"\nmodel mean NLD {report.mean_nld:.4f}; report files (first lines):")
+    for f in sorted(out.iterdir()):
+        print(f"  {f.name}: {f.read_text().splitlines()[0]}")
 
 r, p = pearson([1.0, 2.0, 3.0, 4.0], [1.1, 1.9, 3.2, 3.9])
 print(f"\npearson on a 4-point example: r={r:.4f}, p={p:.4f}")

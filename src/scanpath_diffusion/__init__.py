@@ -20,10 +20,12 @@ from .embedding import (EmbeddingParams, embed, embed_parts, init_embedding,
 from .encoding import (Batch, EncodedInstance, decode_fixations,
                        encode_instance, stack_instances, trim_batch)
 from .errors import ConfigError, CorpusFormatError, ValidationError
-from .inference import GenerationResult, dump_latent_trace, generate
+from .inference import (GenerationResult, dump_latent_trace,
+                        fitting_sentence_ids, generate, sentence_rng)
 from .measures import SUMMARY_MEASURES, ReadingMeasures, reading_measures
 from .metrics import levenshtein, levenshtein_many, nld, pearson
-from .model import Model, init_model, load_checkpoint, save_checkpoint
+from .model import (Model, init_model, load_checkpoint, save_checkpoint,
+                    tensor_shapes)
 from .reports import (EvaluationReport, evaluation_report,
                       export_word_measures, pair_records,
                       write_evaluation_report)
@@ -47,14 +49,16 @@ __all__ = [
     "Vocabulary", "baseline_corpus", "build_schedule", "build_vocab",
     "decode_fixations", "dump_latent_trace", "dump_schedule", "embed",
     "embed_parts", "encode_instance", "evaluation_report",
-    "export_word_measures", "filter_encodable", "generate", "human_baseline",
+    "export_word_measures", "filter_encodable", "fitting_sentence_ids",
+    "generate", "human_baseline",
     "init_denoiser", "init_embedding", "init_model", "levenshtein",
     "levenshtein_many", "load_checkpoint", "load_corpus", "load_predictors", "load_sentences",
     "load_split_plan", "load_table", "loss_terms", "make_splits", "nld",
     "pair_records", "parse_kv_file", "pearson", "posterior_params", "q_sample",
     "reading_measures", "resolve_settings", "round_argmax", "round_logits",
     "sample_z0", "save_checkpoint", "save_corpus", "save_sentences",
-    "save_split_plan", "save_table", "stack_instances", "synthetic_corpus",
-    "tokenize_sentence", "tokenize_word", "train", "trainlabel_baseline",
+    "save_split_plan", "save_table", "sentence_rng", "stack_instances",
+    "synthetic_corpus", "tensor_shapes", "tokenize_sentence", "tokenize_word",
+    "train", "trainlabel_baseline",
     "trim_batch", "uniform_baseline", "write_evaluation_report",
 ]

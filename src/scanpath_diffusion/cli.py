@@ -21,10 +21,10 @@ from .config import ModelConfig, parse_kv_file, resolve_settings, write_kv_file
 from .corpus import (Corpus, ScanpathRecord, filter_encodable, load_corpus,
                      load_predictors, load_sentences, save_corpus)
 from .embedding import load_table
-from .encoding import encode_instance, scanpath_room
+from .encoding import encode_instance
 from .errors import ValidationError
-from .inference import dump_latent_trace, generate
-from .model import init_model, load_checkpoint, save_checkpoint
+from .inference import dump_latent_trace, fitting_sentence_ids, generate, sentence_rng
+from .model import init_model, load_checkpoint
 from .reports import evaluation_report, export_word_measures, write_evaluation_report
 from .schedules import KINDS, build_schedule, dump_schedule
 from .splits import MODES, load_split_plan, make_splits, save_split_plan
@@ -63,34 +63,24 @@ def _add_config_flags(p: _Parser, keys) -> None:
         "trace_stride": dict(type=int, flag="--trace-stride"),
     }
     p.add_argument("--config", help="flat key=value config file")
+    p.set_defaults(config_keys=tuple(keys))
     for key in keys:
         spec = dict(specs[key])
         flag = spec.pop("flag", f"--{key}")
         p.add_argument(flag, dest=key, default=None, **spec)
 
 
-def _settings(args, keys) -> dict:
+def _settings(args) -> dict:
     file_values = parse_kv_file(args.config) if args.config else None
-    overrides = {key: getattr(args, key) for key in keys}
+    overrides = {key: getattr(args, key) for key in args.config_keys}
     return resolve_settings(file_values, overrides)
-
-
-def _encode_training_set(corpus: Corpus, vocab: Vocabulary, max_len: int):
-    kept = filter_encodable(corpus, vocab, max_len)
-    toks = {sid: tokenize_sentence(words, vocab) for sid, words in kept.sentences.items()}
-    instances = [
-        encode_instance(toks[rec.sentence_id], rec.fixations, max_len, vocab)
-        for rec in kept.records
-    ]
-    return kept, instances
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_prepare(args) -> int:
-    keys = ("seed", "max_len", "split_mode", "folds")
-    st = _settings(args, keys)
+    st = _settings(args)
     vocab = Vocabulary.from_file(args.vocab)
     corpus = load_corpus(args.corpus, args.sentences)
     n_sent, n_rec = len(corpus.sentences), len(corpus.records)
@@ -106,9 +96,7 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    keys = ("seed", "t_max", "schedule", "s", "hidden_dim", "d_bert", "blocks",
-            "heads", "max_len", "steps", "batch", "lr")
-    st = _settings(args, keys)
+    st = _settings(args)
     vocab = Vocabulary.from_file(args.vocab)
     corpus = load_corpus(args.corpus, args.sentences)
     if args.split:
@@ -116,7 +104,10 @@ def _cmd_train(args) -> int:
         if not 0 <= args.fold < plan.n_folds:
             raise ValidationError(f"fold {args.fold} outside 0..{plan.n_folds - 1}")
         corpus = corpus.subset(plan.folds[args.fold].train)
-    kept, instances = _encode_training_set(corpus, vocab, st["max_len"])
+    kept = filter_encodable(corpus, vocab, st["max_len"])
+    toks = {sid: tokenize_sentence(words, vocab) for sid, words in kept.sentences.items()}
+    instances = [encode_instance(toks[rec.sentence_id], rec.fixations, st["max_len"], vocab)
+                 for rec in kept.records]
     if not instances:
         raise ValidationError("no encodable training scanpaths")
 
@@ -124,10 +115,6 @@ def _cmd_train(args) -> int:
     if args.frozen_table:
         e_bert = load_table(args.frozen_table)
         st["d_bert"] = e_bert.shape[1]
-        if e_bert.shape[0] != len(vocab):
-            raise ValidationError(
-                f"frozen table rows {e_bert.shape[0]} != vocab size {len(vocab)}"
-            )
     config = ModelConfig.from_settings(st, v_bert=len(vocab))
     rng = np.random.default_rng(st["seed"])
     model = init_model(config, rng, e_bert=e_bert)
@@ -154,75 +141,58 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _generate_one(index, tok, vocab, model, seed, mean_only):
-    # Seed by position in the sorted sentence order, not by worker or batch
-    # layout, so --workers never changes the output.
-    rng = np.random.default_rng([seed, index])
-    return generate(model, tok, vocab, rng=rng, mean_only=mean_only)
+# (model, vocab, seed, mean_only) of this process's latest generate run: set
+# once per run in the CLI process and once in every pool worker
+_generation = None
 
 
-_WORKER_MODEL = None
+def _start_generation(checkpoint, vocab_path, seed, mean_only):
+    global _generation
+    _generation = (load_checkpoint(checkpoint), Vocabulary.from_file(vocab_path),
+                   seed, mean_only)
+    return _generation
 
 
-def _worker_init(ckpt_path):
-    global _WORKER_MODEL
-    _WORKER_MODEL = load_checkpoint(ckpt_path)
-
-
-def _worker_generate(job):
-    sid, index, words, vocab_tokens, seed, mean_only = job
-    vocab = Vocabulary.from_tokens(vocab_tokens)
-    tok = tokenize_sentence(words, vocab)
-    res = _generate_one(index, tok, vocab, _WORKER_MODEL, seed, mean_only)
-    return sid, res.fixations, res.clamped
+def _generate_sentence(job):
+    """(fixations, clamped) for one (index, words) job of the current run."""
+    index, words = job
+    model, vocab, seed, mean_only = _generation
+    res = generate(model, tokenize_sentence(words, vocab), vocab,
+                   rng=sentence_rng(seed, index), mean_only=mean_only)
+    return res.fixations, res.clamped
 
 
 def _cmd_generate(args) -> int:
-    keys = ("seed", "workers", "mean_only")
-    st = _settings(args, keys)
-    model = load_checkpoint(args.checkpoint)
-    vocab = Vocabulary.from_file(args.vocab)
+    st = _settings(args)
+    setup = (args.checkpoint, args.vocab, st["seed"], st["mean_only"])
+    model, vocab, _, _ = _start_generation(*setup)
     sentences = load_sentences(args.sentences)
+    usable = fitting_sentence_ids(sentences, vocab, model.config.max_len)
+    for sid in sorted(set(sentences) - set(usable)):
+        log.warning("skipping sentence %s: does not fit the model frame", sid)
 
-    usable: dict[str, tuple[str, ...]] = {}
-    for sid in sorted(sentences):
-        words = sentences[sid]
-        n = len(tokenize_sentence(words, vocab).pieces)
-        if scanpath_room(n, model.config.max_len) < 1:
-            log.warning("skipping sentence %s: does not fit the model frame", sid)
-            continue
-        usable[sid] = words
-
-    results: dict[str, list[int]] = {}
-    clamped_total = 0
+    jobs = [(i, sentences[sid]) for i, sid in enumerate(usable)]
     if st["workers"] > 1:
-        jobs = [(sid, i, usable[sid], vocab.tokens, st["seed"], st["mean_only"])
-                for i, sid in enumerate(usable)]
         with ProcessPoolExecutor(max_workers=st["workers"],
-                                 initializer=_worker_init,
-                                 initargs=(args.checkpoint,)) as pool:
-            for sid, fixations, clamped in pool.map(_worker_generate, jobs):
-                results[sid] = fixations
-                clamped_total += clamped
+                                 initializer=_start_generation,
+                                 initargs=setup) as pool:
+            outputs = list(pool.map(_generate_sentence, jobs))
     else:
-        for i, sid in enumerate(usable):
-            tok = tokenize_sentence(usable[sid], vocab)
-            res = _generate_one(i, tok, vocab, model, st["seed"], st["mean_only"])
-            results[sid] = res.fixations
-            clamped_total += res.clamped
+        outputs = list(map(_generate_sentence, jobs))
 
     out = Corpus(
-        sentences=dict(usable),
-        records=[ScanpathRecord("model", sid, tuple(results[sid])) for sid in results],
+        sentences={sid: sentences[sid] for sid in usable},
+        records=[ScanpathRecord("model", sid, tuple(fixations))
+                 for sid, (fixations, _) in zip(usable, outputs)],
     )
     save_corpus(out, args.out)
     print(f"wrote {len(out.records)} scanpaths to {args.out} "
-          f"({clamped_total} out-of-range indices clamped)")
+          f"({sum(clamped for _, clamped in outputs)} out-of-range indices clamped)")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    _settings(args, ())  # validate --config if given
+    _settings(args)  # validate --config if given
     sentences_true = load_corpus(args.true, args.sentences)
     sentences_pred = load_corpus(args.pred, args.sentences)
     report = evaluation_report(sentences_true, sentences_pred)
@@ -239,8 +209,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    keys = ("seed",)
-    st = _settings(args, keys)
+    st = _settings(args)
     corpus = load_corpus(args.corpus, args.sentences)
     if args.kind == "human":
         hb = human_baseline(corpus)
@@ -260,8 +229,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_schedule_dump(args) -> int:
-    keys = ("t_max", "s")
-    st = _settings(args, keys)
+    st = _settings(args)
     kind = args.kind if args.kind else st["schedule"]
     sched = build_schedule(kind, st["t_max"], st["s"])
     if args.out:
@@ -274,15 +242,17 @@ def _cmd_schedule_dump(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    keys = ("seed", "trace_stride", "mean_only")
-    st = _settings(args, keys)
+    st = _settings(args)
     model = load_checkpoint(args.checkpoint)
     vocab = Vocabulary.from_file(args.vocab)
     sentences = load_sentences(args.sentences)
     if args.sentence_id not in sentences:
         raise ValidationError(f"unknown sentence_id {args.sentence_id!r}")
+    usable = fitting_sentence_ids(sentences, vocab, model.config.max_len)
+    if args.sentence_id not in usable:
+        raise ValidationError(f"sentence {args.sentence_id}: does not fit the model frame")
     tok = tokenize_sentence(sentences[args.sentence_id], vocab)
-    rng = np.random.default_rng(st["seed"])
+    rng = sentence_rng(st["seed"], usable.index(args.sentence_id))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         res = dump_latent_trace(model, tok, vocab, fh, rng=rng,
                                 stride=st["trace_stride"],

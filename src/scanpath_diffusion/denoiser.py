@@ -106,45 +106,42 @@ class DenoiserParams:
         return self.dim // self.n_heads
 
 
+def denoiser_shapes(dim: int, n_blocks: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every denoiser tensor, in checkpoint order."""
+    h = 4 * dim
+    shapes = {"time_w1": (dim, h), "time_b1": (h,), "time_w2": (h, dim), "time_b2": (dim,),
+              "ln_in_g": (dim,), "ln_in_b": (dim,), "ln_out_g": (dim,), "ln_out_b": (dim,)}
+    block = {"ln1_g": (dim,), "ln1_b": (dim,),
+             "wq": (dim, dim), "bq": (dim,), "wk": (dim, dim), "bk": (dim,),
+             "wv": (dim, dim), "bv": (dim,), "wo": (dim, dim), "bo": (dim,),
+             "ln2_g": (dim,), "ln2_b": (dim,),
+             "ffn_w1": (dim, h), "ffn_b1": (h,), "ffn_w2": (h, dim), "ffn_b2": (dim,)}
+    for i in range(n_blocks):
+        shapes.update({f"b{i}.{leaf}": shape for leaf, shape in block.items()})
+    return shapes
+
+
 def init_denoiser(dim: int, n_blocks: int, n_heads: int, rng: np.random.Generator) -> DenoiserParams:
-    """Fresh denoiser weights.
+    """Fresh denoiser weights, drawn in `denoiser_shapes` order.
 
     Normal(0, 0.02) for weight matrices, zeros for biases and for the
-    closing projection of each residual branch, so every block starts as
-    the identity and the early updates stay small.
+    closing projection of each residual branch (wo, ffn_w2), so every block
+    starts as the identity and the early updates stay small.
     """
     if dim % n_heads != 0:
         raise ValidationError(f"dim {dim} not divisible by {n_heads} heads")
     if n_blocks < 1:
         raise ValidationError(f"need at least 1 block, got {n_blocks}")
 
-    def w(*shape):
-        return rng.normal(0.0, 0.02, size=shape)
-
-    t = {
-        "time_w1": w(dim, 4 * dim), "time_b1": np.zeros(4 * dim),
-        "time_w2": w(4 * dim, dim), "time_b2": np.zeros(dim),
-        "ln_in_g": np.ones(dim), "ln_in_b": np.zeros(dim),
-        "ln_out_g": np.ones(dim), "ln_out_b": np.zeros(dim),
-    }
-    for i in range(n_blocks):
-        p = f"b{i}."
-        t[p + "ln1_g"] = np.ones(dim)
-        t[p + "ln1_b"] = np.zeros(dim)
-        t[p + "wq"] = w(dim, dim)
-        t[p + "bq"] = np.zeros(dim)
-        t[p + "wk"] = w(dim, dim)
-        t[p + "bk"] = np.zeros(dim)
-        t[p + "wv"] = w(dim, dim)
-        t[p + "bv"] = np.zeros(dim)
-        t[p + "wo"] = np.zeros((dim, dim))
-        t[p + "bo"] = np.zeros(dim)
-        t[p + "ln2_g"] = np.ones(dim)
-        t[p + "ln2_b"] = np.zeros(dim)
-        t[p + "ffn_w1"] = w(dim, 4 * dim)
-        t[p + "ffn_b1"] = np.zeros(4 * dim)
-        t[p + "ffn_w2"] = np.zeros((4 * dim, dim))
-        t[p + "ffn_b2"] = np.zeros(dim)
+    t = {}
+    for name, shape in denoiser_shapes(dim, n_blocks).items():
+        leaf = name.rpartition(".")[2]
+        if leaf.endswith("_g"):
+            t[name] = np.ones(shape)
+        elif len(shape) == 1 or leaf in ("wo", "ffn_w2"):
+            t[name] = np.zeros(shape)
+        else:
+            t[name] = rng.normal(0.0, 0.02, size=shape)
     return DenoiserParams(dim=dim, n_blocks=n_blocks, n_heads=n_heads, tensors=t)
 
 

@@ -9,18 +9,17 @@ A frame position is embedded as the sum of three channels:
                    trainable linear projection
   position channel trainable table over within-side positions
 
-The frozen table ships in a simple container file: one JSON header line
-{"vocab": n, "dim": d} followed by the row-major little-endian float32
-payload.
+The frozen table ships in a container file (see `container`) whose header
+is {"vocab": n, "dim": d}.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .container import read_container, write_container
 from .errors import ValidationError
 
 
@@ -35,13 +34,7 @@ class EmbeddingParams:
     FROZEN = ("e_bert",)
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {
-            "e_idx": self.e_idx,
-            "e_pos": self.e_pos,
-            "e_bert": self.e_bert,
-            "w_proj": self.w_proj,
-            "b_proj": self.b_proj,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def dim(self) -> int:
@@ -127,29 +120,15 @@ def round_argmax(z: np.ndarray, params: EmbeddingParams) -> np.ndarray:
 
 
 def save_table(arr: np.ndarray, path) -> None:
-    """Write a float table as a JSON header line + raw float32 rows."""
+    """Write a float table as a container file (header {"vocab": n, "dim": d})."""
     arr = np.asarray(arr)
     if arr.ndim != 2:
         raise ValidationError(f"table must be 2-d, got shape {arr.shape}")
-    header = {"vocab": int(arr.shape[0]), "dim": int(arr.shape[1])}
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode("ascii"))
-        fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    write_container(path, {"vocab": int(arr.shape[0]), "dim": int(arr.shape[1])}, [arr])
 
 
 def load_table(path) -> np.ndarray:
     """Read a table file back into a float64 array."""
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-            n, d = int(header["vocab"]), int(header["dim"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValidationError(f"{path}: bad table header ({exc})") from exc
-        payload = fh.read()
-    expected = n * d * 4
-    if len(payload) != expected:
-        raise ValidationError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
-        )
-    return np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float64)
+    _, arrays = read_container(path, "table",
+                               lambda h: {"table": (int(h["vocab"]), int(h["dim"]))})
+    return arrays["table"]

@@ -14,6 +14,10 @@ starts, and stays, at its exact embedding. Each step t = t_max .. 1:
 
 The final scanpath-side ids are decoded by truncating at the end marker,
 dropping frame markers, and clamping stray out-of-range values.
+
+Seeding rule: the sentence at position i of `fitting_sentence_ids` draws
+all its noise from `sentence_rng(seed, i)`, whatever the worker count or
+run order, so `trace` replays the chain that `generate` ran.
 """
 
 from __future__ import annotations
@@ -26,17 +30,29 @@ import numpy as np
 
 from . import denoiser as dn
 from .embedding import embed_parts, round_argmax
-from .encoding import decode_fixations, encode_instance
+from .encoding import decode_fixations, encode_instance, scanpath_room
 from .errors import ValidationError
 from .model import Model
 from .schedules import posterior_params
-from .tokenization import TokenizedSentence, Vocabulary
+from .tokenization import TokenizedSentence, Vocabulary, tokenize_sentence
 
-__all__ = ["GenerationResult", "generate", "dump_latent_trace", "TRACE_HEADER"]
+__all__ = ["GenerationResult", "generate", "dump_latent_trace", "TRACE_HEADER",
+           "fitting_sentence_ids", "sentence_rng"]
 
 log = logging.getLogger(__name__)
 
 TRACE_HEADER = ["t", "position", "dim", "value"]
+
+
+def fitting_sentence_ids(sentences: dict, vocab: Vocabulary, max_len: int) -> list[str]:
+    """Sorted ids of the sentences that leave room for a scanpath in the frame."""
+    return [sid for sid in sorted(sentences)
+            if scanpath_room(len(tokenize_sentence(sentences[sid], vocab).pieces), max_len) > 0]
+
+
+def sentence_rng(seed: int, index: int) -> np.random.Generator:
+    """The generator of the sentence at `index` in `fitting_sentence_ids`."""
+    return np.random.default_rng([seed, index])
 
 
 @dataclass

@@ -1,26 +1,28 @@
 """Model bundle (embedding + denoiser + config) and checkpoint files.
 
-A checkpoint is a single binary file: one JSON header line holding the
-model config and an ordered tensor manifest (name, shape, dtype), followed
-by the tensors' little-endian float32 payloads concatenated in manifest
-order. Everything needed to generate, including the frozen context table,
-rides along, so a checkpoint plus a sentence file is self-sufficient.
+`tensor_shapes(config)` is the tensor manifest: every model tensor's name
+and shape, in checkpoint order; its denoiser part is the table that
+`init_denoiser` fills. A checkpoint is a container file (see `container`)
+whose header holds the config and the manifest, so a checkpoint plus a
+sentence file is self-sufficient. Loading checks the header's manifest
+against the config's and names the first entry that differs.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 from .config import ModelConfig
-from .denoiser import DenoiserParams, init_denoiser
+from .container import read_container, write_container
+from .denoiser import DenoiserParams, denoiser_shapes, init_denoiser
 from .embedding import EmbeddingParams, init_embedding
 from .errors import ValidationError
 from .schedules import NoiseSchedule, build_schedule
 
-__all__ = ["Model", "init_model", "save_checkpoint", "load_checkpoint"]
+__all__ = ["Model", "init_model", "tensor_shapes", "save_checkpoint", "load_checkpoint"]
 
 
 @dataclass
@@ -55,13 +57,10 @@ def init_model(config: ModelConfig, rng: np.random.Generator,
             f"v_idx {config.v_idx} < max_len {config.max_len}: the index table "
             "must cover every word position a frame can hold"
         )
-    if e_bert is not None:
-        e_bert = np.asarray(e_bert, dtype=np.float64)
-        if e_bert.shape != (config.v_bert, config.d_bert):
-            raise ValidationError(
-                f"frozen table shape {e_bert.shape} does not match config "
-                f"({config.v_bert}, {config.d_bert})"
-            )
+    want = tensor_shapes(config)["emb.e_bert"]
+    if e_bert is not None and np.shape(e_bert) != want:
+        raise ValidationError(f"frozen table shape {np.shape(e_bert)} does not match the "
+                              f"config's (v_bert, d_bert) = {want}")
     emb = init_embedding(
         v_idx=config.v_idx,
         max_len=config.max_len,
@@ -75,69 +74,48 @@ def init_model(config: ModelConfig, rng: np.random.Generator,
     return Model(config=config, emb=emb, den=den)
 
 
+def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every model tensor, in checkpoint order."""
+    d = config.dim
+    shapes = {
+        "emb.e_idx": (config.v_idx, d),
+        "emb.e_pos": (config.max_len, d),
+        "emb.e_bert": (config.v_bert, config.d_bert),
+        "emb.w_proj": (config.d_bert, d),
+        "emb.b_proj": (d,),
+    }
+    shapes.update({f"den.{name}": shape for name, shape
+                   in denoiser_shapes(d, config.n_blocks).items()})
+    return shapes
+
+
 def save_checkpoint(model: Model, path) -> None:
     tensors = model.all_tensors()
-    manifest = [
-        {"name": name, "shape": list(arr.shape), "dtype": "<f4"}
-        for name, arr in tensors.items()
-    ]
-    header = {"config": model.config.to_dict(), "tensors": manifest}
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode("ascii"))
-        for arr in tensors.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    shapes = tensor_shapes(model.config)
+    if {name: arr.shape for name, arr in tensors.items()} != shapes:
+        raise ValidationError("model tensors do not match its config")
+    manifest = [{"name": name, "shape": list(shape), "dtype": "<f4"}
+                for name, shape in shapes.items()]
+    write_container(path, {"config": model.config.to_dict(), "tensors": manifest},
+                    (tensors[name] for name in shapes))
+
+
+def _checkpoint_layout(header: dict) -> dict[str, tuple[int, ...]]:
+    """The config's tensor shapes, once the header's manifest matches them."""
+    shapes = tensor_shapes(ModelConfig.from_dict(header["config"]))
+    got = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
+    for i, (have, want) in enumerate(zip_longest(got, shapes.items())):
+        if have != want:
+            raise ValidationError(f"manifest entry {i} is {have}, the config implies {want}")
+    return shapes
 
 
 def load_checkpoint(path) -> Model:
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-            config = ModelConfig.from_dict(header["config"])
-            manifest = header["tensors"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValidationError(f"{path}: bad checkpoint header ({exc})") from exc
-        tensors: dict[str, np.ndarray] = {}
-        for entry in manifest:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            payload = fh.read(count * 4)
-            if len(payload) != count * 4:
-                raise ValidationError(f"{path}: truncated payload for tensor {entry['name']!r}")
-            tensors[entry["name"]] = (
-                np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
-            )
-        if fh.read(1):
-            raise ValidationError(f"{path}: trailing bytes after last tensor")
-
-    def take(name):
-        try:
-            return tensors[name]
-        except KeyError:
-            raise ValidationError(f"{path}: checkpoint is missing tensor {name!r}") from None
-
-    emb = EmbeddingParams(
-        e_idx=take("emb.e_idx"),
-        e_pos=take("emb.e_pos"),
-        e_bert=take("emb.e_bert"),
-        w_proj=take("emb.w_proj"),
-        b_proj=take("emb.b_proj"),
-    )
-    den_tensors = {
-        k[len("den."):]: v for k, v in tensors.items() if k.startswith("den.")
-    }
-    den = DenoiserParams(
-        dim=config.dim, n_blocks=config.n_blocks, n_heads=config.n_heads,
-        tensors=den_tensors,
-    )
-    # fail fast on a manifest that does not cover the architecture
-    expected = {"time_w1", "time_b1", "time_w2", "time_b2",
-                "ln_in_g", "ln_in_b", "ln_out_g", "ln_out_b"}
-    for i in range(config.n_blocks):
-        for leaf in ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv",
-                     "wo", "bo", "ln2_g", "ln2_b",
-                     "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2"):
-            expected.add(f"b{i}.{leaf}")
-    if set(den_tensors) != expected:
-        raise ValidationError(f"{path}: denoiser tensors do not match the config")
-    return Model(config=config, emb=emb, den=den)
+    header, tensors = read_container(path, "checkpoint", _checkpoint_layout)
+    config = ModelConfig.from_dict(header["config"])
+    parts = {"emb": {}, "den": {}}
+    for name, arr in tensors.items():
+        part, _, leaf = name.partition(".")
+        parts[part][leaf] = arr
+    den = DenoiserParams(config.dim, config.n_blocks, config.n_heads, parts["den"])
+    return Model(config=config, emb=EmbeddingParams(**parts["emb"]), den=den)

@@ -2,11 +2,15 @@
 
 import csv
 
+import numpy as np
 import pytest
 
-from scanpath_diffusion import (Corpus, ScanpathRecord, build_vocab,
-                                load_corpus, save_corpus, save_sentences,
-                                synthetic_corpus)
+from scanpath_diffusion import (Corpus, ScanpathRecord, Vocabulary,
+                                build_vocab, fitting_sentence_ids, generate,
+                                load_checkpoint, load_corpus, load_sentences,
+                                save_corpus, save_sentences, save_table,
+                                sentence_rng, synthetic_corpus,
+                                tokenize_sentence)
 from scanpath_diffusion.cli import main
 
 
@@ -107,6 +111,19 @@ def test_train_artifacts(trained):
     assert len(metrics) == 3  # header + 2 steps
     cfg = (out_dir / "config.txt").read_text()
     assert "t_max = 6" in cfg and "hidden_dim = 8" in cfg
+
+
+def test_train_rejects_frozen_table_of_wrong_vocab_size(tmp_path, capsys):
+    _, vocab, paths = make_world(tmp_path)
+    table = tmp_path / "table.bin"
+    save_table(np.ones((len(vocab) + 1, 8)), table)
+    rc = main(["train", "--corpus", str(paths["corpus"]),
+               "--sentences", str(paths["sentences"]),
+               "--vocab", str(paths["vocab"]), "--frozen-table", str(table),
+               "--out-dir", str(tmp_path / "run"), *TRAIN_FLAGS])
+    assert rc == 1
+    assert "frozen table" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_on_split_fold(tmp_path, capsys):
@@ -308,6 +325,51 @@ def test_trace_unknown_sentence(trained, tmp_path, capsys):
                "--sentence-id", "nope", "--out", str(tmp_path / "t.csv")])
     assert rc == 1
     assert "nope" in capsys.readouterr().err
+
+
+def test_trace_replays_generate_chain(trained, tmp_path):
+    # the latents, not just the decoded scanpath: a memorized model decodes
+    # the same scanpath from any noise
+    paths = trained["paths"]
+    model = load_checkpoint(trained["ckpt"])
+    vocab = Vocabulary.from_file(paths["vocab"])
+    sentences = load_sentences(paths["sentences"])
+    index = 2
+    sid = fitting_sentence_ids(sentences, vocab, model.config.max_len)[index]
+    out = tmp_path / "trace.csv"
+    assert main(["trace", "--checkpoint", str(trained["ckpt"]),
+                 "--sentences", str(paths["sentences"]),
+                 "--vocab", str(paths["vocab"]),
+                 "--sentence-id", sid, "--out", str(out), "--seed", "9"]) == 0
+
+    first = np.full((model.config.max_len, model.config.dim), np.nan)
+    with open(out, newline="") as fh:
+        for row in csv.DictReader(fh):
+            if int(row["t"]) == model.config.t_max - 1:
+                first[int(row["position"]), int(row["dim"])] = float(row["value"])
+    after_step_1 = []
+
+    def on_step(i, _t, z, _z0):
+        if i == 1:
+            after_step_1.append(z.copy())
+
+    generate(model, tokenize_sentence(sentences[sid], vocab), vocab,
+             rng=sentence_rng(9, index), on_step=on_step)
+    assert np.array_equal(first, after_step_1[0])
+
+
+def test_trace_sentence_that_does_not_fit(trained, tmp_path, capsys):
+    sentences = dict(trained["corpus"].sentences)
+    sentences["s_long"] = ("bala",) * 16  # 21 frame slots; the model has 20
+    sent_path = tmp_path / "sent.csv"
+    save_sentences(sentences, sent_path)
+    rc = main(["trace", "--checkpoint", str(trained["ckpt"]),
+               "--sentences", str(sent_path),
+               "--vocab", str(trained["paths"]["vocab"]),
+               "--sentence-id", "s_long", "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "s_long" in err and "does not fit the model frame" in err
 
 
 # ---------------------------------------------------------------------------

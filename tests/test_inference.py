@@ -2,13 +2,15 @@
 
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
 
 from scanpath_diffusion import (ValidationError, dump_latent_trace, generate,
                                 init_model, load_checkpoint, save_checkpoint,
-                                tokenize_sentence)
+                                tensor_shapes, tokenize_sentence)
+from scanpath_diffusion import container
 from scanpath_diffusion import inference as inf_mod
 from scanpath_diffusion.embedding import embed_parts
 
@@ -248,6 +250,50 @@ def test_checkpoint_bad_header(tmp_path):
     path.write_bytes(b'{"nope": 1}\n')
     with pytest.raises(ValidationError):
         load_checkpoint(path)
+
+
+def test_tensor_shapes_list_every_model_tensor_in_order(tiny_vocab):
+    model = small_model(tiny_vocab, n_blocks=2)
+    shapes = [(name, arr.shape) for name, arr in model.all_tensors().items()]
+    assert shapes == list(tensor_shapes(model.config).items())
+
+
+def test_checkpoint_transposed_tensor_rejected(tiny_vocab, tmp_path):
+    # same element count, so only the shape check can catch it
+    model = small_model(tiny_vocab)
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    entry = next(e for e in header["tensors"] if e["name"] == "den.b0.ffn_w1")
+    entry["shape"] = entry["shape"][::-1]
+    assert entry["shape"][0] != entry["shape"][1]
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+    with pytest.raises(ValidationError, match="den.b0.ffn_w1"):
+        load_checkpoint(path)
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tiny_vocab, tmp_path,
+                                                      monkeypatch):
+    path = tmp_path / "model.bin"
+    save_checkpoint(small_model(tiny_vocab), path)
+    before = path.read_bytes()
+    other = init_model(small_model(tiny_vocab).config, np.random.default_rng(99))
+    real, calls = container.np.ascontiguousarray, []
+
+    def fail_on_third_tensor(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(container.np, "ascontiguousarray", fail_on_third_tensor)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(other, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+    load_checkpoint(path)
 
 
 def test_init_model_v_idx_guard(tiny_vocab):

@@ -15,8 +15,7 @@ from .corpus import (Corpus, ScanpathRecord, filter_encodable, load_corpus,
                      save_sentences)
 from .denoiser import DenoiserParams, init_denoiser
 from .embedding import (EmbeddingParams, embed, embed_parts, init_embedding,
-                        load_table, round_argmax, round_logits, sample_z0,
-                        save_table)
+                        load_table, round_argmax, round_logits, save_table)
 from .encoding import (Batch, EncodedInstance, decode_fixations,
                        encode_instance, stack_instances, trim_batch)
 from .errors import ConfigError, CorpusFormatError, ValidationError
@@ -56,7 +55,7 @@ __all__ = [
     "load_split_plan", "load_table", "loss_terms", "make_splits", "nld",
     "pair_records", "parse_kv_file", "pearson", "posterior_params", "q_sample",
     "reading_measures", "resolve_settings", "round_argmax", "round_logits",
-    "sample_z0", "save_checkpoint", "save_corpus", "save_sentences",
+    "save_checkpoint", "save_corpus", "save_sentences",
     "save_split_plan", "save_table", "sentence_rng", "stack_instances",
     "synthetic_corpus", "tensor_shapes", "tokenize_sentence", "tokenize_word",
     "train", "trainlabel_baseline",

@@ -216,7 +216,7 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
     if not need_cache:
         return out, None
     cache = {
-        "z_shape": z.shape, "t_code": t_code, "t_hid": t_hid, "t_phi": t_phi,
+        "t_code": t_code, "t_hid": t_hid, "t_phi": t_phi,
         "ln_in": ln_in_cache, "ln_out": ln_out_cache, "blocks": blocks,
     }
     return out, cache
@@ -225,41 +225,34 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
 def backward(params: DenoiserParams, cache, d_out):
     """Backprop through a cached forward pass.
 
-    Returns (grads, d_z): parameter gradients keyed like the tensors dict,
+    Returns (grads, d_z): parameter gradients in `denoiser_shapes` order,
     and the gradient with respect to the input latents.
     """
     p = params.tensors
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    grads = {}
     scale = 1.0 / math.sqrt(params.head_dim)
 
-    d_h, d_g, d_b = _layer_norm_bwd(d_out, p["ln_out_g"], cache["ln_out"])
-    grads["ln_out_g"] += d_g
-    grads["ln_out_b"] += d_b
+    d_h, grads["ln_out_g"], grads["ln_out_b"] = _layer_norm_bwd(
+        d_out, p["ln_out_g"], cache["ln_out"])
 
     for i in reversed(range(params.n_blocks)):
         pre = f"b{i}."
         blk = cache["blocks"][i]
 
         # feed-forward branch
-        d_ffn_out = d_h
         u, phi = blk["u"], blk["phi"]
-        d_g_act, d_w2, d_b2 = _linear_bwd(d_ffn_out, u * phi, p[pre + "ffn_w2"])
-        grads[pre + "ffn_w2"] += d_w2
-        grads[pre + "ffn_b2"] += d_b2
+        d_g_act, grads[pre + "ffn_w2"], grads[pre + "ffn_b2"] = _linear_bwd(
+            d_h, u * phi, p[pre + "ffn_w2"])
         d_u = d_g_act * _gelu_grad(u, phi)
-        d_fin, d_w1, d_b1 = _linear_bwd(d_u, blk["fin"], p[pre + "ffn_w1"])
-        grads[pre + "ffn_w1"] += d_w1
-        grads[pre + "ffn_b1"] += d_b1
-        d_h_ln2, d_g2, d_b2g = _layer_norm_bwd(d_fin, p[pre + "ln2_g"], blk["ln2"])
-        grads[pre + "ln2_g"] += d_g2
-        grads[pre + "ln2_b"] += d_b2g
+        d_fin, grads[pre + "ffn_w1"], grads[pre + "ffn_b1"] = _linear_bwd(
+            d_u, blk["fin"], p[pre + "ffn_w1"])
+        d_h_ln2, grads[pre + "ln2_g"], grads[pre + "ln2_b"] = _layer_norm_bwd(
+            d_fin, p[pre + "ln2_g"], blk["ln2"])
         d_h = d_h + d_h_ln2
 
         # attention branch
-        d_attn_out = d_h
-        d_ctx, d_wo, d_bo = _linear_bwd(d_attn_out, blk["ctx"], p[pre + "wo"])
-        grads[pre + "wo"] += d_wo
-        grads[pre + "bo"] += d_bo
+        d_ctx, grads[pre + "wo"], grads[pre + "bo"] = _linear_bwd(
+            d_h, blk["ctx"], p[pre + "wo"])
         d_ctx_h = _split_heads(d_ctx, params.n_heads)
         att = blk["att"]
         d_att = d_ctx_h @ blk["v"].swapaxes(-1, -2)
@@ -269,27 +262,26 @@ def backward(params: DenoiserParams, cache, d_out):
         d_k = d_scores.swapaxes(-1, -2) @ blk["q"] * scale
         d_a = np.zeros_like(blk["a"])
         for name, d_head in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
-            d_x, d_w, d_bias = _linear_bwd(_merge_heads(d_head), blk["a"], p[pre + name])
-            grads[pre + name] += d_w
-            grads[pre + "b" + name[1]] += d_bias
+            d_x, grads[pre + name], grads[pre + "b" + name[1]] = _linear_bwd(
+                _merge_heads(d_head), blk["a"], p[pre + name])
             d_a += d_x
-        d_h_ln1, d_g1, d_b1g = _layer_norm_bwd(d_a, p[pre + "ln1_g"], blk["ln1"])
-        grads[pre + "ln1_g"] += d_g1
-        grads[pre + "ln1_b"] += d_b1g
+        d_h_ln1, grads[pre + "ln1_g"], grads[pre + "ln1_b"] = _layer_norm_bwd(
+            d_a, p[pre + "ln1_g"], blk["ln1"])
         d_h = d_h + d_h_ln1
 
-    d_z_in, d_g_in, d_b_in = _layer_norm_bwd(d_h, p["ln_in_g"], cache["ln_in"])
-    grads["ln_in_g"] += d_g_in
-    grads["ln_in_b"] += d_b_in
+    d_z_in, grads["ln_in_g"], grads["ln_in_b"] = _layer_norm_bwd(
+        d_h, p["ln_in_g"], cache["ln_in"])
 
     d_t_vec = d_z_in.sum(axis=1)
     t_hid, t_phi = cache["t_hid"], cache["t_phi"]
-    d_t_act, d_tw2, d_tb2 = _linear_bwd(d_t_vec, t_hid * t_phi, p["time_w2"])
-    grads["time_w2"] += d_tw2
-    grads["time_b2"] += d_tb2
+    d_t_act, grads["time_w2"], grads["time_b2"] = _linear_bwd(
+        d_t_vec, t_hid * t_phi, p["time_w2"])
     d_t_hid = d_t_act * _gelu_grad(t_hid, t_phi)
-    _, d_tw1, d_tb1 = _linear_bwd(d_t_hid, cache["t_code"], p["time_w1"])
-    grads["time_w1"] += d_tw1
-    grads["time_b1"] += d_tb1
+    _, grads["time_w1"], grads["time_b1"] = _linear_bwd(
+        d_t_hid, cache["t_code"], p["time_w1"])
 
-    return grads, d_z_in
+    # the gradients above arrive in reverse layer order; hand them back in
+    # manifest order, because clip_global_norm sums the squares in dict order
+    # and another order moves the norm's last bits, and with them the run
+    order = denoiser_shapes(params.dim, params.n_blocks)
+    return {name: grads[name] for name in order}, d_z_in

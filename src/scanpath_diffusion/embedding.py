@@ -100,15 +100,6 @@ def embed(params: EmbeddingParams, x_idx, x_bert, x_pos) -> np.ndarray:
     return emb_idx + emb_ctx
 
 
-def sample_z0(emb: np.ndarray, beta_zero: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw the clean latent around an embedded frame: emb + sqrt(b0) * eps."""
-    if beta_zero < 0:
-        raise ValidationError(f"beta_zero must be >= 0, got {beta_zero}")
-    if beta_zero == 0.0:
-        return np.array(emb, dtype=np.float64, copy=True)
-    return emb + np.sqrt(beta_zero) * rng.standard_normal(np.shape(emb))
-
-
 def round_logits(z: np.ndarray, params: EmbeddingParams) -> np.ndarray:
     """Inner-product scores of latents against the index table rows."""
     return np.asarray(z) @ params.e_idx.T

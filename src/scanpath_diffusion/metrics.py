@@ -73,12 +73,20 @@ def levenshtein_many(pairs) -> list[int]:
 
 
 def levenshtein(a, b) -> int:
-    """Unit-cost edit distance between two index sequences."""
+    """Unit-cost edit distance between two index sequences.
+
+    One pair pays the batched kernel's fixed cost per DP row; to score many
+    pairs, pass them all to levenshtein_many in one call.
+    """
     return levenshtein_many([(a, b)])[0]
 
 
 def nld(a, b) -> float:
-    """Edit distance normalized by the longer length; 0 = identical."""
+    """Edit distance normalized by the longer length; 0 = identical.
+
+    For many pairs, divide the levenshtein_many distances by the longer
+    lengths instead of calling this per pair.
+    """
     la, lb = len(list(a)), len(list(b))
     if la == 0 and lb == 0:
         raise ValidationError("nld undefined for two empty sequences")

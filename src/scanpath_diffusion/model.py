@@ -57,6 +57,8 @@ def init_model(config: ModelConfig, rng: np.random.Generator,
             f"v_idx {config.v_idx} < max_len {config.max_len}: the index table "
             "must cover every word position a frame can hold"
         )
+    if config.beta_zero is not None and not config.beta_zero >= 0.0:  # NaN fails too
+        raise ValidationError(f"beta_zero must be >= 0, got {config.beta_zero}")
     want = tensor_shapes(config)["emb.e_bert"]
     if e_bert is not None and np.shape(e_bert) != want:
         raise ValidationError(f"frozen table shape {np.shape(e_bert)} does not match the "

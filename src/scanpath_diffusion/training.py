@@ -1,15 +1,18 @@
 """Loss, optimizer, and the training loop.
 
 Per step: draw a batch of frames, a step index t per frame (loss-aware
-sampler over 0..t_max), noise the scanpath side of each clean latent to
-its t, and fit the denoiser prediction with three terms:
+sampler over 0..t_max), draw the clean latent around the embedded frame
+(index channel + sqrt(beta_zero) * noise), jump its scanpath side to its t
+with schedules.q_sample (rows at t = 0 stay clean), and fit the denoiser
+prediction with three terms:
 
   reconstruction  mean squared error against the clean latent (t >= 2) or
                   against the noise-free embedding (t in {0, 1}; the t=1
                   case is what anchors the latent space to the tables, and
                   can be moved to the t >= 2 rule via config)
   rounding        cross-entropy of the prediction's inner products against
-                  the index table, at the true word-position values
+                  the index table (embedding.round_logits), at the true
+                  word-position values
 
 Each per-frame loss is a mean over that frame's scanpath slots. The
 reconstruction term is importance-weighted (1 / (t_max * p(t))) so the
@@ -34,11 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import denoiser as dn
-from .embedding import embed_parts
+from .embedding import embed_parts, round_logits
 from .encoding import Batch, stack_instances, trim_batch
 from .errors import ValidationError
 from .model import Model, save_checkpoint
-from .schedules import NoiseSchedule, TimestepSampler
+from .schedules import NoiseSchedule, TimestepSampler, q_sample
 
 __all__ = [
     "loss_terms", "loss_forward", "loss_backward",
@@ -86,14 +89,14 @@ def loss_forward(model: Model, batch: Batch, t_arr, sched: NoiseSchedule,
     z0_idx = emb_idx + math.sqrt(b0) * eps0
     z0 = z0_idx + emb_ctx
 
-    # noise the scanpath side of rows with t >= 1; the multiplier on the
-    # clean component is what the backward pass needs
+    # noise the scanpath side of rows with t >= 1 (t = 0 rows pass through);
+    # backward needs the multiplier on the clean component, d z_t / d z0
     eps = rng.standard_normal(full_frame)[:, :width]
-    ab = np.where(t_arr >= 1, sched.alpha_bar[np.maximum(t_arr, 1) - 1], 1.0)
-    noised = (batch.target_mask & (t_arr >= 1)[:, None])[..., None]
-    coef = np.where(noised, np.sqrt(ab)[:, None, None], 1.0)
-    zt_idx = coef * z0_idx + np.where(noised, np.sqrt(1.0 - ab)[:, None, None] * eps, 0.0)
-    z_t = zt_idx + emb_ctx
+    noised = batch.target_mask & (t_arr >= 1)[:, None]
+    t_jump = np.maximum(t_arr, 1)
+    z_t = q_sample(z0_idx, t_jump, eps, sched, noised) + emb_ctx
+    sqrt_ab = np.sqrt(sched.alpha_bar[t_jump - 1])[:, None, None]
+    coef = np.where(noised[..., None], sqrt_ab, 1.0)
 
     z0_hat, den_cache = dn.forward(model.den, z_t, t_arr, batch.pad_mask,
                                    need_cache=need_cache)
@@ -107,7 +110,7 @@ def loss_forward(model: Model, batch: Batch, t_arr, sched: NoiseSchedule,
     sq = np.where(tgt, (z0_hat - target) ** 2, 0.0)
     per_sample_mse = sq.sum(axis=(1, 2)) / (n_tgt * dim)
 
-    logits = z0_hat @ model.emb.e_idx.T
+    logits = round_logits(z0_hat, model.emb)
     logits = logits - logits.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(logits).sum(axis=-1))
     true_logit = np.take_along_axis(logits, batch.x_idx[..., None], axis=-1)[..., 0]
@@ -126,8 +129,7 @@ def loss_forward(model: Model, batch: Batch, t_arr, sched: NoiseSchedule,
     if not need_cache:
         return breakdown, None
     cache = {
-        "batch": batch, "t_arr": t_arr, "coef": coef,
-        "emb_rows": emb_rows, "n_tgt": n_tgt,
+        "batch": batch, "coef": coef, "n_tgt": n_tgt,
         "z0_hat": z0_hat, "target": target, "logits_shifted": logits,
         "log_z": log_z, "den_cache": den_cache,
     }

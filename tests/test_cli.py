@@ -126,6 +126,22 @@ def test_train_rejects_frozen_table_of_wrong_vocab_size(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("value", ["-0.1", "nan"])
+def test_train_rejects_bad_beta_zero_before_writing(tmp_path, capsys, value):
+    _, _, paths = make_world(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"beta_zero = {value}\n")
+    out_dir = tmp_path / "run"
+    rc = main(["train", "--config", str(cfg), "--corpus", str(paths["corpus"]),
+               "--sentences", str(paths["sentences"]),
+               "--vocab", str(paths["vocab"]), "--out-dir", str(out_dir),
+               *TRAIN_FLAGS])
+    assert rc == 1
+    assert "beta_zero" in capsys.readouterr().err
+    assert not (out_dir / "config.txt").exists()
+    assert not (out_dir / "metrics.csv").exists()
+
+
 def test_train_on_split_fold(tmp_path, capsys):
     _, _, paths = make_world(tmp_path)
     plan = tmp_path / "plan.json"

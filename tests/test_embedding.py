@@ -5,7 +5,7 @@ import pytest
 
 from scanpath_diffusion import (ValidationError, embed, embed_parts,
                                 init_embedding, load_table, round_argmax,
-                                round_logits, sample_z0, save_table)
+                                round_logits, save_table)
 from scanpath_diffusion.embedding import EmbeddingParams
 
 
@@ -82,19 +82,6 @@ def test_init_scales():
     assert abs(params.e_pos.std() - 1.0) < 0.05
     assert params.w_proj.std() < 0.05
     assert np.all(params.b_proj == 0.0)
-
-
-def test_sample_z0():
-    rng = np.random.default_rng(2)
-    emb = np.ones((3, 2))
-    exact = sample_z0(emb, 0.0, rng)
-    assert np.array_equal(exact, emb)
-    exact[0, 0] = 99.0
-    assert emb[0, 0] == 1.0  # copy, not view
-    draws = np.stack([sample_z0(emb, 0.25, np.random.default_rng(k)) for k in range(4000)])
-    assert abs(draws.std() - 0.5) < 0.02
-    with pytest.raises(ValidationError):
-        sample_z0(emb, -0.1, rng)
 
 
 def test_round_logits_and_argmax():

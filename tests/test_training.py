@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from scanpath_diffusion import AdamW, ValidationError, init_model, train
+from scanpath_diffusion import (AdamW, ValidationError, init_model, q_sample,
+                                train)
 from scanpath_diffusion import denoiser as dn
 from scanpath_diffusion.embedding import embed_parts
 from scanpath_diffusion.encoding import stack_instances, trim_batch
@@ -27,6 +28,23 @@ def make_batch(model, vocab, corpus, n=4):
     return stack_instances(instances[:n])
 
 
+def slot_by_slot_terms(model, batch, z0_hat, target):
+    """Per-frame (mse, rounding nll), one scanpath slot at a time."""
+    mses, nlls = [], []
+    for i in range(batch.size):
+        slots = np.flatnonzero(batch.target_mask[i])
+        se, nll = 0.0, 0.0
+        for pos in slots:
+            diff = z0_hat[i, pos] - target[i, pos]
+            se += float(diff @ diff)
+            logits = model.emb.e_idx @ z0_hat[i, pos]
+            logits -= logits.max()
+            nll += math.log(np.exp(logits).sum()) - logits[batch.x_idx[i, pos]]
+        mses.append(se / (len(slots) * model.config.dim))
+        nlls.append(nll / len(slots))
+    return mses, nlls
+
+
 def test_loss_forward_deterministic_oracle(tiny_vocab, small_corpus):
     """With beta_zero = 0 and t = 0 everywhere, no drawn noise reaches the
     forward pass, so every term is recomputable from first principles."""
@@ -40,18 +58,7 @@ def test_loss_forward_deterministic_oracle(tiny_vocab, small_corpus):
     emb_idx, emb_ctx = embed_parts(model.emb, batch.x_idx, batch.x_bert, batch.x_pos)
     emb = emb_idx + emb_ctx
     z0_hat, _ = dn.forward(model.den, emb, t_arr, batch.pad_mask)
-    mses, nlls = [], []
-    for i in range(batch.size):
-        slots = np.flatnonzero(batch.target_mask[i])
-        se, nll = 0.0, 0.0
-        for pos in slots:
-            diff = z0_hat[i, pos] - emb[i, pos]
-            se += float(diff @ diff)
-            logits = model.emb.e_idx @ z0_hat[i, pos]
-            logits -= logits.max()
-            nll += math.log(np.exp(logits).sum()) - logits[batch.x_idx[i, pos]]
-        mses.append(se / (len(slots) * model.config.dim))
-        nlls.append(nll / len(slots))
+    mses, nlls = slot_by_slot_terms(model, batch, z0_hat, emb)
     assert breakdown.per_sample_mse == pytest.approx(mses, rel=1e-12)
     assert breakdown.per_sample_round == pytest.approx(nlls, rel=1e-12)
     assert breakdown.l_emb == pytest.approx(float(np.mean(mses)), rel=1e-12)
@@ -60,6 +67,54 @@ def test_loss_forward_deterministic_oracle(tiny_vocab, small_corpus):
     assert breakdown.total == pytest.approx(
         breakdown.l_vlb + breakdown.l_emb + breakdown.l_round
     )
+
+
+@pytest.mark.parametrize("t", [2, 5, "t_max"])
+def test_loss_forward_noised_rows_oracle(tiny_vocab, small_corpus, t):
+    """At t >= 2 with beta_zero > 0, replaying the generator at the full
+    frame gives both noise draws, so the clean latent, its jump to t and
+    every term are recomputable from the tested primitives."""
+    b0 = 0.3
+    model = make_model(beta_zero=b0, v_bert=len(tiny_vocab), max_len=32, v_idx=32)
+    rng = np.random.default_rng(8)
+    for arr in model.trainable_tensors().values():
+        arr[...] = rng.normal(0.0, 0.3, size=arr.shape)
+    batch = trim_batch(make_batch(model, tiny_vocab, small_corpus))
+    bsz, width = batch.x_idx.shape
+    assert width < model.config.max_len
+    sched = model.schedule()
+    t_arr = np.full(bsz, sched.t_max if t == "t_max" else t)
+    breakdown, _ = loss_forward(model, batch, t_arr, sched,
+                                np.random.default_rng(5), beta_zero=b0)
+
+    replay = np.random.default_rng(5)
+    frame = (bsz, model.config.max_len, model.config.dim)
+    eps0 = replay.standard_normal(frame)[:, :width]
+    eps = replay.standard_normal(frame)[:, :width]
+    emb_idx, emb_ctx = embed_parts(model.emb, batch.x_idx, batch.x_bert, batch.x_pos)
+    z0 = emb_idx + math.sqrt(b0) * eps0
+    z_t = q_sample(z0, t_arr, eps, sched, batch.target_mask) + emb_ctx
+    z0_hat, _ = dn.forward(model.den, z_t, t_arr, batch.pad_mask)
+    mses, nlls = slot_by_slot_terms(model, batch, z0_hat, z0 + emb_ctx)
+    assert breakdown.per_sample_mse == pytest.approx(mses, rel=1e-12)
+    assert breakdown.per_sample_round == pytest.approx(nlls, rel=1e-12)
+    assert breakdown.l_emb == 0.0
+    assert breakdown.l_vlb == pytest.approx(float(np.mean(mses)), rel=1e-12)
+
+
+def test_gradients_come_back_in_manifest_order(tiny_vocab, small_corpus):
+    """clip_global_norm sums squares in dict order, so the order of the
+    gradient dicts is part of what makes a run reproducible bit for bit."""
+    model = make_model(v_bert=len(tiny_vocab))
+    batch = make_batch(model, tiny_vocab, small_corpus)
+    _, cache = loss_forward(model, batch, np.array([0, 1, 4, 9]), model.schedule(),
+                            np.random.default_rng(3), need_cache=True)
+    den_grads, _ = dn.backward(model.den, cache["den_cache"],
+                               np.ones_like(cache["z0_hat"]))
+    cfg = model.config
+    assert list(den_grads) == list(dn.denoiser_shapes(cfg.dim, cfg.n_blocks))
+    grads = loss_backward(model, cache, np.ones(batch.size))
+    assert list(grads) == list(model.trainable_tensors())
 
 
 def test_rounding_nll_is_log_vocab_when_logits_flat(tiny_vocab, small_corpus):

@@ -7,7 +7,8 @@
 set -euo pipefail
 
 work=$(mktemp -d -t scanpath_cli_XXXX)
-echo "workspace: $work"
+trap 'rm -rf "$work"' EXIT
+echo "workspace: $work (removed on exit)"
 
 # ---- inputs: a rule-generated corpus saved in the CSV formats ------------
 python3 - "$work" <<'EOF'
@@ -71,4 +72,4 @@ scanpath-diffusion trace \
   --sentence-id "$sid" --trace-stride 10 --out "$work/trace.csv" --seed 3
 head -2 "$work/trace.csv"
 
-echo "done; artifacts under $work"
+echo "done"

@@ -34,7 +34,7 @@ from .splits import Fold, SplitPlan, load_split_plan, make_splits, save_split_pl
 from .synthetic import synthetic_corpus
 from .tokenization import (TokenizedSentence, Vocabulary, build_vocab,
                            tokenize_sentence, tokenize_word)
-from .training import AdamW, TrainResult, loss_terms, train
+from .training import AdamW, TrainResult, train
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,7 @@ __all__ = [
     "generate", "human_baseline",
     "init_denoiser", "init_embedding", "init_model", "levenshtein",
     "levenshtein_many", "load_checkpoint", "load_corpus", "load_predictors", "load_sentences",
-    "load_split_plan", "load_table", "loss_terms", "make_splits", "nld",
+    "load_split_plan", "load_table", "make_splits", "nld",
     "pair_records", "parse_kv_file", "pearson", "posterior_params", "q_sample",
     "reading_measures", "resolve_settings", "round_argmax", "round_logits",
     "save_checkpoint", "save_corpus", "save_sentences",

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import TrainStats, baseline_corpus, human_baseline
-from .config import ModelConfig, parse_kv_file, resolve_settings, write_kv_file
+from .config import (SCHEMA, ModelConfig, parse_kv_file, resolve_settings,
+                     write_kv_file)
 from .corpus import (Corpus, ScanpathRecord, filter_encodable, load_corpus,
                      load_predictors, load_sentences, save_corpus)
 from .embedding import load_table
@@ -43,31 +44,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(p: _Parser, keys) -> None:
-    specs = {
-        "seed": dict(type=int),
-        "t_max": dict(type=int, flag="--t-max"),
-        "schedule": dict(type=str, choices=list(KINDS)),
-        "s": dict(type=float),
-        "hidden_dim": dict(type=int, flag="--hidden-dim"),
-        "d_bert": dict(type=int, flag="--d-bert"),
-        "blocks": dict(type=int),
-        "heads": dict(type=int),
-        "max_len": dict(type=int, flag="--max-len"),
-        "steps": dict(type=int),
-        "batch": dict(type=int),
-        "lr": dict(type=float),
-        "split_mode": dict(type=str, choices=list(MODES), flag="--split-mode"),
-        "folds": dict(type=int),
-        "workers": dict(type=int),
-        "mean_only": dict(action="store_const", const=True, flag="--mean-only"),
-        "trace_stride": dict(type=int, flag="--trace-stride"),
-    }
     p.add_argument("--config", help="flat key=value config file")
     p.set_defaults(config_keys=tuple(keys))
+    choices = {"schedule": KINDS, "split_mode": MODES}
     for key in keys:
-        spec = dict(specs[key])
-        flag = spec.pop("flag", f"--{key}")
-        p.add_argument(flag, dest=key, default=None, **spec)
+        parse, default = SCHEMA[key]
+        flag = "--" + key.replace("_", "-")
+        if isinstance(default, bool):
+            p.add_argument(flag, dest=key, default=None, action="store_const", const=True)
+        else:
+            p.add_argument(flag, dest=key, default=None, type=parse,
+                           choices=choices.get(key))
 
 
 def _settings(args) -> dict:

@@ -4,6 +4,10 @@ A config file holds one `key = value` pair per line (# comments and blank
 lines allowed). Command-line flags override file values, file values
 override defaults. The same key set feeds model construction, training,
 splitting, and generation; consumers pick the fields they need.
+
+SCHEMA is the one table of keys, parsers and defaults: the CLI builds each
+subcommand's flags from it (key `t_max` -> `--t-max`, parsed by its SCHEMA
+parser; boolean keys are switches).
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ starts, and stays, at its exact embedding. Each step t = t_max .. 1:
   3. for t >= 2, sample the reverse posterior of the index channel given
      (current state, anchored prediction), or take its mean with
      mean_only; at t = 1 the anchored prediction is the final state
-  4. condition anchor: the sentence side is reset to its exact embedding
+  4. condition anchor: the sentence side is never written, so it stays at
+     its exact embedding
 
 The final scanpath-side ids are decoded by truncating at the end marker,
 dropping frame markers, and clamping stray out-of-range values.
@@ -85,9 +86,8 @@ def generate(model: Model, tok: TokenizedSentence, vocab: Vocabulary, *,
         model.emb, inst.x_idx[None], inst.x_bert[None], inst.x_pos[None]
     )
     emb_idx, emb_ctx = emb_idx[0], emb_ctx[0]
-    emb_total = emb_idx + emb_ctx
 
-    z = emb_total.copy()
+    z = emb_idx + emb_ctx
     z[tgt] = rng.standard_normal((n_tgt, dim)) + emb_ctx[tgt]
 
     pad_mask = inst.pad_mask[None]
@@ -104,7 +104,6 @@ def generate(model: Model, tok: TokenizedSentence, vocab: Vocabulary, *,
             z[tgt] = step_idx + emb_ctx[tgt]
         else:
             z[tgt] = z0_anchored[tgt]
-        z[inst.condition_mask] = emb_total[inst.condition_mask]
         if on_step is not None:
             on_step(i, t - 1, z, z0_anchored)
 

@@ -43,10 +43,10 @@ class Model:
     def schedule(self) -> NoiseSchedule:
         return build_schedule(self.config.schedule, self.config.t_max, self.config.s)
 
-    def beta_zero(self, sched: NoiseSchedule | None = None) -> float:
+    def beta_zero(self) -> float:
         if self.config.beta_zero is not None:
             return self.config.beta_zero
-        return (sched or self.schedule()).beta_zero
+        return self.schedule().beta_zero
 
 
 def init_model(config: ModelConfig, rng: np.random.Generator,
@@ -73,7 +73,9 @@ def init_model(config: ModelConfig, rng: np.random.Generator,
         d_bert=config.d_bert,
     )
     den = init_denoiser(config.dim, config.n_blocks, config.n_heads, rng)
-    return Model(config=config, emb=emb, den=den)
+    model = Model(config=config, emb=emb, den=den)
+    model.schedule()  # a bad schedule, t_max or s fails here, before any file is written
+    return model
 
 
 def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:

@@ -88,6 +88,8 @@ def build_schedule(kind: str, t_max: int, s: float = 1e-4) -> NoiseSchedule:
         raise ValidationError(f"unknown schedule kind {kind!r}; expected one of {KINDS}")
     if t_max < 1:
         raise ValidationError(f"t_max must be >= 1, got {t_max}")
+    if not 0.0 <= s < 1.0:  # NaN fails too
+        raise ValidationError(f"s must be in [0, 1), got {s}")
     if kind == "linear":
         beta = _interp_betas(t_max, 1e-4, 0.02)
         beta_zero = float(beta[0])
@@ -96,6 +98,8 @@ def build_schedule(kind: str, t_max: int, s: float = 1e-4) -> NoiseSchedule:
         beta_zero = float(beta[0])
     else:
         ab = decay_curve(kind, s)
+        if not ab((t_max - 1) / t_max) > 0.0:  # each ratio below needs a positive divisor
+            raise ValidationError(f"s = {s} takes the {kind} curve to zero before step {t_max}")
         beta = np.empty(t_max, dtype=np.float64)
         for t in range(1, t_max + 1):
             beta[t - 1] = min(1.0 - ab(t / t_max) / ab((t - 1) / t_max), MAX_BETA)

@@ -26,6 +26,10 @@ The training loop cuts each batch after its longest real frame
 (B, max_len, dim), and then cut to the batch width, so the trim moves
 neither the random stream nor any later draw: a trimmed step matches the
 untrimmed one up to summation order.
+
+The noise schedule, t_max and beta_zero come from the model alone
+(Model.schedule, Model.beta_zero), so every caller of the loss trains the
+model its config describes.
 """
 
 from __future__ import annotations
@@ -41,10 +45,10 @@ from .embedding import embed_parts, round_logits
 from .encoding import Batch, stack_instances, trim_batch
 from .errors import ValidationError
 from .model import Model, save_checkpoint
-from .schedules import NoiseSchedule, TimestepSampler, q_sample
+from .schedules import TimestepSampler, q_sample
 
 __all__ = [
-    "loss_terms", "loss_forward", "loss_backward",
+    "loss_forward", "loss_backward",
     "AdamW", "clip_global_norm", "train", "TrainResult",
     "METRICS_HEADER",
 ]
@@ -62,31 +66,31 @@ class LossBreakdown:
     per_sample_round: np.ndarray  # (B,)
 
 
-def loss_forward(model: Model, batch: Batch, t_arr, sched: NoiseSchedule,
-                 rng: np.random.Generator, beta_zero: float | None = None,
+def loss_forward(model: Model, batch: Batch, t_arr, rng: np.random.Generator,
                  need_cache: bool = False):
     """Forward pass of the full training loss for one batch.
 
-    t_arr holds one step index in 0..t_max per frame. The batch may be
-    narrower than the model's frame (see trim_batch), never wider. Returns
-    (LossBreakdown, cache); the cache feeds loss_backward.
+    t_arr holds one step index in 0..t_max per frame. The schedule and
+    beta_zero are the model's (model.schedule(), model.beta_zero()). The
+    batch may be narrower than the model's frame (see trim_batch), never
+    wider. Returns (LossBreakdown, cache); the cache feeds loss_backward.
     """
     t_arr = np.asarray(t_arr, dtype=np.int64)
     bsz, width = batch.x_idx.shape
     max_len = model.config.max_len
+    sched = model.schedule()
     if width > max_len:
         raise ValidationError(f"batch width {width} exceeds the model frame of {max_len}")
     if t_arr.shape != (bsz,):
         raise ValidationError(f"expected t of shape ({bsz},), got {t_arr.shape}")
     if np.any(t_arr < 0) or np.any(t_arr > sched.t_max):
         raise ValidationError("sampled t outside 0..t_max")
-    b0 = sched.beta_zero if beta_zero is None else beta_zero
 
     emb_idx, emb_ctx = embed_parts(model.emb, batch.x_idx, batch.x_bert, batch.x_pos)
     emb_total = emb_idx + emb_ctx
     full_frame = (bsz, max_len, emb_total.shape[-1])
     eps0 = rng.standard_normal(full_frame)[:, :width]
-    z0_idx = emb_idx + math.sqrt(b0) * eps0
+    z0_idx = emb_idx + math.sqrt(model.beta_zero()) * eps0
     z0 = z0_idx + emb_ctx
 
     # noise the scanpath side of rows with t >= 1 (t = 0 rows pass through);
@@ -196,13 +200,6 @@ def loss_backward(model: Model, cache, weights) -> dict[str, np.ndarray]:
     return grads
 
 
-def loss_terms(model: Model, batch: Batch, t_arr, sched: NoiseSchedule,
-               rng: np.random.Generator, beta_zero: float | None = None):
-    """(reconstruction t>=2, embedding-anchor, rounding, total) for a batch."""
-    breakdown, _ = loss_forward(model, batch, t_arr, sched, rng, beta_zero)
-    return breakdown.l_vlb, breakdown.l_emb, breakdown.l_round, breakdown.total
-
-
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place to a global norm cap; returns the raw norm."""
     total = 0.0
@@ -282,9 +279,7 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     if weight_decay < 0 or clip_norm < 0:
         raise ValidationError("weight_decay and clip_norm must be >= 0")
     rng = np.random.default_rng(seed)
-    sched = model.schedule()
-    beta_zero = model.beta_zero(sched)
-    sampler = TimestepSampler(sched.t_max, history=sampler_history)
+    sampler = TimestepSampler(model.config.t_max, history=sampler_history)
     optimizer = AdamW(model.trainable_tensors(), lr=lr, weight_decay=weight_decay)
 
     rows: list[dict] = []
@@ -299,9 +294,8 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
             picks = rng.integers(0, len(instances), size=batch)
             frame_batch = trim_batch(stack_instances([instances[int(i)] for i in picks]))
             t_arr, weights = sampler.sample(rng, size=batch)
-            breakdown, cache = loss_forward(
-                model, frame_batch, t_arr, sched, rng, beta_zero, need_cache=True
-            )
+            breakdown, cache = loss_forward(model, frame_batch, t_arr, rng,
+                                            need_cache=True)
             grads = loss_backward(model, cache, weights)
             for t_i, mse_i in zip(t_arr.tolist(), breakdown.per_sample_mse.tolist()):
                 sampler.update(int(t_i), mse_i)

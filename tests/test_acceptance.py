@@ -171,18 +171,16 @@ def test_criterion_04_gradient_check():
                         8, vocab),
     ]
     batch = stack_instances(instances)
-    sched = model.schedule()
     t_arr = np.array([0, 4])  # cover the clean-target and noised rows
     weights = np.array([0.7, 1.3])
 
     def objective():
-        breakdown, _ = loss_forward(model, batch, t_arr, sched,
-                                    np.random.default_rng(99))
+        breakdown, _ = loss_forward(model, batch, t_arr, np.random.default_rng(99))
         return float(np.mean(weights * breakdown.per_sample_mse
                              + breakdown.per_sample_round))
 
-    _, cache = loss_forward(model, batch, t_arr, sched,
-                            np.random.default_rng(99), need_cache=True)
+    _, cache = loss_forward(model, batch, t_arr, np.random.default_rng(99),
+                            need_cache=True)
     grads = loss_backward(model, cache, weights)
     tensors = model.trainable_tensors()
     assert set(grads) == set(tensors)

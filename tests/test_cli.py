@@ -126,18 +126,28 @@ def test_train_rejects_frozen_table_of_wrong_vocab_size(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("value", ["-0.1", "nan"])
-def test_train_rejects_bad_beta_zero_before_writing(tmp_path, capsys, value):
+@pytest.mark.parametrize("line, message", [
+    ("beta_zero = -0.1", "beta_zero must be >= 0"),
+    ("beta_zero = nan", "beta_zero must be >= 0"),
+    ("schedule = bogus", "unknown schedule kind 'bogus'"),
+    ("t_max = 0", "t_max must be >= 1"),
+    ("s = -5", "s must be in [0, 1)"),
+], ids=["beta_zero=-0.1", "beta_zero=nan", "schedule=bogus", "t_max=0", "s=-5"])
+def test_train_rejects_bad_model_config_before_writing(tmp_path, capsys, line, message):
+    """--config values skip argparse's checks; the model config is still
+    rejected before train writes any file."""
     _, _, paths = make_world(tmp_path)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"beta_zero = {value}\n")
+    cfg.write_text(line + "\n")
     out_dir = tmp_path / "run"
+    # flags win over the file, so drop TRAIN_FLAGS' leading --t-max for that case
+    flags = TRAIN_FLAGS[2:] if line.startswith("t_max") else TRAIN_FLAGS
     rc = main(["train", "--config", str(cfg), "--corpus", str(paths["corpus"]),
                "--sentences", str(paths["sentences"]),
                "--vocab", str(paths["vocab"]), "--out-dir", str(out_dir),
-               *TRAIN_FLAGS])
+               *flags])
     assert rc == 1
-    assert "beta_zero" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (out_dir / "config.txt").exists()
     assert not (out_dir / "metrics.csv").exists()
 

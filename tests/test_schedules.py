@@ -91,6 +91,16 @@ def test_schedule_validity(kind, t_max):
     assert 0 < sched.beta_zero < 1
 
 
+@pytest.mark.parametrize("kind, s", [
+    ("sqrt", -5.0), ("sqrt", -1e-12), ("sqrt", 1.0), ("sqrt", 2.0), ("sqrt", math.nan),
+    ("linear", 2.0),
+    ("sqrt", 0.5),  # in [0, 1), but at t_max 10 the curve reaches zero at step 5
+])
+def test_schedule_rejects_bad_s(kind, s):
+    with pytest.raises(ValidationError, match=r"^s "):
+        build_schedule(kind, 10, s)
+
+
 def test_decay_beta_recovers_curve_ratio():
     # independent check: alpha_bar_t / alpha_bar_{t-1} telescopes back to
     # the clipped decay-curve ratio

@@ -12,8 +12,7 @@ from scanpath_diffusion import denoiser as dn
 from scanpath_diffusion.embedding import embed_parts
 from scanpath_diffusion.encoding import stack_instances, trim_batch
 from scanpath_diffusion.training import (METRICS_HEADER, clip_global_norm,
-                                         loss_backward, loss_forward,
-                                         loss_terms)
+                                         loss_backward, loss_forward)
 
 from conftest import encode_corpus, tiny_config
 
@@ -47,13 +46,12 @@ def slot_by_slot_terms(model, batch, z0_hat, target):
 
 def test_loss_forward_deterministic_oracle(tiny_vocab, small_corpus):
     """With beta_zero = 0 and t = 0 everywhere, no drawn noise reaches the
-    forward pass, so every term is recomputable from first principles."""
+    forward pass, so every term is recomputable from first principles. The
+    beta_zero = 0 comes from the model's config alone."""
     model = make_model(beta_zero=0.0, v_bert=len(tiny_vocab))
     batch = make_batch(model, tiny_vocab, small_corpus)
-    sched = model.schedule()
     t_arr = np.zeros(batch.size, dtype=np.int64)
-    breakdown, _ = loss_forward(model, batch, t_arr, sched,
-                                np.random.default_rng(0), beta_zero=0.0)
+    breakdown, _ = loss_forward(model, batch, t_arr, np.random.default_rng(0))
 
     emb_idx, emb_ctx = embed_parts(model.emb, batch.x_idx, batch.x_bert, batch.x_pos)
     emb = emb_idx + emb_ctx
@@ -84,8 +82,7 @@ def test_loss_forward_noised_rows_oracle(tiny_vocab, small_corpus, t):
     assert width < model.config.max_len
     sched = model.schedule()
     t_arr = np.full(bsz, sched.t_max if t == "t_max" else t)
-    breakdown, _ = loss_forward(model, batch, t_arr, sched,
-                                np.random.default_rng(5), beta_zero=b0)
+    breakdown, _ = loss_forward(model, batch, t_arr, np.random.default_rng(5))
 
     replay = np.random.default_rng(5)
     frame = (bsz, model.config.max_len, model.config.dim)
@@ -107,7 +104,7 @@ def test_gradients_come_back_in_manifest_order(tiny_vocab, small_corpus):
     gradient dicts is part of what makes a run reproducible bit for bit."""
     model = make_model(v_bert=len(tiny_vocab))
     batch = make_batch(model, tiny_vocab, small_corpus)
-    _, cache = loss_forward(model, batch, np.array([0, 1, 4, 9]), model.schedule(),
+    _, cache = loss_forward(model, batch, np.array([0, 1, 4, 9]),
                             np.random.default_rng(3), need_cache=True)
     den_grads, _ = dn.backward(model.den, cache["den_cache"],
                                np.ones_like(cache["z0_hat"]))
@@ -124,8 +121,7 @@ def test_rounding_nll_is_log_vocab_when_logits_flat(tiny_vocab, small_corpus):
     model.emb.e_idx[...] = 0.0
     batch = make_batch(model, tiny_vocab, small_corpus)
     t_arr = np.full(batch.size, 3)
-    breakdown, _ = loss_forward(model, batch, t_arr, model.schedule(),
-                                np.random.default_rng(1))
+    breakdown, _ = loss_forward(model, batch, t_arr, np.random.default_rng(1))
     assert breakdown.l_round == pytest.approx(math.log(model.config.v_idx), rel=1e-12)
 
 
@@ -134,25 +130,24 @@ def test_low_t_rows_switch_loss_bucket(tiny_vocab, small_corpus):
     mf = make_model(v_bert=len(tiny_vocab), emb_target_low_t=False)
     batch = make_batch(mt, tiny_vocab, small_corpus)
     t_arr = np.ones(batch.size, dtype=np.int64)
-    bt, _ = loss_forward(mt, batch, t_arr, mt.schedule(), np.random.default_rng(2))
-    bf, _ = loss_forward(mf, batch, t_arr, mf.schedule(), np.random.default_rng(2))
+    bt, _ = loss_forward(mt, batch, t_arr, np.random.default_rng(2))
+    bf, _ = loss_forward(mf, batch, t_arr, np.random.default_rng(2))
     assert bt.l_vlb == 0.0 and bt.l_emb > 0.0
     assert bf.l_emb == 0.0 and bf.l_vlb > 0.0
     # t = 0 rows always use the embedding target
     t0 = np.zeros(batch.size, dtype=np.int64)
-    b0, _ = loss_forward(mf, batch, t0, mf.schedule(), np.random.default_rng(3))
+    b0, _ = loss_forward(mf, batch, t0, np.random.default_rng(3))
     assert b0.l_emb > 0.0 and b0.l_vlb == 0.0
 
 
 def test_loss_forward_validates_t(tiny_vocab, small_corpus):
     model = make_model(v_bert=len(tiny_vocab))
     batch = make_batch(model, tiny_vocab, small_corpus)
-    sched = model.schedule()
     rng = np.random.default_rng(0)
     with pytest.raises(ValidationError):
-        loss_forward(model, batch, np.zeros(batch.size + 1, dtype=int), sched, rng)
+        loss_forward(model, batch, np.zeros(batch.size + 1, dtype=int), rng)
     with pytest.raises(ValidationError):
-        loss_forward(model, batch, np.full(batch.size, sched.t_max + 1), sched, rng)
+        loss_forward(model, batch, np.full(batch.size, model.config.t_max + 1), rng)
 
 
 def test_loss_forward_rejects_batch_wider_than_frame(tiny_vocab, small_corpus):
@@ -161,8 +156,7 @@ def test_loss_forward_rejects_batch_wider_than_frame(tiny_vocab, small_corpus):
     wide = stack_instances(
         encode_corpus(small_corpus, tiny_vocab, model.config.max_len + 4)[:4])
     with pytest.raises(ValidationError, match="exceeds the model frame"):
-        loss_forward(model, wide, np.zeros(4, dtype=np.int64), model.schedule(),
-                     np.random.default_rng(0))
+        loss_forward(model, wide, np.zeros(4, dtype=np.int64), np.random.default_rng(0))
 
 
 def test_trimmed_batch_matches_full_frame(tiny_vocab, small_corpus):
@@ -176,14 +170,12 @@ def test_trimmed_batch_matches_full_frame(tiny_vocab, small_corpus):
     batch = make_batch(model, tiny_vocab, small_corpus, n=6)
     trimmed = trim_batch(batch)
     assert trimmed.x_idx.shape[1] < batch.x_idx.shape[1]
-    sched = model.schedule()
     t_arr = np.array([0, 1, 2, 5, 9, 10])
     weights = np.array([0.4, 1.0, 1.7, 0.9, 1.2, 2.1])
 
     def run(b, k):
         gen = np.random.default_rng(k)
-        breakdown, cache = loss_forward(model, b, t_arr, sched, gen,
-                                        need_cache=True)
+        breakdown, cache = loss_forward(model, b, t_arr, gen, need_cache=True)
         return breakdown, loss_backward(model, cache, weights), gen
 
     for k in (0, 1, 2):
@@ -208,18 +200,16 @@ def test_full_loss_gradients_match_finite_differences(tiny_vocab, small_corpus):
     model = make_model(v_bert=len(tiny_vocab), dim=4, n_blocks=1, n_heads=2,
                        max_len=24, v_idx=24)
     batch = make_batch(model, tiny_vocab, small_corpus, n=2)
-    sched = model.schedule()
     t_arr = np.array([0, 4])
     weights = np.array([0.7, 1.3])
 
     def objective():
-        breakdown, _ = loss_forward(model, batch, t_arr, sched,
-                                    np.random.default_rng(99))
+        breakdown, _ = loss_forward(model, batch, t_arr, np.random.default_rng(99))
         return float(np.mean(weights * breakdown.per_sample_mse
                              + breakdown.per_sample_round))
 
-    _, cache = loss_forward(model, batch, t_arr, sched,
-                            np.random.default_rng(99), need_cache=True)
+    _, cache = loss_forward(model, batch, t_arr, np.random.default_rng(99),
+                            need_cache=True)
     grads = loss_backward(model, cache, weights)
     tensors = model.trainable_tensors()
     assert set(grads) == set(tensors)
@@ -244,15 +234,13 @@ def test_full_loss_gradients_match_finite_differences(tiny_vocab, small_corpus):
 def test_zero_weights_leave_only_rounding_gradient(tiny_vocab, small_corpus):
     model = make_model(v_bert=len(tiny_vocab))
     batch = make_batch(model, tiny_vocab, small_corpus, n=2)
-    sched = model.schedule()
     t_arr = np.array([3, 5])
-    _, cache = loss_forward(model, batch, t_arr, sched,
-                            np.random.default_rng(4), need_cache=True)
+    _, cache = loss_forward(model, batch, t_arr, np.random.default_rng(4),
+                            need_cache=True)
     grads = loss_backward(model, cache, np.zeros(2))
 
     def objective():
-        breakdown, _ = loss_forward(model, batch, t_arr, sched,
-                                    np.random.default_rng(4))
+        breakdown, _ = loss_forward(model, batch, t_arr, np.random.default_rng(4))
         return float(np.mean(breakdown.per_sample_round))
 
     eps = 1e-6
@@ -271,20 +259,10 @@ def test_zero_weights_leave_only_rounding_gradient(tiny_vocab, small_corpus):
 def test_frozen_table_gets_no_gradient(tiny_vocab, small_corpus):
     model = make_model(v_bert=len(tiny_vocab))
     batch = make_batch(model, tiny_vocab, small_corpus, n=2)
-    _, cache = loss_forward(model, batch, np.array([2, 3]), model.schedule(),
-                            np.random.default_rng(5), need_cache=True)
+    _, cache = loss_forward(model, batch, np.array([2, 3]), np.random.default_rng(5),
+                            need_cache=True)
     grads = loss_backward(model, cache, np.ones(2))
     assert "emb.e_bert" not in grads
-
-
-def test_loss_terms_wrapper(tiny_vocab, small_corpus):
-    model = make_model(v_bert=len(tiny_vocab))
-    batch = make_batch(model, tiny_vocab, small_corpus)
-    t_arr = np.array([0, 1, 5, 9])
-    l_vlb, l_emb, l_round, total = loss_terms(
-        model, batch, t_arr, model.schedule(), np.random.default_rng(6))
-    assert total == pytest.approx(l_vlb + l_emb + l_round)
-    assert l_vlb > 0 and l_emb > 0 and l_round > 0
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .reports import evaluation_report, export_word_measures, write_evaluation_r
 from .schedules import KINDS, build_schedule, dump_schedule
 from .splits import MODES, load_split_plan, make_splits, save_split_plan
 from .tokenization import Vocabulary, tokenize_sentence
-from .training import train as run_training
+from .training import check_train_settings, train as run_training
 
 log = logging.getLogger(__name__)
 
@@ -106,6 +106,8 @@ def _cmd_train(args) -> int:
     rng = np.random.default_rng(st["seed"])
     model = init_model(config, rng, e_bert=e_bert)
 
+    check_train_settings(steps=st["steps"], batch=st["batch"], lr=st["lr"],
+                         weight_decay=st["weight_decay"], clip_norm=st["clip_norm"])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_kv_file(st, out_dir / "config.txt")
@@ -182,6 +184,7 @@ def _cmd_evaluate(args) -> int:
     _settings(args)  # validate --config if given
     sentences_true = load_corpus(args.true, args.sentences)
     sentences_pred = load_corpus(args.pred, args.sentences)
+    predictors = load_predictors(args.predictors) if args.predictors else None
     report = evaluation_report(sentences_true, sentences_pred)
     print(f"mean NLD {report.mean_nld:.6f} over {len(report.nld_rows)} scanpaths")
     if args.out_dir:
@@ -189,7 +192,6 @@ def _cmd_evaluate(args) -> int:
         for name, path in files.items():
             print(f"{name}: {path}")
     if args.word_export:
-        predictors = load_predictors(args.predictors) if args.predictors else None
         export_word_measures(sentences_true, args.word_export, predictors)
         print(f"word measures: {args.word_export}")
     return 0
@@ -219,12 +221,9 @@ def _cmd_schedule_dump(args) -> int:
     st = _settings(args)
     kind = args.kind if args.kind else st["schedule"]
     sched = build_schedule(kind, st["t_max"], st["s"])
+    dump_schedule(sched, args.out or sys.stdout)
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            dump_schedule(sched, fh)
         print(f"wrote schedule to {args.out}")
-    else:
-        dump_schedule(sched, sys.stdout)
     return 0
 
 
@@ -240,10 +239,8 @@ def _cmd_trace(args) -> int:
         raise ValidationError(f"sentence {args.sentence_id}: does not fit the model frame")
     tok = tokenize_sentence(sentences[args.sentence_id], vocab)
     rng = sentence_rng(st["seed"], usable.index(args.sentence_id))
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        res = dump_latent_trace(model, tok, vocab, fh, rng=rng,
-                                stride=st["trace_stride"],
-                                mean_only=st["mean_only"])
+    res = dump_latent_trace(model, tok, vocab, args.out, rng=rng,
+                            stride=st["trace_stride"], mean_only=st["mean_only"])
     print(f"trace written to {args.out}; decoded scanpath {res.fixations}")
     return 0
 

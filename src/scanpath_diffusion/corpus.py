@@ -8,12 +8,19 @@ Two CSV formats make up a corpus on disk:
 Scanpath rows with the same (reader_id, sentence_id) key belong to one
 scanpath, in row order. fixation_word_index is 1-based and must stay within
 the word count of the referenced sentence.
+
+Table rule: every CSV table the package writes goes through write_table or
+table_writer (UTF-8, a header line, CRLF line endings, floats as their
+shortest round-trip repr); every table it reads goes through _read_rows,
+which checks the header and each row's field count.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 from .encoding import scanpath_room
@@ -77,23 +84,58 @@ class Corpus:
         return Corpus(sentences=dict(self.sentences), records=records)
 
 
-def _read_rows(path, expected_header):
+@contextmanager
+def table_writer(target, header):
+    """Write the header to a path (opened and closed here) or an open text
+    file (left open), then yield write_rows(rows), which writes and flushes."""
+    opened = (open(target, "w", newline="", encoding="utf-8")
+              if isinstance(target, (str, os.PathLike)) else nullcontext(target))
+    with opened as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+
+        def write_rows(rows):
+            writer.writerows(rows)
+            fh.flush()
+
+        yield write_rows
+
+
+def write_table(target, header, rows) -> None:
+    """Write a whole CSV table (see table_writer)."""
+    with table_writer(target, header) as write_rows:
+        write_rows(rows)
+
+
+def _read_rows(path, expected_header, more=None):
+    """Yield a CSV table's header, then (line_no, row) for each non-blank row.
+
+    The header must equal expected_header or, given `more` (the error
+    message's name for them), extend it by one or more columns. Every row
+    must have as many fields as the header.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise CorpusFormatError(path, 1, "missing header") from None
-        if header != expected_header:
+        n = len(expected_header)
+        if more is None and header != expected_header:
             raise CorpusFormatError(
                 path, 1, f"expected header {expected_header}, got {header}"
             )
+        if more is not None and (header[:n] != expected_header or len(header) <= n):
+            raise CorpusFormatError(
+                path, 1, f"expected header {','.join(expected_header)},{more}"
+            )
+        yield header
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(expected_header):
+            if len(row) != len(header):
                 raise CorpusFormatError(
-                    path, line_no, f"expected {len(expected_header)} fields, got {len(row)}"
+                    path, line_no, f"expected {len(header)} fields, got {len(row)}"
                 )
             yield line_no, row
 
@@ -101,7 +143,9 @@ def _read_rows(path, expected_header):
 def load_sentences(path) -> dict[str, tuple[str, ...]]:
     """Load a sentence file into an id -> word-tuple map."""
     sentences: dict[str, tuple[str, ...]] = {}
-    for line_no, (sid, text) in _read_rows(path, SENTENCE_HEADER):
+    rows = _read_rows(path, SENTENCE_HEADER)
+    next(rows)
+    for line_no, (sid, text) in rows:
         if sid in sentences:
             raise CorpusFormatError(path, line_no, f"duplicate sentence_id {sid!r}")
         words = tuple(text.split())
@@ -112,18 +156,17 @@ def load_sentences(path) -> dict[str, tuple[str, ...]]:
 
 
 def save_sentences(sentences: dict[str, tuple[str, ...]], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SENTENCE_HEADER)
-        for sid, words in sentences.items():
-            writer.writerow([sid, " ".join(words)])
+    write_table(path, SENTENCE_HEADER,
+                ((sid, " ".join(words)) for sid, words in sentences.items()))
 
 
 def load_corpus(scanpath_path, sentence_path) -> Corpus:
     """Load and validate a scanpath corpus against its sentence file."""
     sentences = load_sentences(sentence_path)
     groups: dict[tuple[str, str], list[int]] = {}
-    for line_no, (reader_id, sid, fix) in _read_rows(scanpath_path, SCANPATH_HEADER):
+    rows = _read_rows(scanpath_path, SCANPATH_HEADER)
+    next(rows)
+    for line_no, (reader_id, sid, fix) in rows:
         if sid not in sentences:
             raise CorpusFormatError(scanpath_path, line_no, f"unknown sentence_id {sid!r}")
         try:
@@ -147,12 +190,9 @@ def load_corpus(scanpath_path, sentence_path) -> Corpus:
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write scanpath rows; one row per fixation, groups in record order."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCANPATH_HEADER)
-        for rec in corpus.records:
-            for f in rec.fixations:
-                writer.writerow([rec.reader_id, rec.sentence_id, f])
+    write_table(path, SCANPATH_HEADER,
+                ((rec.reader_id, rec.sentence_id, f)
+                 for rec in corpus.records for f in rec.fixations))
 
 
 def load_predictors(path) -> dict[tuple[str, int], dict[str, str]]:
@@ -162,32 +202,17 @@ def load_predictors(path) -> dict[tuple[str, int], dict[str, str]]:
     (frequency, surprisal, ...) are carried through as strings and joined
     into the word-measure export.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    rows = _read_rows(path, ["sentence_id", "word_index"], more="<predictor...>")
+    extra = next(rows)[2:]
+    table: dict[tuple[str, int], dict[str, str]] = {}
+    for line_no, row in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusFormatError(path, 1, "missing header") from None
-        if header[:2] != ["sentence_id", "word_index"] or len(header) < 3:
+            widx = int(row[1])
+        except ValueError:
             raise CorpusFormatError(
-                path, 1, "expected header sentence_id,word_index,<predictor...>"
-            )
-        extra = header[2:]
-        table: dict[tuple[str, int], dict[str, str]] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CorpusFormatError(
-                    path, line_no, f"expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                widx = int(row[1])
-            except ValueError:
-                raise CorpusFormatError(
-                    path, line_no, f"word_index {row[1]!r} is not an integer"
-                ) from None
-            table[(row[0], widx)] = dict(zip(extra, row[2:]))
+                path, line_no, f"word_index {row[1]!r} is not an integer"
+            ) from None
+        table[(row[0], widx)] = dict(zip(extra, row[2:]))
     return table
 
 

@@ -23,13 +23,13 @@ run order, so `trace` replays the chain that `generate` ran.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import denoiser as dn
+from .corpus import table_writer
 from .embedding import embed_parts, round_argmax
 from .encoding import decode_fixations, encode_instance, scanpath_room
 from .errors import ValidationError
@@ -124,26 +124,26 @@ def generate(model: Model, tok: TokenizedSentence, vocab: Vocabulary, *,
 
 
 def dump_latent_trace(model: Model, tok: TokenizedSentence, vocab: Vocabulary,
-                      fh, *, rng: np.random.Generator, stride: int = 1,
+                      target, *, rng: np.random.Generator, stride: int = 1,
                       target_budget: int | None = None,
                       mean_only: bool = False) -> GenerationResult:
     """Generate while writing latent snapshots as t,position,dim,value rows.
 
-    Snapshots are taken after reverse steps 1, 1+stride, 1+2*stride, ...
-    and always after the final step, labeled with the t of the state they
-    capture (t_max - step_index, down to 0).
+    target is a path or an open text file. Snapshots are taken after
+    reverse steps 1, 1+stride, 1+2*stride, ... and always after the final
+    step, labeled with the t of the state they capture (t_max - step_index,
+    down to 0).
     """
     if stride < 1:
         raise ValidationError(f"stride must be >= 1, got {stride}")
-    writer = csv.writer(fh)
-    writer.writerow(TRACE_HEADER)
     t_max = model.config.t_max
+    with table_writer(target, TRACE_HEADER) as write_rows:
 
-    def on_step(i, t_after, z, _z0):
-        if (i - 1) % stride == 0 or i == t_max:
-            for pos in range(z.shape[0]):
-                for k in range(z.shape[1]):
-                    writer.writerow([t_after, pos, k, repr(float(z[pos, k]))])
+        def on_step(i, t_after, z, _z0):
+            if (i - 1) % stride == 0 or i == t_max:
+                write_rows([t_after, pos, k, value]
+                           for pos, values in enumerate(z.tolist())
+                           for k, value in enumerate(values))
 
-    return generate(model, tok, vocab, rng=rng, target_budget=target_budget,
-                    mean_only=mean_only, on_step=on_step)
+        return generate(model, tok, vocab, rng=rng, target_budget=target_budget,
+                        mean_only=mean_only, on_step=on_step)

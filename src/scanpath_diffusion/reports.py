@@ -18,14 +18,13 @@ predictor columns.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, ScanpathRecord
+from .corpus import Corpus, ScanpathRecord, write_table
 from .errors import ValidationError
 from .measures import SUMMARY_MEASURES, reading_measures
 from .metrics import levenshtein_many, pearson
@@ -114,7 +113,7 @@ def evaluation_report(true: Corpus, pred: Corpus) -> EvaluationReport:
     reader_rows = []
     for name in SUMMARY_MEASURES:
         xs = [float(np.mean([true_scalars[i][name] for i in by_reader[r]])) for r in readers]
-        r_val, p_val = pearson(xs, reader_nld) if len(readers) >= 3 else (math.nan, math.nan)
+        r_val, p_val = pearson(xs, reader_nld)
         reader_rows.append({
             "measure": name, "pearson_r": r_val, "p_value": p_val,
             "n_readers": len(readers),
@@ -138,33 +137,20 @@ def evaluation_report(true: Corpus, pred: Corpus) -> EvaluationReport:
     )
 
 
-def _write_csv(path, rows, header):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([
-                repr(row[k]) if isinstance(row[k], float) else row[k] for k in header
-            ])
-
-
 def write_evaluation_report(report: EvaluationReport, out_dir) -> dict[str, Path]:
+    """Write the four report tables; each takes its columns from its rows' keys."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = {
-        "nld_per_scanpath": out / "nld_per_scanpath.csv",
-        "measure_summary": out / "measure_summary.csv",
-        "reader_correlations": out / "reader_correlations.csv",
-        "nld_measure_correlations": out / "nld_measure_correlations.csv",
+    tables = {
+        "nld_per_scanpath": report.nld_rows,
+        "measure_summary": report.measure_rows,
+        "reader_correlations": report.reader_rows,
+        "nld_measure_correlations": report.scanpath_rows,
     }
-    _write_csv(files["nld_per_scanpath"], report.nld_rows,
-               ["reader_id", "sentence_id", "true_len", "pred_len", "levenshtein", "nld"])
-    _write_csv(files["measure_summary"], report.measure_rows,
-               ["measure", "true_mean", "true_sd", "pred_mean", "pred_sd"])
-    _write_csv(files["reader_correlations"], report.reader_rows,
-               ["measure", "pearson_r", "p_value", "n_readers", "note"])
-    _write_csv(files["nld_measure_correlations"], report.scanpath_rows,
-               ["measure", "pearson_r", "p_value", "n", "note"])
+    files = {}
+    for name, rows in tables.items():
+        files[name] = out / f"{name}.csv"
+        write_table(files[name], list(rows[0]), (row.values() for row in rows))
     return files
 
 
@@ -187,16 +173,15 @@ def export_word_measures(corpus: Corpus, path,
                 if name not in seen and name not in WORD_EXPORT_BASE:
                     seen.add(name)
                     extra_names.append(name)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(WORD_EXPORT_BASE + extra_names)
+
+    def rows():
         for rec in corpus.records:
             words = corpus.sentences[rec.sentence_id]
             rm = reading_measures(rec.fixations, len(words))
-            for w, word in enumerate(words, start=1):
-                row = [rec.reader_id, rec.sentence_id, w, word, len(word),
-                       int(rm.sr[w - 1]), int(rm.ffc[w - 1]),
-                       int(rm.tfc[w - 1]), int(rm.fpr[w - 1])]
+            measures = zip(rm.sr.tolist(), rm.ffc.tolist(), rm.tfc.tolist(), rm.fpr.tolist())
+            for w, (word, counts) in enumerate(zip(words, measures), start=1):
                 joined = (predictors or {}).get((rec.sentence_id, w), {})
-                row.extend(joined.get(name, "") for name in extra_names)
-                writer.writerow(row)
+                yield [rec.reader_id, rec.sentence_id, w, word, len(word), *counts,
+                       *(joined.get(name, "") for name in extra_names)]
+
+    write_table(path, WORD_EXPORT_BASE + extra_names, rows())

@@ -20,13 +20,13 @@ schedules.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import write_table
 from .errors import ValidationError
 
 KINDS = ("linear", "cosine", "sqrt", "trunc_cosine", "trunc_linear")
@@ -204,14 +204,8 @@ class TimestepSampler:
         self._count[t] += 1
 
 
-def dump_schedule(sched: NoiseSchedule, fh) -> None:
-    """Write t,beta,alpha,alpha_bar rows for t = 1..t_max."""
-    writer = csv.writer(fh)
-    writer.writerow(["t", "beta", "alpha", "alpha_bar"])
-    for t in range(1, sched.t_max + 1):
-        writer.writerow([
-            t,
-            repr(float(sched.beta[t - 1])),
-            repr(float(sched.alpha[t - 1])),
-            repr(float(sched.alpha_bar[t - 1])),
-        ])
+def dump_schedule(sched: NoiseSchedule, target) -> None:
+    """Write t,beta,alpha,alpha_bar rows for t = 1..t_max to a path or open file."""
+    write_table(target, ["t", "beta", "alpha", "alpha_bar"],
+                zip(range(1, sched.t_max + 1), sched.beta.tolist(),
+                    sched.alpha.tolist(), sched.alpha_bar.tolist()))

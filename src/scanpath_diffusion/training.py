@@ -34,13 +34,14 @@ model its config describes.
 
 from __future__ import annotations
 
-import csv
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import denoiser as dn
+from .corpus import table_writer
 from .embedding import embed_parts, round_logits
 from .encoding import Batch, stack_instances, trim_batch
 from .errors import ValidationError
@@ -49,7 +50,7 @@ from .schedules import TimestepSampler, q_sample
 
 __all__ = [
     "loss_forward", "loss_backward",
-    "AdamW", "clip_global_norm", "train", "TrainResult",
+    "AdamW", "clip_global_norm", "check_train_settings", "train", "TrainResult",
     "METRICS_HEADER",
 ]
 
@@ -251,6 +252,17 @@ class AdamW:
             theta -= self.lr * ((m / c1) / (np.sqrt(v / c2) + self.eps))
 
 
+def check_train_settings(*, steps: int, batch: int, lr: float,
+                         weight_decay: float, clip_norm: float) -> None:
+    """Reject training-loop settings train cannot run with."""
+    if batch < 1 or steps < 0:
+        raise ValidationError(f"bad steps/batch: {steps}/{batch}")
+    if lr <= 0:
+        raise ValidationError(f"learning rate must be > 0, got {lr}")
+    if weight_decay < 0 or clip_norm < 0:
+        raise ValidationError("weight_decay and clip_norm must be >= 0")
+
+
 @dataclass
 class TrainResult:
     steps_done: int
@@ -270,26 +282,18 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     the in-memory model (and any checkpoint on disk) stays at the last
     good step. Metrics rows are flushed as they are produced.
     """
+    check_train_settings(steps=steps, batch=batch, lr=lr,
+                         weight_decay=weight_decay, clip_norm=clip_norm)
     if not instances:
         raise ValidationError("cannot train on an empty instance list")
-    if batch < 1 or steps < 0:
-        raise ValidationError(f"bad steps/batch: {steps}/{batch}")
-    if lr <= 0:
-        raise ValidationError(f"learning rate must be > 0, got {lr}")
-    if weight_decay < 0 or clip_norm < 0:
-        raise ValidationError("weight_decay and clip_norm must be >= 0")
     rng = np.random.default_rng(seed)
     sampler = TimestepSampler(model.config.t_max, history=sampler_history)
     optimizer = AdamW(model.trainable_tensors(), lr=lr, weight_decay=weight_decay)
 
     rows: list[dict] = []
     aborted = False
-    fh = open(metrics_path, "w", newline="", encoding="utf-8") if metrics_path else None
-    writer = None
-    if fh is not None:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-    try:
+    metrics = table_writer(metrics_path, METRICS_HEADER) if metrics_path else nullcontext()
+    with metrics as write_rows:
         for step in range(1, steps + 1):
             picks = rng.integers(0, len(instances), size=batch)
             frame_batch = trim_batch(stack_instances([instances[int(i)] for i in picks]))
@@ -300,19 +304,12 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
             for t_i, mse_i in zip(t_arr.tolist(), breakdown.per_sample_mse.tolist()):
                 sampler.update(int(t_i), mse_i)
             grad_norm = clip_global_norm(grads, clip_norm)
-            row = {
-                "step": step,
-                "t": float(np.mean(t_arr)),
-                "l_vlb": breakdown.l_vlb,
-                "l_emb": breakdown.l_emb,
-                "l_round": breakdown.l_round,
-                "total": breakdown.total,
-                "grad_norm": grad_norm,
-            }
+            row = dict(zip(METRICS_HEADER, (
+                step, float(np.mean(t_arr)), breakdown.l_vlb, breakdown.l_emb,
+                breakdown.l_round, breakdown.total, grad_norm)))
             rows.append(row)
-            if writer is not None:
-                writer.writerow([row["step"]] + [repr(row[k]) for k in METRICS_HEADER[1:]])
-                fh.flush()
+            if write_rows is not None:
+                write_rows([row.values()])
             if not (math.isfinite(breakdown.total) and math.isfinite(grad_norm)):
                 aborted = True
                 break
@@ -322,9 +319,6 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
                       f"grad_norm={grad_norm:.3f}", flush=True)
             if ckpt_path and ckpt_interval and step % ckpt_interval == 0 and step < steps:
                 save_checkpoint(model, ckpt_path)
-    finally:
-        if fh is not None:
-            fh.close()
     if ckpt_path and not aborted:
         save_checkpoint(model, ckpt_path)
     return TrainResult(steps_done=len(rows), aborted=aborted, rows=rows)

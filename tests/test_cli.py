@@ -126,26 +126,35 @@ def test_train_rejects_frozen_table_of_wrong_vocab_size(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("line, message", [
-    ("beta_zero = -0.1", "beta_zero must be >= 0"),
-    ("beta_zero = nan", "beta_zero must be >= 0"),
-    ("schedule = bogus", "unknown schedule kind 'bogus'"),
-    ("t_max = 0", "t_max must be >= 1"),
-    ("s = -5", "s must be in [0, 1)"),
-], ids=["beta_zero=-0.1", "beta_zero=nan", "schedule=bogus", "t_max=0", "s=-5"])
-def test_train_rejects_bad_model_config_before_writing(tmp_path, capsys, line, message):
-    """--config values skip argparse's checks; the model config is still
-    rejected before train writes any file."""
+@pytest.mark.parametrize("line, flags, message", [
+    ("beta_zero = -0.1", [], "beta_zero must be >= 0"),
+    ("beta_zero = nan", [], "beta_zero must be >= 0"),
+    ("schedule = bogus", [], "unknown schedule kind 'bogus'"),
+    ("t_max = 0", [], "t_max must be >= 1"),
+    ("s = -5", [], "s must be in [0, 1)"),
+    ("", ["--lr", "0"], "learning rate must be > 0"),
+    ("", ["--batch", "0"], "bad steps/batch: 2/0"),
+    ("", ["--steps", "-1"], "bad steps/batch: -1/4"),
+    ("weight_decay = -1", [], "weight_decay and clip_norm must be >= 0"),
+    ("clip_norm = -1", [], "weight_decay and clip_norm must be >= 0"),
+], ids=["beta_zero=-0.1", "beta_zero=nan", "schedule=bogus", "t_max=0", "s=-5",
+        "lr=0", "batch=0", "steps=-1", "weight_decay=-1", "clip_norm=-1"])
+def test_train_rejects_bad_model_config_before_writing(tmp_path, capsys, line, flags,
+                                                        message):
+    """--config values skip argparse's checks, and argparse checks no ranges;
+    a bad model config or training setting is still rejected before train
+    writes any file."""
     _, _, paths = make_world(tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
     out_dir = tmp_path / "run"
-    # flags win over the file, so drop TRAIN_FLAGS' leading --t-max for that case
-    flags = TRAIN_FLAGS[2:] if line.startswith("t_max") else TRAIN_FLAGS
+    # flags win over the file, so drop TRAIN_FLAGS' leading --t-max for that
+    # case; argparse keeps the last value, so `flags` override TRAIN_FLAGS
+    train_flags = TRAIN_FLAGS[2:] if line.startswith("t_max") else TRAIN_FLAGS
     rc = main(["train", "--config", str(cfg), "--corpus", str(paths["corpus"]),
                "--sentences", str(paths["sentences"]),
                "--vocab", str(paths["vocab"]), "--out-dir", str(out_dir),
-               *flags])
+               *train_flags, *flags])
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not (out_dir / "config.txt").exists()
@@ -268,6 +277,24 @@ def test_evaluate_word_export_with_predictors(trained, tmp_path, capsys):
     assert rows[0][-1] == "freq"
     hits = [r for r in rows[1:] if r[1] == sid and r[2] == "1"]
     assert hits and all(r[-1] == "2.5" for r in hits)
+
+
+def test_evaluate_rejects_bad_predictors_before_writing(trained, tmp_path, capsys):
+    paths = trained["paths"]
+    pred_file = tmp_path / "predictors.csv"
+    pred_file.write_text("sentence_id,word\ns1,1\n")
+    report_dir, word_csv = tmp_path / "report", tmp_path / "words.csv"
+    rc = main(["evaluate", "--true", str(paths["corpus"]),
+               "--pred", str(paths["corpus"]),
+               "--sentences", str(paths["sentences"]),
+               "--out-dir", str(report_dir), "--word-export", str(word_csv),
+               "--predictors", str(pred_file)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "expected header sentence_id,word_index,<predictor...>" in captured.err
+    assert captured.out == ""
+    assert not report_dir.exists()
+    assert not word_csv.exists()
 
 
 # ---------------------------------------------------------------------------

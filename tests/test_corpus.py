@@ -5,11 +5,15 @@ import pytest
 
 from scanpath_diffusion import (Corpus, CorpusFormatError, ScanpathRecord,
                                 ValidationError, build_vocab, filter_encodable,
-                                load_corpus, load_predictors, load_sentences,
-                                load_split_plan, make_splits, save_corpus,
-                                save_sentences, save_split_plan,
-                                synthetic_corpus)
+                                init_model, load_corpus, load_predictors,
+                                load_sentences, load_split_plan, make_splits,
+                                save_corpus, save_sentences, save_split_plan,
+                                synthetic_corpus, train)
+from scanpath_diffusion.cli import main
+from scanpath_diffusion.reports import evaluation_report, write_evaluation_report
 from scanpath_diffusion.splits import MODES
+
+from conftest import encode_corpus, tiny_config
 
 
 def write(path, text):
@@ -139,6 +143,63 @@ def test_predictors_need_extra_columns(tmp_path):
     path = write(tmp_path / "p.csv", "sentence_id,word_index\ns1,1\n")
     with pytest.raises(CorpusFormatError):
         load_predictors(path)
+
+
+# ---------------------------------------------------------------------------
+# table bytes: header line, CRLF endings, shortest round-trip floats
+
+TABLE_SENTENCES = {"s1": ("a", "b", "c"), "s2": ("x,y", "z")}
+TABLE_TRUE = Corpus(sentences=TABLE_SENTENCES, records=[
+    ScanpathRecord("r1", "s1", (1, 2, 3)), ScanpathRecord("r2", "s1", (1, 3))])
+TABLE_PRED = Corpus(sentences=TABLE_SENTENCES, records=[
+    ScanpathRecord("model", "s1", (1, 2))])
+NAN_ROWS = b"".join(
+    b"%s,nan,nan,2,undefined\r\n" % name.encode()
+    for name in ("regression_rate", "normalized_fixation_count", "progressive_saccade_len",
+                 "regressive_saccade_len", "skipping_rate", "first_pass_count"))
+TABLE_BYTES = {
+    "schedule-dump": b"t,beta,alpha,alpha_bar\r\n1,0.0001,0.9999,0.9999\r\n"
+                     b"2,0.01005,0.98995,0.989851005\r\n3,0.02,0.98,0.9700539848999999\r\n",
+    "sentences": b'sentence_id,text\r\ns1,a b c\r\ns2,"x,y z"\r\n',
+    "scanpaths": b"reader_id,sentence_id,fixation_word_index\r\n"
+                 b"r1,s1,1\r\nr1,s1,2\r\nr1,s1,3\r\nr2,s1,1\r\nr2,s1,3\r\n",
+    "nld_per_scanpath": b"reader_id,sentence_id,true_len,pred_len,levenshtein,nld\r\n"
+                        b"r1,s1,3,2,1,0.3333333333333333\r\nr2,s1,2,2,1,0.5\r\n",
+    "reader_correlations": b"measure,pearson_r,p_value,n_readers,note\r\n" + NAN_ROWS,
+}
+
+
+@pytest.mark.parametrize("table", [*TABLE_BYTES, "metrics"])
+def test_table_file_bytes(table, tmp_path, capsys, tiny_vocab, small_corpus):
+    path = tmp_path / "table.csv"
+    if table == "schedule-dump":
+        assert main(["schedule-dump", "--kind", "linear", "--t-max", "3"]) == 0
+        data = capsys.readouterr().out.encode()
+    elif table == "sentences":
+        save_sentences(TABLE_SENTENCES, path)
+    elif table == "scanpaths":
+        save_corpus(TABLE_TRUE, path)
+    elif table == "metrics":
+        model = init_model(tiny_config(v_bert=len(tiny_vocab)), np.random.default_rng(7))
+        instances = encode_corpus(small_corpus, tiny_vocab, model.config.max_len)
+        result = train(model, instances, steps=2, batch=3, lr=1e-3, seed=5,
+                       metrics_path=path)
+    else:
+        path = write_evaluation_report(evaluation_report(TABLE_TRUE, TABLE_PRED),
+                                       tmp_path)[table]
+    if table != "schedule-dump":
+        data = path.read_bytes()
+    if table != "metrics":
+        assert data == TABLE_BYTES[table]
+        return
+    header, *lines = data.split(b"\r\n")
+    assert header == b"step,t,l_vlb,l_emb,l_round,total,grad_norm"
+    assert lines[-1] == b"" and b"\n" not in b"".join(lines)
+    rows = [line.decode().split(",") for line in lines[:-1]]
+    assert [row[0] for row in rows] == ["1", "2"]
+    for row, values in zip(rows, result.rows):
+        assert all(repr(float(cell)) == cell for cell in row[1:])
+        assert [float(cell) for cell in row[1:]] == list(values.values())[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,8 @@ def _cmd_evaluate(args) -> int:
     _settings(args)  # validate --config if given
     sentences_true = load_corpus(args.true, args.sentences)
     sentences_pred = load_corpus(args.pred, args.sentences)
-    predictors = load_predictors(args.predictors) if args.predictors else None
+    predictors = (load_predictors(args.predictors, sentences_true.sentences)
+                  if args.predictors else None)
     report = evaluation_report(sentences_true, sentences_pred)
     print(f"mean NLD {report.mean_nld:.6f} over {len(report.nld_rows)} scanpaths")
     if args.out_dir:
@@ -319,6 +320,9 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
+    # progress (train's step lines) is INFO from the package; stdout keeps
+    # only each command's result lines
+    logging.getLogger(__package__).setLevel(logging.INFO)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -195,24 +195,48 @@ def save_corpus(corpus: Corpus, path) -> None:
                  for rec in corpus.records for f in rec.fixations))
 
 
-def load_predictors(path) -> dict[tuple[str, int], dict[str, str]]:
+def load_predictors(path, sentences=None) -> dict[tuple[str, int], dict[str, str]]:
     """Load per-word predictor values keyed by (sentence_id, word_index).
 
     The file must start with sentence_id,word_index; any further columns
     (frequency, surprisal, ...) are carried through as strings and joined
-    into the word-measure export.
+    into the word-measure export. A key may appear once. Given `sentences`
+    (id -> words), a row for one of them must name a word in 1..M; rows for
+    other sentences are kept (a corpus-wide file is fine) and counted in
+    one warning.
     """
     rows = _read_rows(path, ["sentence_id", "word_index"], more="<predictor...>")
     extra = next(rows)[2:]
     table: dict[tuple[str, int], dict[str, str]] = {}
+    first_line: dict[tuple[str, int], int] = {}
+    unlisted = 0
     for line_no, row in rows:
+        sid = row[0]
         try:
             widx = int(row[1])
         except ValueError:
             raise CorpusFormatError(
                 path, line_no, f"word_index {row[1]!r} is not an integer"
             ) from None
-        table[(row[0], widx)] = dict(zip(extra, row[2:]))
+        key = (sid, widx)
+        if key in first_line:
+            raise CorpusFormatError(
+                path, line_no, f"duplicate row for sentence {sid!r} word {widx} "
+                f"(first at line {first_line[key]})"
+            )
+        if sentences is not None:
+            if sid not in sentences:
+                unlisted += 1
+            elif not 1 <= widx <= len(sentences[sid]):
+                raise CorpusFormatError(
+                    path, line_no, f"word_index {widx} outside 1..{len(sentences[sid])} "
+                    f"of sentence {sid!r}"
+                )
+        first_line[key] = line_no
+        table[key] = dict(zip(extra, row[2:]))
+    if unlisted:
+        log.warning("%s: %d predictor rows name sentences outside the sentence file; "
+                    "they are never joined", path, unlisted)
     return table
 
 

@@ -5,7 +5,16 @@ forward), layer norms on the way in and out, and no output head: the final
 layer norm IS the prediction, in latent space. The step index enters once,
 as a sinusoidal code pushed through a two-layer MLP and added to every
 position of the input; the model has no positional table of its own (the
-latents already carry one). Attention never attends to padding slots.
+latents already carry one).
+
+Only real slots are computed. Forward gathers them once into packed
+(N_real, dim) rows, and every per-token layer (time-vector add, layer
+norms, Q/K/V/O projections, feed forward, GELU) runs on those rows, in
+forward and backward alike. Attention alone needs the (B, H, L, L) layout:
+q, k and v (and the context gradient) are scattered into zeroed frames for
+it, padding is never a key, and the results are gathered back at the real
+rows. The prediction and the input gradient come back as (B, L, dim) with
+exact zeros at padding slots.
 
 Forward and backward are written out by hand on float64 numpy; forward can
 record a cache that backward consumes, returning both parameter gradients
@@ -158,19 +167,36 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
 
+def _pack(x, rows):
+    """(B, L, d) frames -> (N_real, d) rows, keeping the real slots only."""
+    return x.reshape(-1, x.shape[-1])[rows]
+
+
+def _unpack(x, rows, bsz, seq):
+    """(N_real, d) rows -> (B, L, d) frames, exact zeros at padding slots."""
+    out = np.zeros((bsz * seq, x.shape[-1]))
+    out[rows] = x
+    return out.reshape(bsz, seq, -1)
+
+
 def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
     """Run the denoiser. Returns (prediction, cache or None).
 
     z is (B, L, dim) float; t is a scalar step or a (B,) array; pad_mask is
-    (B, L) bool with True on real slots. Padding is excluded from attention
-    keys; outputs at padding positions are computed but meaningless.
+    (B, L) bool with True on real slots. Every per-token layer runs on the
+    real slots alone, packed as (N_real, dim) rows; only attention scatters
+    them back into (B, L) frames, where padding is never a key. The
+    prediction comes back as (B, L, dim) with exact zeros at padding.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 3 or z.shape[2] != params.dim:
         raise ValidationError(f"expected z of shape (B, L, {params.dim}), got {z.shape}")
     pad_mask = np.asarray(pad_mask, dtype=bool)
     bsz, seq, dim = z.shape
+    if pad_mask.shape != (bsz, seq):
+        raise ValidationError(f"expected pad_mask of shape ({bsz}, {seq}), got {pad_mask.shape}")
     p = params.tensors
+    rows = np.flatnonzero(pad_mask.ravel())
 
     t_arr = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)), (bsz,))
     t_code = timestep_embedding(t_arr, dim)
@@ -178,25 +204,28 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
     t_phi = _gelu_cdf(t_hid)
     t_vec = _linear(t_hid * t_phi, p["time_w2"], p["time_b2"])
 
-    z_in = z + t_vec[:, None, :]
+    z_in = _pack(z, rows) + t_vec[rows // seq]
     h, ln_in_cache = _layer_norm(z_in, p["ln_in_g"], p["ln_in_b"])
 
     key_bias = np.where(pad_mask, 0.0, MASK_BIAS)[:, None, None, :]
     scale = 1.0 / math.sqrt(params.head_dim)
+
+    def heads(x):
+        return _split_heads(_unpack(x, rows, bsz, seq), params.n_heads)
 
     blocks = []
     for i in range(params.n_blocks):
         pre = f"b{i}."
         h_pre_attn = h
         a, ln1_cache = _layer_norm(h, p[pre + "ln1_g"], p[pre + "ln1_b"])
-        q = _split_heads(_linear(a, p[pre + "wq"], p[pre + "bq"]), params.n_heads)
-        k = _split_heads(_linear(a, p[pre + "wk"], p[pre + "bk"]), params.n_heads)
-        v = _split_heads(_linear(a, p[pre + "wv"], p[pre + "bv"]), params.n_heads)
+        q = heads(_linear(a, p[pre + "wq"], p[pre + "bq"]))
+        k = heads(_linear(a, p[pre + "wk"], p[pre + "bk"]))
+        v = heads(_linear(a, p[pre + "wv"], p[pre + "bv"]))
         scores = q @ k.swapaxes(-1, -2) * scale + key_bias
         scores -= scores.max(axis=-1, keepdims=True)
         att = np.exp(scores)
         att /= att.sum(axis=-1, keepdims=True)
-        ctx = _merge_heads(att @ v)
+        ctx = _pack(_merge_heads(att @ v), rows)
         attn_out = _linear(ctx, p[pre + "wo"], p[pre + "bo"])
         h = h_pre_attn + attn_out
 
@@ -213,9 +242,11 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
             })
 
     out, ln_out_cache = _layer_norm(h, p["ln_out_g"], p["ln_out_b"])
+    out = _unpack(out, rows, bsz, seq)
     if not need_cache:
         return out, None
     cache = {
+        "rows": rows,
         "t_code": t_code, "t_hid": t_hid, "t_phi": t_phi,
         "ln_in": ln_in_cache, "ln_out": ln_out_cache, "blocks": blocks,
     }
@@ -225,15 +256,19 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
 def backward(params: DenoiserParams, cache, d_out):
     """Backprop through a cached forward pass.
 
-    Returns (grads, d_z): parameter gradients in `denoiser_shapes` order,
-    and the gradient with respect to the input latents.
+    d_out is (B, L, dim); its padding slots are never read. Returns
+    (grads, d_z): parameter gradients in `denoiser_shapes` order, and the
+    (B, L, dim) gradient with respect to the input latents, exact zeros at
+    padding. Like forward, every per-token layer runs on the packed rows.
     """
     p = params.tensors
     grads = {}
     scale = 1.0 / math.sqrt(params.head_dim)
+    rows = cache["rows"]
+    bsz, seq = d_out.shape[:2]
 
     d_h, grads["ln_out_g"], grads["ln_out_b"] = _layer_norm_bwd(
-        d_out, p["ln_out_g"], cache["ln_out"])
+        _pack(d_out, rows), p["ln_out_g"], cache["ln_out"])
 
     for i in reversed(range(params.n_blocks)):
         pre = f"b{i}."
@@ -253,7 +288,7 @@ def backward(params: DenoiserParams, cache, d_out):
         # attention branch
         d_ctx, grads[pre + "wo"], grads[pre + "bo"] = _linear_bwd(
             d_h, blk["ctx"], p[pre + "wo"])
-        d_ctx_h = _split_heads(d_ctx, params.n_heads)
+        d_ctx_h = _split_heads(_unpack(d_ctx, rows, bsz, seq), params.n_heads)
         att = blk["att"]
         d_att = d_ctx_h @ blk["v"].swapaxes(-1, -2)
         d_v = att.swapaxes(-1, -2) @ d_ctx_h
@@ -263,7 +298,7 @@ def backward(params: DenoiserParams, cache, d_out):
         d_a = np.zeros_like(blk["a"])
         for name, d_head in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
             d_x, grads[pre + name], grads[pre + "b" + name[1]] = _linear_bwd(
-                _merge_heads(d_head), blk["a"], p[pre + name])
+                _pack(_merge_heads(d_head), rows), blk["a"], p[pre + name])
             d_a += d_x
         d_h_ln1, grads[pre + "ln1_g"], grads[pre + "ln1_b"] = _layer_norm_bwd(
             d_a, p[pre + "ln1_g"], blk["ln1"])
@@ -271,6 +306,7 @@ def backward(params: DenoiserParams, cache, d_out):
 
     d_z_in, grads["ln_in_g"], grads["ln_in_b"] = _layer_norm_bwd(
         d_h, p["ln_in_g"], cache["ln_in"])
+    d_z_in = _unpack(d_z_in, rows, bsz, seq)
 
     d_t_vec = d_z_in.sum(axis=1)
     t_hid, t_phi = cache["t_hid"], cache["t_phi"]

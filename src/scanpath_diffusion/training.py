@@ -34,6 +34,7 @@ model its config describes.
 
 from __future__ import annotations
 
+import logging
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -53,6 +54,8 @@ __all__ = [
     "AdamW", "clip_global_norm", "check_train_settings", "train", "TrainResult",
     "METRICS_HEADER",
 ]
+
+log = logging.getLogger(__name__)
 
 METRICS_HEADER = ["step", "t", "l_vlb", "l_emb", "l_round", "total", "grad_norm"]
 
@@ -315,8 +318,8 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
                 break
             optimizer.step(grads)
             if log_every and step % log_every == 0:
-                print(f"step {step}/{steps} total={breakdown.total:.5f} "
-                      f"grad_norm={grad_norm:.3f}", flush=True)
+                log.info("step %d/%d total=%.5f grad_norm=%.3f",
+                         step, steps, breakdown.total, grad_norm)
             if ckpt_path and ckpt_interval and step % ckpt_interval == 0 and step < steps:
                 save_checkpoint(model, ckpt_path)
     if ckpt_path and not aborted:

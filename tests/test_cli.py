@@ -1,6 +1,10 @@
 """Every subcommand end to end through main(), plus exit-code contracts."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from scanpath_diffusion import (Corpus, ScanpathRecord, Vocabulary,
                                 save_corpus, save_sentences, save_table,
                                 sentence_rng, synthetic_corpus,
                                 tokenize_sentence)
+import scanpath_diffusion
 from scanpath_diffusion.cli import main
 
 
@@ -180,6 +185,28 @@ def test_train_on_split_fold(tmp_path, capsys):
     assert "fold 7" in capsys.readouterr().err
 
 
+
+def test_train_progress_goes_to_stderr_through_logging(tmp_path):
+    """stdout holds only train's result line; the step lines are INFO
+    records of scanpath_diffusion.training, which main shows on stderr."""
+    _, _, paths = make_world(tmp_path)
+    src = Path(scanpath_diffusion.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scanpath_diffusion.cli", "train",
+         "--corpus", str(paths["corpus"]), "--sentences", str(paths["sentences"]),
+         "--vocab", str(paths["vocab"]), "--out-dir", str(tmp_path / "run"),
+         *TRAIN_FLAGS],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"trained 2 steps on 8 scanpaths; artifacts in {tmp_path / 'run'}"]
+    steps = [line for line in proc.stderr.splitlines() if " step " in line]
+    assert [line.split(" total=")[0] for line in steps] == [
+        "INFO scanpath_diffusion.training: step 1/2",
+        "INFO scanpath_diffusion.training: step 2/2"]
+
 # ---------------------------------------------------------------------------
 # generate
 
@@ -296,6 +323,27 @@ def test_evaluate_rejects_bad_predictors_before_writing(trained, tmp_path, capsy
     assert not report_dir.exists()
     assert not word_csv.exists()
 
+
+
+def test_evaluate_rejects_predictor_word_outside_sentence_before_writing(
+        trained, tmp_path, capsys):
+    paths = trained["paths"]
+    sid, words = sorted(trained["corpus"].sentences.items())[0]
+    pred_file = tmp_path / "predictors.csv"
+    pred_file.write_text(f"sentence_id,word_index,freq\n{sid},1,2.5\n"
+                         f"{sid},{len(words) + 1},1.0\n")
+    report_dir, word_csv = tmp_path / "report", tmp_path / "words.csv"
+    rc = main(["evaluate", "--true", str(paths["corpus"]),
+               "--pred", str(paths["corpus"]),
+               "--sentences", str(paths["sentences"]),
+               "--out-dir", str(report_dir), "--word-export", str(word_csv),
+               "--predictors", str(pred_file)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f":3: word_index {len(words) + 1} outside 1..{len(words)}" in captured.err
+    assert captured.out == ""
+    assert not report_dir.exists()
+    assert not word_csv.exists()
 
 # ---------------------------------------------------------------------------
 # baseline

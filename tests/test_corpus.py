@@ -145,6 +145,33 @@ def test_predictors_need_extra_columns(tmp_path):
         load_predictors(path)
 
 
+def test_predictors_reject_duplicate_key(tmp_path):
+    path = write(tmp_path / "p.csv",
+                 "sentence_id,word_index,freq\ns1,1,5\ns2,1,4\ns1,1,7\n")
+    with pytest.raises(CorpusFormatError) as err:
+        load_predictors(path)
+    assert err.value.line_no == 4
+    assert "duplicate row for sentence 's1' word 1 (first at line 2)" in str(err.value)
+
+
+def test_predictors_word_range_checked_against_sentences(tmp_path, caplog):
+    sentences = {"s1": ("a", "b", "c")}
+    head = "sentence_id,word_index,freq\n"
+    for bad in ("s1,4,3", "s1,0,3"):
+        path = write(tmp_path / "p.csv", head + "s1,1,5\n" + bad + "\n")
+        with pytest.raises(CorpusFormatError) as err:
+            load_predictors(path, sentences)
+        assert err.value.line_no == 3
+        assert "outside 1..3 of sentence 's1'" in str(err.value)
+    # rows for sentences outside the set stay, with one warning for all of them
+    path = write(tmp_path / "p.csv", head + "s1,3,5\nnope,1,2\nnope,99,2\n")
+    with caplog.at_level("WARNING", logger="scanpath_diffusion.corpus"):
+        table = load_predictors(path, sentences)
+    assert set(table) == {("s1", 3), ("nope", 1), ("nope", 99)}
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and "2 predictor rows" in warnings[0]
+
+
 # ---------------------------------------------------------------------------
 # table bytes: header line, CRLF endings, shortest round-trip floats
 

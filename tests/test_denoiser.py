@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from scanpath_diffusion import ValidationError, init_denoiser
+from scanpath_diffusion import (ValidationError, encode_instance, init_denoiser,
+                                tokenize_sentence)
 from scanpath_diffusion import denoiser as dn
 
 
@@ -73,6 +74,13 @@ def test_forward_rejects_bad_shape():
     params = init_denoiser(8, 1, 2, np.random.default_rng(0))
     with pytest.raises(ValidationError):
         dn.forward(params, np.zeros((2, 4, 7)), 1, np.ones((2, 4), dtype=bool))
+
+
+def test_forward_rejects_pad_mask_of_another_shape():
+    """The packed rows come from pad_mask, so it must match z slot for slot."""
+    params = init_denoiser(8, 1, 2, np.random.default_rng(0))
+    with pytest.raises(ValidationError):
+        dn.forward(params, np.zeros((2, 4, 8)), 1, np.ones((1, 4), dtype=bool))
 
 
 def test_fresh_blocks_are_identity():
@@ -173,7 +181,9 @@ def test_forward_matches_loop_oracle():
     pad = np.array([pad_row])
     out, _ = dn.forward(params, z, 7, pad)
     oracle = _loop_attention(z[0], params, 7, pad_row)
-    assert np.allclose(out[0], oracle, atol=1e-10)
+    # real rows follow the oracle; the padding row is never computed
+    assert np.allclose(out[0][pad[0]], oracle[pad[0]], atol=1e-10)
+    assert np.all(out[0][~pad[0]] == 0.0)
 
 
 def test_pad_keys_never_attended():
@@ -316,3 +326,157 @@ def test_cached_gelu_cdf_is_bit_identical(monkeypatch, dim, n_blocks, n_heads, s
     assert set(grads) == set(ref_grads)
     for name, g in ref_grads.items():
         assert np.array_equal(grads[name], g), name
+
+
+def _padded_forward(params, z, t, pad_mask):
+    """The denoiser forward as it ran before packing: every per-token layer
+    over all B * L slots, padding included. Reference for the packed path."""
+    bsz, seq, dim = z.shape
+    p = params.tensors
+
+    t_arr = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)), (bsz,))
+    t_code = dn.timestep_embedding(t_arr, dim)
+    t_hid = dn._linear(t_code, p["time_w1"], p["time_b1"])
+    t_phi = dn._gelu_cdf(t_hid)
+    t_vec = dn._linear(t_hid * t_phi, p["time_w2"], p["time_b2"])
+
+    z_in = z + t_vec[:, None, :]
+    h, ln_in_cache = dn._layer_norm(z_in, p["ln_in_g"], p["ln_in_b"])
+
+    key_bias = np.where(pad_mask, 0.0, dn.MASK_BIAS)[:, None, None, :]
+    scale = 1.0 / math.sqrt(params.head_dim)
+
+    blocks = []
+    for i in range(params.n_blocks):
+        pre = f"b{i}."
+        h_pre_attn = h
+        a, ln1_cache = dn._layer_norm(h, p[pre + "ln1_g"], p[pre + "ln1_b"])
+        q = dn._split_heads(dn._linear(a, p[pre + "wq"], p[pre + "bq"]), params.n_heads)
+        k = dn._split_heads(dn._linear(a, p[pre + "wk"], p[pre + "bk"]), params.n_heads)
+        v = dn._split_heads(dn._linear(a, p[pre + "wv"], p[pre + "bv"]), params.n_heads)
+        scores = q @ k.swapaxes(-1, -2) * scale + key_bias
+        scores -= scores.max(axis=-1, keepdims=True)
+        att = np.exp(scores)
+        att /= att.sum(axis=-1, keepdims=True)
+        ctx = dn._merge_heads(att @ v)
+        attn_out = dn._linear(ctx, p[pre + "wo"], p[pre + "bo"])
+        h = h_pre_attn + attn_out
+
+        h_pre_ffn = h
+        fin, ln2_cache = dn._layer_norm(h, p[pre + "ln2_g"], p[pre + "ln2_b"])
+        u = dn._linear(fin, p[pre + "ffn_w1"], p[pre + "ffn_b1"])
+        phi = dn._gelu_cdf(u)
+        ffn_out = dn._linear(u * phi, p[pre + "ffn_w2"], p[pre + "ffn_b2"])
+        h = h_pre_ffn + ffn_out
+        blocks.append({
+            "a": a, "ln1": ln1_cache, "q": q, "k": k, "v": v, "att": att,
+            "ctx": ctx, "ln2": ln2_cache, "fin": fin, "u": u, "phi": phi,
+        })
+
+    out, ln_out_cache = dn._layer_norm(h, p["ln_out_g"], p["ln_out_b"])
+    cache = {
+        "t_code": t_code, "t_hid": t_hid, "t_phi": t_phi,
+        "ln_in": ln_in_cache, "ln_out": ln_out_cache, "blocks": blocks,
+    }
+    return out, cache
+
+
+def _padded_backward(params, cache, d_out):
+    """Backward through `_padded_forward`, over all B * L slots."""
+    p = params.tensors
+    grads = {}
+    scale = 1.0 / math.sqrt(params.head_dim)
+
+    d_h, grads["ln_out_g"], grads["ln_out_b"] = dn._layer_norm_bwd(
+        d_out, p["ln_out_g"], cache["ln_out"])
+
+    for i in reversed(range(params.n_blocks)):
+        pre = f"b{i}."
+        blk = cache["blocks"][i]
+
+        u, phi = blk["u"], blk["phi"]
+        d_g_act, grads[pre + "ffn_w2"], grads[pre + "ffn_b2"] = dn._linear_bwd(
+            d_h, u * phi, p[pre + "ffn_w2"])
+        d_u = d_g_act * dn._gelu_grad(u, phi)
+        d_fin, grads[pre + "ffn_w1"], grads[pre + "ffn_b1"] = dn._linear_bwd(
+            d_u, blk["fin"], p[pre + "ffn_w1"])
+        d_h_ln2, grads[pre + "ln2_g"], grads[pre + "ln2_b"] = dn._layer_norm_bwd(
+            d_fin, p[pre + "ln2_g"], blk["ln2"])
+        d_h = d_h + d_h_ln2
+
+        d_ctx, grads[pre + "wo"], grads[pre + "bo"] = dn._linear_bwd(
+            d_h, blk["ctx"], p[pre + "wo"])
+        d_ctx_h = dn._split_heads(d_ctx, params.n_heads)
+        att = blk["att"]
+        d_att = d_ctx_h @ blk["v"].swapaxes(-1, -2)
+        d_v = att.swapaxes(-1, -2) @ d_ctx_h
+        d_scores = att * (d_att - (d_att * att).sum(axis=-1, keepdims=True))
+        d_q = d_scores @ blk["k"] * scale
+        d_k = d_scores.swapaxes(-1, -2) @ blk["q"] * scale
+        d_a = np.zeros_like(blk["a"])
+        for name, d_head in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
+            d_x, grads[pre + name], grads[pre + "b" + name[1]] = dn._linear_bwd(
+                dn._merge_heads(d_head), blk["a"], p[pre + name])
+            d_a += d_x
+        d_h_ln1, grads[pre + "ln1_g"], grads[pre + "ln1_b"] = dn._layer_norm_bwd(
+            d_a, p[pre + "ln1_g"], blk["ln1"])
+        d_h = d_h + d_h_ln1
+
+    d_z_in, grads["ln_in_g"], grads["ln_in_b"] = dn._layer_norm_bwd(
+        d_h, p["ln_in_g"], cache["ln_in"])
+
+    d_t_vec = d_z_in.sum(axis=1)
+    t_hid, t_phi = cache["t_hid"], cache["t_phi"]
+    d_t_act, grads["time_w2"], grads["time_b2"] = dn._linear_bwd(
+        d_t_vec, t_hid * t_phi, p["time_w2"])
+    d_t_hid = d_t_act * dn._gelu_grad(t_hid, t_phi)
+    _, grads["time_w1"], grads["time_b1"] = dn._linear_bwd(
+        d_t_hid, cache["t_code"], p["time_w1"])
+    order = dn.denoiser_shapes(params.dim, params.n_blocks)
+    return {name: grads[name] for name in order}, d_z_in
+
+
+def _pad_frames(case, tiny_vocab):
+    """(pad_mask, t) for one frame layout of the packed-path contract."""
+    if case == "ragged":
+        lens = np.array([11, 4, 7, 1])
+        return np.arange(11)[None, :] < lens[:, None], np.array([0, 3, 9, 1])
+    if case == "single-full":
+        return np.ones((1, 9), dtype=bool), 6
+    tok = tokenize_sentence(["bala", "deon", "firi"], tiny_vocab)
+    inst = encode_instance(tok, None, 24, tiny_vocab, target_budget=5)
+    assert not inst.pad_mask.all()
+    return inst.pad_mask[None], 4
+
+
+@pytest.mark.parametrize("case,dim,n_blocks,n_heads,seed", [
+    ("ragged", 8, 2, 2, 40), ("ragged", 12, 3, 3, 41),
+    ("single-full", 8, 2, 2, 42), ("generation-budget", 8, 2, 2, 43),
+])
+def test_packed_path_matches_padded_reference(tiny_vocab, case, dim, n_blocks,
+                                               n_heads, seed):
+    """Running the per-token layers on real rows only changes no output at
+    a real slot and no bit of d_z; padding outputs are exact zeros, and the
+    parameter gradients move only by summation order."""
+    pad, t = _pad_frames(case, tiny_vocab)
+    rng = np.random.default_rng(seed)
+    params = init_denoiser(dim, n_blocks, n_heads, rng)
+    for _, arr in params.tensors.items():
+        arr[...] = rng.normal(0, 0.5, size=arr.shape)
+    z = rng.standard_normal(pad.shape + (dim,))
+    d_out = np.where(pad[..., None], rng.standard_normal(z.shape), 0.0)
+
+    out, cache = dn.forward(params, z, t, pad, need_cache=True)
+    grads, d_z = dn.backward(params, cache, d_out)
+    ref_out, ref_cache = _padded_forward(params, z, t, pad)
+    ref_grads, ref_d_z = _padded_backward(params, ref_cache, d_out)
+
+    assert out.shape == d_z.shape == z.shape
+    assert np.array_equal(out[pad], ref_out[pad])
+    assert np.all(out[~pad] == 0.0)
+    assert np.array_equal(dn.forward(params, z, t, pad)[0], out)
+    assert np.array_equal(d_z, ref_d_z)
+    assert list(grads) == list(ref_grads)
+    for name, g in ref_grads.items():
+        floor = 1e-12 * np.abs(g).max()
+        assert np.allclose(grads[name], g, rtol=1e-12, atol=floor), name

@@ -107,7 +107,9 @@ def _cmd_train(args) -> int:
     model = init_model(config, rng, e_bert=e_bert)
 
     check_train_settings(steps=st["steps"], batch=st["batch"], lr=st["lr"],
-                         weight_decay=st["weight_decay"], clip_norm=st["clip_norm"])
+                         weight_decay=st["weight_decay"], clip_norm=st["clip_norm"],
+                         sampler_history=st["sampler_history"],
+                         ckpt_interval=st["ckpt_interval"])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_kv_file(st, out_dir / "config.txt")
@@ -153,6 +155,8 @@ def _generate_sentence(job):
 
 def _cmd_generate(args) -> int:
     st = _settings(args)
+    if st["workers"] < 1:
+        raise ValidationError(f"workers must be >= 1, got {st['workers']}")
     setup = (args.checkpoint, args.vocab, st["seed"], st["mean_only"])
     model, vocab, _, _ = _start_generation(*setup)
     sentences = load_sentences(args.sentences)

@@ -26,18 +26,11 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_opt_float(text: str):
-    low = text.strip().lower()
-    if low in ("none", ""):
-        return None
-    return float(text)
-
-
-def _parse_opt_int(text: str):
-    low = text.strip().lower()
-    if low in ("none", ""):
-        return None
-    return int(text)
+def _optional(parse):
+    """parse, except that `none` or an empty value reads as None."""
+    def parse_optional(text: str):
+        return None if text.strip().lower() in ("none", "") else parse(text)
+    return parse_optional
 
 
 # key -> (parser, default)
@@ -49,11 +42,11 @@ SCHEMA = {
     "d_bert": (int, 768),
     "blocks": (int, 12),
     "heads": (int, 8),
-    "v_idx": (_parse_opt_int, None),          # default: max_len
+    "v_idx": (_optional(int), None),          # default: max_len
     "t_max": (int, 2000),
     "schedule": (str, "sqrt"),
     "s": (float, 1e-4),
-    "beta_zero": (_parse_opt_float, None),    # default: schedule-derived
+    "beta_zero": (_optional(float), None),    # default: schedule-derived
     "emb_target_low_t": (_parse_bool, True),
     # training
     "steps": (int, 80000),

@@ -137,6 +137,8 @@ def init_denoiser(dim: int, n_blocks: int, n_heads: int, rng: np.random.Generato
     closing projection of each residual branch (wo, ffn_w2), so every block
     starts as the identity and the early updates stay small.
     """
+    if n_heads < 1:
+        raise ValidationError(f"need at least 1 head, got {n_heads}")
     if dim % n_heads != 0:
         raise ValidationError(f"dim {dim} not divisible by {n_heads} heads")
     if n_blocks < 1:

@@ -136,14 +136,11 @@ def decode_fixations(target_idx_values, word_count: int) -> tuple[list[int], int
     legal outcome.
     """
     sep = word_count + 1
-    kept = []
+    fixations = []
+    clamped = 0
     for v in np.asarray(target_idx_values).tolist():
         if v == sep:
             break
-        kept.append(v)
-    fixations = []
-    clamped = 0
-    for v in kept:
         if v == 0:
             continue
         if v > word_count:
@@ -175,14 +172,8 @@ def stack_instances(instances) -> Batch:
     widths = {inst.x_idx.shape[0] for inst in instances}
     if len(widths) != 1:
         raise ValidationError(f"instances have mixed frame widths {sorted(widths)}")
-    return Batch(
-        x_idx=np.stack([i.x_idx for i in instances]),
-        x_bert=np.stack([i.x_bert for i in instances]),
-        x_pos=np.stack([i.x_pos for i in instances]),
-        condition_mask=np.stack([i.condition_mask for i in instances]),
-        target_mask=np.stack([i.target_mask for i in instances]),
-        pad_mask=np.stack([i.pad_mask for i in instances]),
-    )
+    return Batch(**{f.name: np.stack([getattr(inst, f.name) for inst in instances])
+                    for f in fields(Batch)})
 
 
 def trim_batch(batch: Batch) -> Batch:

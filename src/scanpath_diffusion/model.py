@@ -52,6 +52,9 @@ class Model:
 def init_model(config: ModelConfig, rng: np.random.Generator,
                e_bert: np.ndarray | None = None) -> Model:
     """Fresh model; pass e_bert to adopt a pretrained frozen table."""
+    for name in ("max_len", "dim", "d_bert", "n_blocks", "n_heads"):
+        if getattr(config, name) < 1:
+            raise ValidationError(f"{name} must be >= 1, got {getattr(config, name)}")
     if config.v_idx < config.max_len:
         raise ValidationError(
             f"v_idx {config.v_idx} < max_len {config.max_len}: the index table "

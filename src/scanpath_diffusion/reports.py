@@ -70,6 +70,15 @@ class EvaluationReport:
     scanpath_rows: list[dict]
 
 
+def _correlation_rows(columns: dict[str, list], distances: list[float],
+                      count_name: str) -> list[dict]:
+    """One row per measure: Pearson r of its column against the distances."""
+    stats = {name: pearson(xs, distances) for name, xs in columns.items()}
+    return [{"measure": name, "pearson_r": r_val, "p_value": p_val,
+             count_name: len(distances), "note": "undefined" if math.isnan(r_val) else ""}
+            for name, (r_val, p_val) in stats.items()]
+
+
 def evaluation_report(true: Corpus, pred: Corpus) -> EvaluationReport:
     pairs = pair_records(true, pred)
 
@@ -110,26 +119,13 @@ def evaluation_report(true: Corpus, pred: Corpus) -> EvaluationReport:
         by_reader.setdefault(t.reader_id, []).append(i)
     readers = sorted(by_reader)
     reader_nld = [float(np.mean([nld_rows[i]["nld"] for i in by_reader[r]])) for r in readers]
-    reader_rows = []
-    for name in SUMMARY_MEASURES:
-        xs = [float(np.mean([true_scalars[i][name] for i in by_reader[r]])) for r in readers]
-        r_val, p_val = pearson(xs, reader_nld)
-        reader_rows.append({
-            "measure": name, "pearson_r": r_val, "p_value": p_val,
-            "n_readers": len(readers),
-            "note": "" if not math.isnan(r_val) else "undefined",
-        })
-
-    scanpath_rows = []
-    dists = [row["nld"] for row in nld_rows]
-    for name in SUMMARY_MEASURES:
-        xs = [s[name] for s in true_scalars]
-        r_val, p_val = pearson(xs, dists)
-        scanpath_rows.append({
-            "measure": name, "pearson_r": r_val, "p_value": p_val,
-            "n": len(pairs),
-            "note": "" if not math.isnan(r_val) else "undefined",
-        })
+    reader_rows = _correlation_rows(
+        {name: [float(np.mean([true_scalars[i][name] for i in by_reader[r]])) for r in readers]
+         for name in SUMMARY_MEASURES},
+        reader_nld, "n_readers")
+    scanpath_rows = _correlation_rows(
+        {name: [s[name] for s in true_scalars] for name in SUMMARY_MEASURES},
+        [row["nld"] for row in nld_rows], "n")
 
     return EvaluationReport(
         mean_nld=mean_nld, nld_rows=nld_rows, measure_rows=measure_rows,

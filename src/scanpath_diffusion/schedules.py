@@ -169,6 +169,8 @@ class TimestepSampler:
     def __init__(self, t_max: int, history: int = 10):
         if t_max < 1:
             raise ValidationError(f"t_max must be >= 1, got {t_max}")
+        if history < 1:
+            raise ValidationError(f"history must be >= 1, got {history}")
         self.t_max = t_max
         self.history = history
         self._sq = np.zeros((t_max + 1, history), dtype=np.float64)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,7 +27,13 @@ from .errors import ValidationError
 
 log = logging.getLogger(__name__)
 
-MODES = ("new_sentence", "new_reader", "new_reader_new_sentence")
+# mode -> (holds out readers, holds out sentences)
+_HOLDOUT = {
+    "new_sentence": (False, True),
+    "new_reader": (True, False),
+    "new_reader_new_sentence": (True, True),
+}
+MODES = tuple(_HOLDOUT)
 
 Key = tuple[str, str]
 
@@ -67,60 +73,31 @@ def make_splits(corpus: Corpus, mode: str, k: int, seed: int) -> SplitPlan:
         raise ValidationError("cannot split an empty corpus")
     rng = np.random.default_rng(seed)
     keys = [(rec.reader_id, rec.sentence_id) for rec in corpus.records]
-    sentence_ids = {rec.sentence_id for rec in corpus.records}
-    reader_ids = corpus.readers
-
-    if mode == "new_sentence":
-        sent_chunks = _chunks(sentence_ids, k, rng)
-        reader_chunks = [[] for _ in range(k)]
-    elif mode == "new_reader":
-        reader_chunks = _chunks(reader_ids, k, rng)
-        sent_chunks = [[] for _ in range(k)]
-    else:
-        reader_chunks = _chunks(reader_ids, k, rng)
-        sent_chunks = _chunks(sentence_ids, k, rng)
+    held_axes = _HOLDOUT[mode]
+    n_held = sum(held_axes)
+    units = (corpus.readers, {rec.sentence_id for rec in corpus.records})
+    # one rng draw per held-out axis, readers first; an axis not held out
+    # gets empty chunks
+    chunks = [_chunks(ids, k, rng) if on else [[]] * k
+              for ids, on in zip(units, held_axes)]
 
     folds = []
-    for i in range(k):
-        held_r = set(reader_chunks[i])
-        held_s = set(sent_chunks[i])
-        if mode == "new_sentence":
-            test = [key for key in keys if key[1] in held_s]
-            train = [key for key in keys if key[1] not in held_s]
-        elif mode == "new_reader":
-            test = [key for key in keys if key[0] in held_r]
-            train = [key for key in keys if key[0] not in held_r]
-        else:
-            test = [key for key in keys if key[0] in held_r and key[1] in held_s]
-            train = [key for key in keys if key[0] not in held_r and key[1] not in held_s]
+    for i, (readers, sentences) in enumerate(zip(*chunks)):
+        held = (set(readers), set(sentences))
+        # test keys are held out on every axis the mode holds out, train keys on none
+        hits = [sum(part in ids for part, ids in zip(key, held)) for key in keys]
+        test = tuple(key for key, n in zip(keys, hits) if n == n_held)
+        train = tuple(key for key, n in zip(keys, hits) if n == 0)
         if not test:
             log.warning("fold %d has an empty test set", i)
-        folds.append(Fold(
-            test_readers=tuple(sorted(held_r)),
-            test_sentences=tuple(sorted(held_s)),
-            train=tuple(train),
-            test=tuple(test),
-        ))
+        folds.append(Fold(test_readers=tuple(sorted(readers)),
+                          test_sentences=tuple(sorted(sentences)), train=train, test=test))
     return SplitPlan(mode=mode, seed=seed, n_folds=k, folds=tuple(folds))
 
 
 def save_split_plan(plan: SplitPlan, path) -> None:
-    doc = {
-        "mode": plan.mode,
-        "seed": plan.seed,
-        "n_folds": plan.n_folds,
-        "folds": [
-            {
-                "test_readers": list(f.test_readers),
-                "test_sentences": list(f.test_sentences),
-                "train": [list(key) for key in f.train],
-                "test": [list(key) for key in f.test],
-            }
-            for f in plan.folds
-        ],
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(asdict(plan), fh, indent=1)
         fh.write("\n")
 
 
@@ -137,6 +114,8 @@ def load_split_plan(path) -> SplitPlan:
             )
             for f in doc["folds"]
         )
+        if doc["n_folds"] != len(folds):
+            raise ValueError(f"n_folds is {doc['n_folds']} but it holds {len(folds)} folds")
         return SplitPlan(mode=doc["mode"], seed=doc["seed"], n_folds=doc["n_folds"], folds=folds)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed split plan ({exc})") from exc

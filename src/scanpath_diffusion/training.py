@@ -255,15 +255,19 @@ class AdamW:
             theta -= self.lr * ((m / c1) / (np.sqrt(v / c2) + self.eps))
 
 
-def check_train_settings(*, steps: int, batch: int, lr: float,
-                         weight_decay: float, clip_norm: float) -> None:
+def check_train_settings(*, steps: int, batch: int, lr: float, weight_decay: float,
+                         clip_norm: float, sampler_history: int, ckpt_interval: int) -> None:
     """Reject training-loop settings train cannot run with."""
     if batch < 1 or steps < 0:
         raise ValidationError(f"bad steps/batch: {steps}/{batch}")
-    if lr <= 0:
-        raise ValidationError(f"learning rate must be > 0, got {lr}")
-    if weight_decay < 0 or clip_norm < 0:
-        raise ValidationError("weight_decay and clip_norm must be >= 0")
+    if not 0 < lr < math.inf:  # NaN fails too
+        raise ValidationError(f"learning rate must be > 0 and finite, got {lr}")
+    if not (0 <= weight_decay < math.inf and clip_norm >= 0):
+        raise ValidationError("weight_decay and clip_norm must be >= 0 (weight_decay finite)")
+    if sampler_history < 1:
+        raise ValidationError(f"sampler_history must be >= 1, got {sampler_history}")
+    if ckpt_interval < 0:
+        raise ValidationError(f"ckpt_interval must be >= 0, got {ckpt_interval}")
 
 
 @dataclass
@@ -285,8 +289,9 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     the in-memory model (and any checkpoint on disk) stays at the last
     good step. Metrics rows are flushed as they are produced.
     """
-    check_train_settings(steps=steps, batch=batch, lr=lr,
-                         weight_decay=weight_decay, clip_norm=clip_norm)
+    check_train_settings(steps=steps, batch=batch, lr=lr, weight_decay=weight_decay,
+                         clip_norm=clip_norm, sampler_history=sampler_history,
+                         ckpt_interval=ckpt_interval)
     if not instances:
         raise ValidationError("cannot train on an empty instance list")
     rng = np.random.default_rng(seed)

@@ -142,8 +142,22 @@ def test_train_rejects_frozen_table_of_wrong_vocab_size(tmp_path, capsys):
     ("", ["--steps", "-1"], "bad steps/batch: -1/4"),
     ("weight_decay = -1", [], "weight_decay and clip_norm must be >= 0"),
     ("clip_norm = -1", [], "weight_decay and clip_norm must be >= 0"),
+    ("sampler_history = 0", [], "sampler_history must be >= 1"),
+    ("sampler_history = -1", [], "sampler_history must be >= 1"),
+    ("ckpt_interval = -2", [], "ckpt_interval must be >= 0"),
+    ("", ["--hidden-dim", "0"], "dim must be >= 1, got 0"),
+    ("", ["--d-bert", "0"], "d_bert must be >= 1, got 0"),
+    ("", ["--heads", "-2"], "n_heads must be >= 1, got -2"),
+    ("", ["--heads", "0"], "n_heads must be >= 1, got 0"),
+    ("", ["--lr", "nan"], "learning rate must be > 0 and finite, got nan"),
+    ("", ["--lr", "inf"], "learning rate must be > 0 and finite, got inf"),
+    ("weight_decay = inf", [], "weight_decay and clip_norm must be >= 0"),
+    ("clip_norm = nan", [], "weight_decay and clip_norm must be >= 0"),
 ], ids=["beta_zero=-0.1", "beta_zero=nan", "schedule=bogus", "t_max=0", "s=-5",
-        "lr=0", "batch=0", "steps=-1", "weight_decay=-1", "clip_norm=-1"])
+        "lr=0", "batch=0", "steps=-1", "weight_decay=-1", "clip_norm=-1",
+        "sampler_history=0", "sampler_history=-1", "ckpt_interval=-2",
+        "hidden_dim=0", "d_bert=0", "heads=-2", "heads=0", "lr=nan", "lr=inf",
+        "weight_decay=inf", "clip_norm=nan"])
 def test_train_rejects_bad_model_config_before_writing(tmp_path, capsys, line, flags,
                                                         message):
     """--config values skip argparse's checks, and argparse checks no ranges;
@@ -183,6 +197,25 @@ def test_train_on_split_fold(tmp_path, capsys):
     assert main(base + ["--fold", "7", "--out-dir", str(tmp_path / "f7"),
                         *TRAIN_FLAGS]) == 1
     assert "fold 7" in capsys.readouterr().err
+
+
+def test_train_rejects_split_plan_whose_fold_count_disagrees(tmp_path, capsys):
+    _, _, paths = make_world(tmp_path)
+    plan = tmp_path / "bad.json"
+    assert main(["prepare", "--corpus", str(paths["corpus"]),
+                 "--sentences", str(paths["sentences"]),
+                 "--vocab", str(paths["vocab"]), "--out", str(plan),
+                 "--folds", "2", "--max-len", "20"]) == 0
+    plan.write_text(plan.read_text().replace('"n_folds": 2', '"n_folds": 3'))
+    capsys.readouterr()
+    out_dir = tmp_path / "run"
+    assert main(["train", "--corpus", str(paths["corpus"]),
+                 "--sentences", str(paths["sentences"]),
+                 "--vocab", str(paths["vocab"]), "--split", str(plan), "--fold", "2",
+                 "--out-dir", str(out_dir), *TRAIN_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert str(plan) in err and "n_folds is 3 but it holds 2 folds" in err
+    assert not out_dir.exists()
 
 
 
@@ -242,6 +275,19 @@ def test_generate_worker_count_does_not_change_output(trained, tmp_path):
     assert main(gen_args(trained, a, ["--workers", "1"])) == 0
     assert main(gen_args(trained, b, ["--workers", "2"])) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_generate_rejects_worker_count_below_one(trained, tmp_path, capsys, workers):
+    out = tmp_path / "pred.csv"
+    assert main(gen_args(trained, out, ["--workers", workers])) == 1
+    assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+    # rejected before the checkpoint is read: a missing one is not reported
+    args = gen_args(trained, out, ["--workers", workers])
+    args[args.index("--checkpoint") + 1] = str(tmp_path / "missing.bin")
+    assert main(args) == 1
+    assert "workers must be >= 1" in capsys.readouterr().err
 
 
 def test_generate_skips_oversized_sentence(trained, tmp_path, caplog, capsys):

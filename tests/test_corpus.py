@@ -1,5 +1,8 @@
 """Corpus file formats, validation, and cross-validation splits."""
 
+import json
+import logging
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from scanpath_diffusion import (Corpus, CorpusFormatError, ScanpathRecord,
                                 synthetic_corpus, train)
 from scanpath_diffusion.cli import main
 from scanpath_diffusion.reports import evaluation_report, write_evaluation_report
-from scanpath_diffusion.splits import MODES
+from scanpath_diffusion.splits import MODES, Fold, SplitPlan
 
 from conftest import encode_corpus, tiny_config
 
@@ -335,3 +338,126 @@ def test_split_plan_round_trip(tmp_path):
     assert again.mode == plan.mode
     assert again.seed == plan.seed
     assert again.folds == plan.folds
+
+
+def test_load_split_plan_rejects_fold_count_mismatch(tmp_path):
+    plan = make_splits(many_reader_corpus(n_readers=4, n_sentences=8), "new_reader", 2, seed=1)
+    path = tmp_path / "plan.json"
+    save_split_plan(plan, path)
+    doc = json.loads(path.read_text())
+    doc["n_folds"] = 3
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="plan.json: malformed split plan.*n_folds"):
+        load_split_plan(path)
+
+
+# The three-branch make_splits and the hand-built plan writer that the
+# single holdout rule replaced, kept as references.
+
+_ref_log = logging.getLogger("split_reference")
+
+
+def _ref_chunks(ids, k: int, rng) -> list[list[str]]:
+    ids = sorted(ids)
+    if len(ids) < k:
+        raise ValidationError(f"cannot make {k} folds from {len(ids)} units")
+    order = rng.permutation(len(ids))
+    shuffled = [ids[i] for i in order]
+    return [list(part) for part in np.array_split(shuffled, k)]
+
+
+def _ref_make_splits(corpus, mode, k, seed):
+    if mode not in MODES:
+        raise ValidationError(f"unknown split mode {mode!r}; expected one of {MODES}")
+    if k < 2:
+        raise ValidationError(f"need at least 2 folds, got {k}")
+    if not corpus.records:
+        raise ValidationError("cannot split an empty corpus")
+    rng = np.random.default_rng(seed)
+    keys = [(rec.reader_id, rec.sentence_id) for rec in corpus.records]
+    sentence_ids = {rec.sentence_id for rec in corpus.records}
+    reader_ids = corpus.readers
+
+    if mode == "new_sentence":
+        sent_chunks = _ref_chunks(sentence_ids, k, rng)
+        reader_chunks = [[] for _ in range(k)]
+    elif mode == "new_reader":
+        reader_chunks = _ref_chunks(reader_ids, k, rng)
+        sent_chunks = [[] for _ in range(k)]
+    else:
+        reader_chunks = _ref_chunks(reader_ids, k, rng)
+        sent_chunks = _ref_chunks(sentence_ids, k, rng)
+
+    folds = []
+    for i in range(k):
+        held_r = set(reader_chunks[i])
+        held_s = set(sent_chunks[i])
+        if mode == "new_sentence":
+            test = [key for key in keys if key[1] in held_s]
+            train = [key for key in keys if key[1] not in held_s]
+        elif mode == "new_reader":
+            test = [key for key in keys if key[0] in held_r]
+            train = [key for key in keys if key[0] not in held_r]
+        else:
+            test = [key for key in keys if key[0] in held_r and key[1] in held_s]
+            train = [key for key in keys if key[0] not in held_r and key[1] not in held_s]
+        if not test:
+            _ref_log.warning("fold %d has an empty test set", i)
+        folds.append(Fold(
+            test_readers=tuple(sorted(held_r)),
+            test_sentences=tuple(sorted(held_s)),
+            train=tuple(train),
+            test=tuple(test),
+        ))
+    return SplitPlan(mode=mode, seed=seed, n_folds=k, folds=tuple(folds))
+
+
+def _ref_save_split_plan(plan, path):
+    doc = {
+        "mode": plan.mode,
+        "seed": plan.seed,
+        "n_folds": plan.n_folds,
+        "folds": [
+            {
+                "test_readers": list(f.test_readers),
+                "test_sentences": list(f.test_sentences),
+                "train": [list(key) for key in f.train],
+                "test": [list(key) for key in f.test],
+            }
+            for f in plan.folds
+        ],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def ragged_reader_corpus():
+    """Seven readers, each missing some sentences, so not every
+    (reader, sentence) pair exists."""
+    full = many_reader_corpus(n_readers=7, n_sentences=11)
+    return Corpus(sentences=full.sentences,
+                  records=[rec for i, rec in enumerate(full.records) if i % 5 != 2])
+
+
+@pytest.mark.parametrize("make_corpus", [
+    lambda: synthetic_corpus(n_sentences=10, seed=1),
+    many_reader_corpus,
+    ragged_reader_corpus,
+], ids=["2-reader", "6-reader", "7-reader-ragged"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("mode", MODES)
+def test_split_plan_matches_three_branch_reference(tmp_path, make_corpus, k, mode):
+    corpus = make_corpus()
+    for seed in (0, 1, 7, 2023):
+        try:
+            want = _ref_make_splits(corpus, mode, k, seed)
+        except ValidationError as exc:  # 3 folds from 2 readers
+            with pytest.raises(ValidationError, match=str(exc)):
+                make_splits(corpus, mode, k, seed)
+            continue
+        got = make_splits(corpus, mode, k, seed)
+        assert got == want
+        _ref_save_split_plan(want, tmp_path / "want.json")
+        save_split_plan(got, tmp_path / "got.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()

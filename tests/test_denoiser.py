@@ -57,6 +57,12 @@ def test_init_denoiser_validation():
         init_denoiser(8, 0, 2, rng)
 
 
+@pytest.mark.parametrize("n_heads", [0, -2])
+def test_init_denoiser_rejects_head_count_below_one(n_heads):
+    with pytest.raises(ValidationError, match="at least 1 head"):
+        init_denoiser(8, 1, n_heads, np.random.default_rng(0))
+
+
 def test_forward_shape_and_finite():
     rng = np.random.default_rng(1)
     params = init_denoiser(8, 2, 2, rng)

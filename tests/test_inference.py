@@ -299,3 +299,9 @@ def test_failed_checkpoint_write_keeps_previous_file(tiny_vocab, tmp_path,
 def test_init_model_v_idx_guard(tiny_vocab):
     with pytest.raises(ValidationError):
         small_model(tiny_vocab, v_idx=8, max_len=24)
+
+
+@pytest.mark.parametrize("field", ["max_len", "dim", "d_bert", "n_blocks", "n_heads"])
+def test_init_model_rejects_non_positive_size(tiny_vocab, field):
+    with pytest.raises(ValidationError, match=f"^{field} must be >= 1, got 0$"):
+        small_model(tiny_vocab, **{field: 0})

@@ -304,6 +304,12 @@ def test_sampler_update_range_checked():
         sampler.update(-1, 1.0)
 
 
+@pytest.mark.parametrize("history", [0, -1])
+def test_sampler_rejects_history_below_one(history):
+    with pytest.raises(ValidationError, match="history must be >= 1"):
+        TimestepSampler(3, history=history)
+
+
 def test_sampler_ring_buffer_keeps_last_history():
     sampler = TimestepSampler(1, history=2)
     for v in (10.0, 10.0, 1.0, 1.0):

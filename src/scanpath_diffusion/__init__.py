@@ -23,8 +23,8 @@ from .inference import (GenerationResult, dump_latent_trace,
                         fitting_sentence_ids, generate, sentence_rng)
 from .measures import SUMMARY_MEASURES, ReadingMeasures, reading_measures
 from .metrics import levenshtein, levenshtein_many, nld, pearson
-from .model import (Model, init_model, load_checkpoint, save_checkpoint,
-                    tensor_shapes)
+from .model import (Model, at_checkpoint_precision, init_model,
+                    load_checkpoint, save_checkpoint, tensor_shapes)
 from .reports import (EvaluationReport, evaluation_report,
                       export_word_measures, pair_records,
                       write_evaluation_report)
@@ -45,7 +45,8 @@ __all__ = [
     "Model", "ModelConfig", "NoiseSchedule", "ReadingMeasures", "SCHEMA",
     "SUMMARY_MEASURES", "ScanpathRecord", "SplitPlan", "TimestepSampler",
     "TokenizedSentence", "TrainResult", "TrainStats", "ValidationError",
-    "Vocabulary", "baseline_corpus", "build_schedule", "build_vocab",
+    "Vocabulary", "at_checkpoint_precision", "baseline_corpus",
+    "build_schedule", "build_vocab",
     "decode_fixations", "dump_latent_trace", "dump_schedule", "embed",
     "embed_parts", "encode_instance", "evaluation_report",
     "export_word_measures", "filter_encodable", "fitting_sentence_ids",

@@ -25,7 +25,7 @@ from .embedding import load_table
 from .encoding import encode_instance
 from .errors import ValidationError
 from .inference import dump_latent_trace, fitting_sentence_ids, generate, sentence_rng
-from .model import init_model, load_checkpoint
+from .model import at_checkpoint_precision, init_model, load_checkpoint
 from .reports import evaluation_report, export_word_measures, write_evaluation_report
 from .schedules import KINDS, build_schedule, dump_schedule
 from .splits import MODES, load_split_plan, make_splits, save_split_plan
@@ -84,13 +84,16 @@ def _cmd_prepare(args) -> int:
 
 def _cmd_train(args) -> int:
     st = _settings(args)
+    if args.fold is not None and not args.split:
+        raise ValidationError("--fold needs --split")
     vocab = Vocabulary.from_file(args.vocab)
     corpus = load_corpus(args.corpus, args.sentences)
     if args.split:
         plan = load_split_plan(args.split)
-        if not 0 <= args.fold < plan.n_folds:
-            raise ValidationError(f"fold {args.fold} outside 0..{plan.n_folds - 1}")
-        corpus = corpus.subset(plan.folds[args.fold].train)
+        fold = args.fold or 0
+        if not 0 <= fold < plan.n_folds:
+            raise ValidationError(f"fold {fold} outside 0..{plan.n_folds - 1}")
+        corpus = corpus.subset(plan.folds[fold].train)
     kept = filter_encodable(corpus, vocab, st["max_len"])
     toks = {sid: tokenize_sentence(words, vocab) for sid, words in kept.sentences.items()}
     instances = [encode_instance(toks[rec.sentence_id], rec.fixations, st["max_len"], vocab)
@@ -104,7 +107,7 @@ def _cmd_train(args) -> int:
         st["d_bert"] = e_bert.shape[1]
     config = ModelConfig.from_settings(st, v_bert=len(vocab))
     rng = np.random.default_rng(st["seed"])
-    model = init_model(config, rng, e_bert=e_bert)
+    model = at_checkpoint_precision(init_model(config, rng, e_bert=e_bert))
 
     check_train_settings(steps=st["steps"], batch=st["batch"], lr=st["lr"],
                          weight_decay=st["weight_decay"], clip_norm=st["clip_norm"],
@@ -273,7 +276,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--frozen-table", help="frozen context-table file")
     p.add_argument("--split", help="split plan JSON (train on one fold)")
-    p.add_argument("--fold", type=int, default=0)
+    p.add_argument("--fold", type=int, help="fold of --split to train on (default 0)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_train)
 

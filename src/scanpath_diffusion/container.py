@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+DTYPE = np.dtype("<f4")
+
 
 def write_container(path, header: dict, arrays) -> None:
     """Write the header line and the arrays as float32, atomically."""
@@ -27,7 +29,7 @@ def write_container(path, header: dict, arrays) -> None:
         with open(tmp, "wb") as fh:
             fh.write((json.dumps(header) + "\n").encode("ascii"))
             for arr in arrays:
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+                fh.write(np.ascontiguousarray(arr, dtype=DTYPE).tobytes())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -36,8 +38,12 @@ def write_container(path, header: dict, arrays) -> None:
 
 
 def read_container(path, what: str, layout) -> tuple[dict, dict[str, np.ndarray]]:
-    """(header, {name: float64 array}); layout(header) maps names to shapes
-    and raises KeyError, TypeError or ValueError on a bad header."""
+    """(header, {name: float32 array}); layout(header) maps names to shapes
+    and raises KeyError, TypeError or ValueError on a bad header.
+
+    The arrays are writable views of one buffer holding the payload as
+    stored, so reading makes no second copy.
+    """
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline())
@@ -46,9 +52,13 @@ def read_container(path, what: str, layout) -> tuple[dict, dict[str, np.ndarray]
             raise ValidationError(f"{path}: bad {what} header ({exc})") from exc
         counts = [math.prod(shape) for shape in shapes.values()]
         size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if min(counts, default=0) < 0 or size != 4 * sum(counts):
-            raise ValidationError(f"{path}: payload is {size} bytes, header implies {4 * sum(counts)}")
-        return header, {
-            name: np.frombuffer(fh.read(4 * n), dtype="<f4").astype(np.float64).reshape(shape)
-            for (name, shape), n in zip(shapes.items(), counts)
-        }
+        want = DTYPE.itemsize * sum(counts)
+        if min(counts, default=0) < 0 or size != want:
+            raise ValidationError(f"{path}: payload is {size} bytes, header implies {want}")
+        payload = bytearray(size)
+        fh.readinto(payload)
+    offsets = np.cumsum([0, *counts]) * DTYPE.itemsize
+    return header, {
+        name: np.frombuffer(payload, DTYPE, n, int(offset)).reshape(shape)
+        for (name, shape), n, offset in zip(shapes.items(), counts, offsets)
+    }

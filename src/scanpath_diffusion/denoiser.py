@@ -16,12 +16,15 @@ it, padding is never a key, and the results are gathered back at the real
 rows. The prediction and the input gradient come back as (B, L, dim) with
 exact zeros at padding slots.
 
-Forward and backward are written out by hand on float64 numpy; forward can
-record a cache that backward consumes, returning both parameter gradients
-and the gradient with respect to the input latents (the training loss
-needs the latter, since the latents are built from trainable tables). The
-cache keeps each GELU's normal CDF Phi(u) in place of its output u*Phi(u):
-backward rebuilds the output with the same product and reuses Phi in the
+Forward and backward are written out by hand in numpy. Every layer
+computes in the dtype of the parameters (float64 for a fresh library
+model, float32 for one that goes to or comes from a checkpoint): forward
+casts z to it, and nothing upcasts. Forward can record a cache that
+backward consumes, returning both parameter gradients and the gradient
+with respect to the input latents (the training loss needs the latter,
+since the latents are built from trainable tables). The cache keeps each
+GELU's normal CDF Phi(u) in place of its output u*Phi(u): backward
+rebuilds the output with the same product and reuses Phi in the
 derivative, so erf is evaluated once per step and the results are
 bit-identical to evaluating it again.
 """
@@ -114,6 +117,10 @@ class DenoiserParams:
     def head_dim(self) -> int:
         return self.dim // self.n_heads
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.tensors["time_w1"].dtype
+
 
 def denoiser_shapes(dim: int, n_blocks: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every denoiser tensor, in checkpoint order."""
@@ -176,7 +183,7 @@ def _pack(x, rows):
 
 def _unpack(x, rows, bsz, seq):
     """(N_real, d) rows -> (B, L, d) frames, exact zeros at padding slots."""
-    out = np.zeros((bsz * seq, x.shape[-1]))
+    out = np.zeros((bsz * seq, x.shape[-1]), dtype=x.dtype)
     out[rows] = x
     return out.reshape(bsz, seq, -1)
 
@@ -184,13 +191,14 @@ def _unpack(x, rows, bsz, seq):
 def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
     """Run the denoiser. Returns (prediction, cache or None).
 
-    z is (B, L, dim) float; t is a scalar step or a (B,) array; pad_mask is
-    (B, L) bool with True on real slots. Every per-token layer runs on the
-    real slots alone, packed as (N_real, dim) rows; only attention scatters
-    them back into (B, L) frames, where padding is never a key. The
-    prediction comes back as (B, L, dim) with exact zeros at padding.
+    z is (B, L, dim) and is cast to the parameters' dtype; t is a scalar
+    step or a (B,) array; pad_mask is (B, L) bool with True on real slots.
+    Every per-token layer runs on the real slots alone, packed as
+    (N_real, dim) rows; only attention scatters them back into (B, L)
+    frames, where padding is never a key. The prediction comes back as
+    (B, L, dim) with exact zeros at padding.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z, dtype=params.dtype)
     if z.ndim != 3 or z.shape[2] != params.dim:
         raise ValidationError(f"expected z of shape (B, L, {params.dim}), got {z.shape}")
     pad_mask = np.asarray(pad_mask, dtype=bool)
@@ -201,7 +209,8 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
     rows = np.flatnonzero(pad_mask.ravel())
 
     t_arr = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)), (bsz,))
-    t_code = timestep_embedding(t_arr, dim)
+    # in float64 first: t up to t_max times a frequency loses digits in float32
+    t_code = timestep_embedding(t_arr, dim).astype(params.dtype)
     t_hid = _linear(t_code, p["time_w1"], p["time_b1"])
     t_phi = _gelu_cdf(t_hid)
     t_vec = _linear(t_hid * t_phi, p["time_w2"], p["time_b2"])
@@ -209,7 +218,7 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
     z_in = _pack(z, rows) + t_vec[rows // seq]
     h, ln_in_cache = _layer_norm(z_in, p["ln_in_g"], p["ln_in_b"])
 
-    key_bias = np.where(pad_mask, 0.0, MASK_BIAS)[:, None, None, :]
+    key_bias = np.where(pad_mask, 0.0, MASK_BIAS).astype(params.dtype)[:, None, None, :]
     scale = 1.0 / math.sqrt(params.head_dim)
 
     def heads(x):
@@ -258,7 +267,8 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
 def backward(params: DenoiserParams, cache, d_out):
     """Backprop through a cached forward pass.
 
-    d_out is (B, L, dim); its padding slots are never read. Returns
+    d_out is (B, L, dim), cast to the parameters' dtype; its padding slots
+    are never read. Returns
     (grads, d_z): parameter gradients in `denoiser_shapes` order, and the
     (B, L, dim) gradient with respect to the input latents, exact zeros at
     padding. Like forward, every per-token layer runs on the packed rows.
@@ -270,7 +280,7 @@ def backward(params: DenoiserParams, cache, d_out):
     bsz, seq = d_out.shape[:2]
 
     d_h, grads["ln_out_g"], grads["ln_out_b"] = _layer_norm_bwd(
-        _pack(d_out, rows), p["ln_out_g"], cache["ln_out"])
+        _pack(np.asarray(d_out, dtype=params.dtype), rows), p["ln_out_g"], cache["ln_out"])
 
     for i in reversed(range(params.n_blocks)):
         pre = f"b{i}."

@@ -122,4 +122,4 @@ def load_table(path) -> np.ndarray:
     """Read a table file back into a float64 array."""
     _, arrays = read_container(path, "table",
                                lambda h: {"table": (int(h["vocab"]), int(h["dim"]))})
-    return arrays["table"]
+    return arrays["table"].astype(np.float64)

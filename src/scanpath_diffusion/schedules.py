@@ -122,8 +122,11 @@ def q_sample(z0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule,
     out = sqrt(alpha_bar_t) * z0 + sqrt(1 - alpha_bar_t) * eps. t may be a
     scalar or a per-row array for batched latents. With a target mask,
     rows of z0 outside the mask pass through untouched (partial noising).
+    The result has the inputs' float dtype; the multipliers are computed in
+    float64 and cast to it.
     """
-    z0 = np.asarray(z0, dtype=np.float64)
+    z0, eps = np.asarray(z0), np.asarray(eps)
+    dtype = np.result_type(z0, eps, np.float32)
     t_arr = np.asarray(t)
     if np.any(t_arr < 1) or np.any(t_arr > sched.t_max):
         raise ValidationError(f"step {t} outside 1..{sched.t_max}")
@@ -131,7 +134,7 @@ def q_sample(z0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule,
     # broadcast per-row t over trailing latent axes
     extra = z0.ndim - ab.ndim
     ab = ab.reshape(ab.shape + (1,) * extra)
-    out = np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * np.asarray(eps, dtype=np.float64)
+    out = np.sqrt(ab).astype(dtype) * z0 + np.sqrt(1.0 - ab).astype(dtype) * eps
     if target_mask is not None:
         out = np.where(target_mask[..., None], out, z0)
     return out
@@ -144,6 +147,8 @@ def posterior_params(z_t: np.ndarray, z0: np.ndarray, t: int,
     mu = [sqrt(alpha_t)(1 - alpha_bar_{t-1}) z_t
           + sqrt(alpha_bar_{t-1})(1 - alpha_t) z0] / (1 - alpha_bar_t)
     var = (1 - alpha_t)(1 - alpha_bar_{t-1}) / (1 - alpha_bar_t)
+
+    mu has the inputs' dtype; var is a float.
     """
     if not 2 <= t <= sched.t_max:
         raise ValidationError(f"posterior needs 2 <= t <= {sched.t_max}, got {t}")
@@ -151,8 +156,8 @@ def posterior_params(z_t: np.ndarray, z0: np.ndarray, t: int,
     ab_t = sched.alpha_bar_at(t)
     ab_prev = sched.alpha_bar_at(t - 1)
     denom = 1.0 - ab_t
-    mu = (math.sqrt(a_t) * (1.0 - ab_prev) * np.asarray(z_t, dtype=np.float64)
-          + math.sqrt(ab_prev) * (1.0 - a_t) * np.asarray(z0, dtype=np.float64)) / denom
+    mu = (math.sqrt(a_t) * (1.0 - ab_prev) * np.asarray(z_t)
+          + math.sqrt(ab_prev) * (1.0 - a_t) * np.asarray(z0)) / denom
     var = (1.0 - a_t) * (1.0 - ab_prev) / denom
     return mu, var
 

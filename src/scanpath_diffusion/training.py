@@ -25,7 +25,9 @@ The training loop cuts each batch after its longest real frame
 (encoding.trim_batch). Both noise tensors are still drawn per full frame,
 (B, max_len, dim), and then cut to the batch width, so the trim moves
 neither the random stream nor any later draw: a trimmed step matches the
-untrimmed one up to summation order.
+untrimmed one up to summation order. Likewise both are drawn in float64
+and then cast to the model's dtype, which every term of the loss and its
+gradient computes in, so a float32 model draws the same stream.
 
 The noise schedule, t_max and beta_zero come from the model alone
 (Model.schedule, Model.beta_zero), so every caller of the loss trains the
@@ -92,19 +94,20 @@ def loss_forward(model: Model, batch: Batch, t_arr, rng: np.random.Generator,
 
     emb_idx, emb_ctx = embed_parts(model.emb, batch.x_idx, batch.x_bert, batch.x_pos)
     emb_total = emb_idx + emb_ctx
+    dtype = emb_total.dtype
     full_frame = (bsz, max_len, emb_total.shape[-1])
-    eps0 = rng.standard_normal(full_frame)[:, :width]
+    eps0 = rng.standard_normal(full_frame)[:, :width].astype(dtype)
     z0_idx = emb_idx + math.sqrt(model.beta_zero()) * eps0
     z0 = z0_idx + emb_ctx
 
     # noise the scanpath side of rows with t >= 1 (t = 0 rows pass through);
     # backward needs the multiplier on the clean component, d z_t / d z0
-    eps = rng.standard_normal(full_frame)[:, :width]
+    eps = rng.standard_normal(full_frame)[:, :width].astype(dtype)
     noised = batch.target_mask & (t_arr >= 1)[:, None]
     t_jump = np.maximum(t_arr, 1)
     z_t = q_sample(z0_idx, t_jump, eps, sched, noised) + emb_ctx
     sqrt_ab = np.sqrt(sched.alpha_bar[t_jump - 1])[:, None, None]
-    coef = np.where(noised[..., None], sqrt_ab, 1.0)
+    coef = np.where(noised[..., None], sqrt_ab, 1.0).astype(dtype)
 
     z0_hat, den_cache = dn.forward(model.den, z_t, t_arr, batch.pad_mask,
                                    need_cache=need_cache)
@@ -159,7 +162,7 @@ def loss_backward(model: Model, cache, weights) -> dict[str, np.ndarray]:
     tgt = batch.target_mask[..., None]
 
     # reconstruction: d/dz0_hat of w * sum((z0_hat - target)^2) / (n * d) / B
-    mse_scale = (weights / (n_tgt * dim * bsz))[:, None, None]
+    mse_scale = (weights / (n_tgt * dim * bsz)).astype(z0_hat.dtype)[:, None, None]
     d_z0_hat = np.where(tgt, 2.0 * mse_scale * (z0_hat - cache["target"]), 0.0)
     d_target = -d_z0_hat
 
@@ -171,8 +174,12 @@ def loss_backward(model: Model, cache, weights) -> dict[str, np.ndarray]:
         np.take_along_axis(d_logits, batch.x_idx[..., None], axis=-1) - 1.0,
         axis=-1,
     )
-    round_scale = (1.0 / (n_tgt * bsz))[:, None, None]
+    round_scale = (1.0 / (n_tgt * bsz)).astype(z0_hat.dtype)[:, None, None]
     d_logits = np.where(tgt, d_logits * round_scale, 0.0)
+    # float32 softmax tails fall below the smallest normal float, and the two
+    # matmuls below run about ten times slower over such subnormals: flush
+    # them to zero, far too small to move any sum they enter
+    d_logits[np.abs(d_logits) < np.finfo(d_logits.dtype).tiny] = 0.0
     d_z0_hat = d_z0_hat + d_logits @ model.emb.e_idx
     g_e_idx_logits = (
         d_logits.reshape(-1, d_logits.shape[-1]).T @ z0_hat.reshape(-1, dim)

@@ -1,6 +1,7 @@
 """Every subcommand end to end through main(), plus exit-code contracts."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -12,8 +13,8 @@ import pytest
 from scanpath_diffusion import (Corpus, ScanpathRecord, Vocabulary,
                                 build_vocab, fitting_sentence_ids, generate,
                                 load_checkpoint, load_corpus, load_sentences,
-                                save_corpus, save_sentences, save_table,
-                                sentence_rng, synthetic_corpus,
+                                save_checkpoint, save_corpus, save_sentences,
+                                save_table, sentence_rng, synthetic_corpus,
                                 tokenize_sentence)
 import scanpath_diffusion
 from scanpath_diffusion.cli import main
@@ -199,6 +200,17 @@ def test_train_on_split_fold(tmp_path, capsys):
     assert "fold 7" in capsys.readouterr().err
 
 
+def test_train_rejects_fold_without_split_before_writing(tmp_path, capsys):
+    _, _, paths = make_world(tmp_path)
+    out_dir = tmp_path / "run"
+    assert main(["train", "--corpus", str(paths["corpus"]),
+                 "--sentences", str(paths["sentences"]),
+                 "--vocab", str(paths["vocab"]), "--fold", "3",
+                 "--out-dir", str(out_dir), *TRAIN_FLAGS]) == 1
+    assert "--fold needs --split" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_train_rejects_split_plan_whose_fold_count_disagrees(tmp_path, capsys):
     _, _, paths = make_world(tmp_path)
     plan = tmp_path / "bad.json"
@@ -239,6 +251,14 @@ def test_train_progress_goes_to_stderr_through_logging(tmp_path):
     assert [line.split(" total=")[0] for line in steps] == [
         "INFO scanpath_diffusion.training: step 1/2",
         "INFO scanpath_diffusion.training: step 2/2"]
+
+def test_trained_checkpoint_is_float32_and_round_trips(trained, tmp_path):
+    model = load_checkpoint(trained["ckpt"])
+    assert {arr.dtype for arr in model.all_tensors().values()} == {np.dtype(np.float32)}
+    again = tmp_path / "again.bin"
+    save_checkpoint(model, again)
+    assert again.read_bytes() == trained["ckpt"].read_bytes()
+
 
 # ---------------------------------------------------------------------------
 # generate
@@ -306,6 +326,21 @@ def test_generate_skips_oversized_sentence(trained, tmp_path, caplog, capsys):
     assert any("s_long" in r.message for r in caplog.records)
     pred = load_corpus(out, trained["paths"]["sentences"])
     assert "s_long" not in {r.sentence_id for r in pred.records}
+
+
+def test_generate_rejects_tampered_checkpoint_config(trained, tmp_path, capsys):
+    """An edited header config fails at load, exit 1, not mid-generation."""
+    header_line, payload = trained["ckpt"].read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    header["config"]["n_heads"] = 3
+    ckpt = tmp_path / "tampered.bin"
+    ckpt.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+    out = tmp_path / "pred.csv"
+    args = gen_args(trained, out)
+    args[args.index("--checkpoint") + 1] = str(ckpt)
+    assert main(args) == 1
+    assert "n_heads 3 does not divide dim 8" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

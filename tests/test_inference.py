@@ -305,3 +305,30 @@ def test_init_model_v_idx_guard(tiny_vocab):
 def test_init_model_rejects_non_positive_size(tiny_vocab, field):
     with pytest.raises(ValidationError, match=f"^{field} must be >= 1, got 0$"):
         small_model(tiny_vocab, **{field: 0})
+
+
+def tamper_config(path, **over):
+    """Rewrite a checkpoint's header config, leaving its payload as it is."""
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    header["config"].update(over)
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_heads", 0), ("n_heads", 3), ("dim", 0), ("max_len", 0), ("v_idx", 4),
+    ("beta_zero", -1.0), ("t_max", 0),
+], ids=["n_heads=0", "n_heads=3", "dim=0", "max_len=0", "v_idx=4",
+        "beta_zero=-1", "t_max=0"])
+def test_checkpoint_with_tampered_config_rejected(tiny_vocab, tmp_path, field, value):
+    """load_checkpoint applies init_model's config rule: an edited header
+    config is rejected at load, naming the field, not at the first forward."""
+    with pytest.raises(ValidationError, match=field):
+        init_model(tiny_config(v_bert=len(tiny_vocab), **{field: value}),
+                   np.random.default_rng(0))
+    path = tmp_path / "model.bin"
+    save_checkpoint(small_model(tiny_vocab), path)
+    tamper_config(path, **{field: value})
+    with pytest.raises(ValidationError, match=field):
+        load_checkpoint(path)
+

@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from scanpath_diffusion import (AdamW, ValidationError, init_model, q_sample,
-                                train)
+from scanpath_diffusion import (AdamW, ModelConfig, ValidationError,
+                                at_checkpoint_precision, build_vocab,
+                                encode_instance, generate, init_model,
+                                posterior_params, q_sample, synthetic_corpus,
+                                tokenize_sentence, train)
 from scanpath_diffusion import denoiser as dn
 from scanpath_diffusion.embedding import embed_parts
 from scanpath_diffusion.encoding import stack_instances, trim_batch
@@ -325,6 +328,88 @@ def test_adamw_first_step_size_is_lr():
         opt = AdamW({"w": theta}, lr=0.01)
         opt.step({"w": np.array([g])})
         assert abs(theta[0]) == pytest.approx(0.01, rel=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# precision: every layer computes in its model's dtype
+
+def float_dtypes(tree) -> set:
+    """The dtypes of the float arrays in a nest of dicts, lists and tuples."""
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, (list, tuple)):
+        return set().union(*map(float_dtypes, tree))
+    return {tree.dtype} if isinstance(tree, np.ndarray) and tree.dtype.kind == "f" else set()
+
+
+def test_float32_model_never_upcasts(tiny_vocab, small_corpus):
+    model = at_checkpoint_precision(make_model(v_bert=len(tiny_vocab)))
+    f32 = np.dtype(np.float32)
+    batch = make_batch(model, tiny_vocab, small_corpus)
+    z = np.zeros(batch.x_idx.shape + (model.config.dim,), dtype=np.float32)
+    pred, _ = dn.forward(model.den, z, 3, batch.pad_mask)
+    assert pred.dtype == f32
+    sched = model.schedule()
+    assert q_sample(z, np.arange(1, batch.size + 1), z, sched).dtype == f32
+    assert posterior_params(z, z, 2, sched)[0].dtype == f32
+    t_arr = np.array([0, 1, 2, model.config.t_max])
+    _, cache = loss_forward(model, batch, t_arr, np.random.default_rng(0), need_cache=True)
+    assert float_dtypes(cache) == {f32}
+    grads = loss_backward(model, cache, np.ones(batch.size))
+    assert {name: g.dtype for name, g in grads.items()} == dict.fromkeys(grads, f32)
+    opt = AdamW(model.trainable_tensors(), lr=1e-3)
+    opt.step(grads)
+    for moments in (opt._m, opt._v):
+        assert {m.dtype for m in moments.values()} == {f32}
+    assert {arr.dtype for arr in model.all_tensors().values()} == {f32}
+
+    states = []
+    tok = tokenize_sentence(["bala", "deon", "firi"], tiny_vocab)
+    generate(model, tok, tiny_vocab, rng=np.random.default_rng(1),
+             on_step=lambda i, t, z, z0: states.append((z.dtype, z0.dtype)))
+    assert len(states) == model.config.t_max and set(states) == {(f32, f32)}
+
+
+def test_float32_loss_and_gradients_match_float64():
+    """One training step at the desk model shape (criterion 6's config),
+    float32 against float64 from the same float32-representable weights.
+    Tolerances, fixed in advance: the total loss to a relative 1e-5, each
+    gradient within 1e-5 times its float64 tensor's largest entry."""
+    corpus = synthetic_corpus(n_sentences=32, min_words=5, max_words=10, seed=21)
+    vocab = build_vocab(corpus.sentences.values())
+    config = ModelConfig(max_len=32, dim=64, d_bert=64, n_blocks=4, n_heads=4,
+                         v_idx=32, v_bert=len(vocab), t_max=200, schedule="sqrt",
+                         s=1e-4, beta_zero=None, emb_target_low_t=True)
+    model64 = init_model(config, np.random.default_rng(77))
+    rng = np.random.default_rng(5)
+    for arr in model64.all_tensors().values():
+        # move the constant-initialised tensors (biases, gains, residual
+        # closers) so every path carries signal, then round to float32
+        arr += rng.normal(0.0, 0.02, size=arr.shape)
+        arr[...] = arr.astype(np.float32)
+    model32 = at_checkpoint_precision(model64)
+    instances = [encode_instance(tokenize_sentence(corpus.sentences[r.sentence_id], vocab),
+                                 r.fixations, config.max_len, vocab)
+                 for r in corpus.records[:16]]
+    batch = trim_batch(stack_instances(instances))
+    t_arr = rng.integers(0, config.t_max + 1, size=batch.size)
+    weights = rng.uniform(0.5, 2.0, size=batch.size)
+
+    def step(model):
+        breakdown, cache = loss_forward(model, batch, t_arr, np.random.default_rng(9),
+                                        need_cache=True)
+        return breakdown.total, loss_backward(model, cache, weights)
+
+    total64, grads64 = step(model64)
+    total32, grads32 = step(model32)
+    assert total32 == pytest.approx(total64, rel=1e-5)
+    # the key biases' exact gradient is zero (softmax ignores a per-query
+    # constant), so their float64 entries are roundoff: they are held to the
+    # largest entry of any gradient instead
+    largest = max(float(np.abs(g).max()) for g in grads64.values())
+    for name, g64 in grads64.items():
+        scale = largest if name.endswith(".bk") else float(np.abs(g64).max())
+        assert float(np.abs(grads32[name] - g64).max()) <= 1e-5 * scale, name
 
 
 # ---------------------------------------------------------------------------

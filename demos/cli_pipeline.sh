@@ -17,7 +17,7 @@ from pathlib import Path
 from scanpath_diffusion import build_vocab, save_corpus, save_sentences, synthetic_corpus
 
 work = Path(sys.argv[1])
-corpus = synthetic_corpus(n_sentences=6, min_words=4, max_words=6, seed=13)
+corpus = synthetic_corpus(n_sentences=18, min_words=4, max_words=6, seed=13)
 save_sentences(corpus.sentences, work / "sentences.csv")
 save_corpus(corpus, work / "corpus.csv")
 vocab = build_vocab(corpus.sentences.values())
@@ -46,6 +46,14 @@ scanpath-diffusion generate \
   --checkpoint "$work/run/checkpoint.bin" \
   --sentences "$work/sentences.csv" --vocab "$work/vocab.txt" \
   --out "$work/pred.csv" --seed 9
+
+# ---- the same samples from a 2-process pool (18 sentences, 3 chunks of at -
+# ---- most 8 shared by 2 workers): the worker count changes no byte --------
+scanpath-diffusion generate \
+  --checkpoint "$work/run/checkpoint.bin" \
+  --sentences "$work/sentences.csv" --vocab "$work/vocab.txt" \
+  --out "$work/pred_w2.csv" --seed 9 --workers 2
+cmp "$work/pred.csv" "$work/pred_w2.csv"
 
 # ---- score against the human records --------------------------------------
 scanpath-diffusion evaluate \

@@ -10,7 +10,7 @@ import numpy as np
 
 from scanpath_diffusion import (Corpus, ModelConfig, ScanpathRecord,
                                 TrainStats, baseline_corpus, build_vocab,
-                                encode_instance, evaluation_report, generate,
+                                encode_instance, evaluation_report, generate_batch,
                                 init_model, sentence_rng, synthetic_corpus,
                                 tokenize_sentence, train)
 
@@ -47,16 +47,18 @@ print(f"\ntrained {result.steps_done} steps in {time.perf_counter() - t0:.1f}s, 
       f"final loss {result.rows[-1]['total']:.4f}")
 
 # ---------------------------------------------------------------------------
-# Sample one scanpath per sentence. The budget covers the longest training
-# scanpath; each sentence draws from its own stream, sentence_rng(seed, i),
-# the rule the CLI's generate uses, so order does not matter.
+# Sample one scanpath per sentence, all chains in lockstep. The budget covers
+# the longest training scanpath; each sentence draws from its own stream,
+# sentence_rng(seed, i), the rule the CLI's generate uses, so neither order
+# nor the lockstep batch changes a sample.
 
 budget = max(len(r.fixations) for r in corpus.records) + 2
-records = []
-for i, sid in enumerate(sorted(corpus.sentences)):
-    out = generate(model, toks[sid], vocab, rng=sentence_rng(42, i),
-                   target_budget=budget)
-    records.append(ScanpathRecord("model", sid, tuple(out.fixations)))
+sids = sorted(corpus.sentences)
+outs = generate_batch(model, [toks[sid] for sid in sids], vocab,
+                      rngs=[sentence_rng(42, i) for i in range(len(sids))],
+                      target_budget=budget)
+records = [ScanpathRecord("model", sid, tuple(out.fixations))
+           for sid, out in zip(sids, outs)]
 generated = Corpus(sentences=dict(corpus.sentences), records=records)
 
 print("\nsampled scanpaths:")

@@ -20,7 +20,8 @@ from .encoding import (Batch, EncodedInstance, decode_fixations,
                        encode_instance, stack_instances, trim_batch)
 from .errors import ConfigError, CorpusFormatError, ValidationError
 from .inference import (GenerationResult, dump_latent_trace,
-                        fitting_sentence_ids, generate, sentence_rng)
+                        fitting_sentence_ids, generate, generate_batch,
+                        sentence_rng)
 from .measures import SUMMARY_MEASURES, ReadingMeasures, reading_measures
 from .metrics import levenshtein, levenshtein_many, nld, pearson
 from .model import (Model, at_checkpoint_precision, init_model,
@@ -50,7 +51,7 @@ __all__ = [
     "decode_fixations", "dump_latent_trace", "dump_schedule", "embed",
     "embed_parts", "encode_instance", "evaluation_report",
     "export_word_measures", "filter_encodable", "fitting_sentence_ids",
-    "generate", "human_baseline",
+    "generate", "generate_batch", "human_baseline",
     "init_denoiser", "init_embedding", "init_model", "levenshtein",
     "levenshtein_many", "load_checkpoint", "load_corpus", "load_predictors", "load_sentences",
     "load_split_plan", "load_table", "make_splits", "nld",

@@ -24,7 +24,8 @@ from .corpus import (Corpus, ScanpathRecord, filter_encodable, load_corpus,
 from .embedding import load_table
 from .encoding import encode_instance
 from .errors import ValidationError
-from .inference import dump_latent_trace, fitting_sentence_ids, generate, sentence_rng
+from .inference import (dump_latent_trace, fitting_sentence_ids, generate_batch,
+                        sentence_rng)
 from .model import at_checkpoint_precision, init_model, load_checkpoint
 from .reports import evaluation_report, export_word_measures, write_evaluation_report
 from .schedules import KINDS, build_schedule, dump_schedule
@@ -135,6 +136,12 @@ def _cmd_train(args) -> int:
     return 0
 
 
+# sentences per lockstep chain, cut from the sentence order alone, never
+# from --workers: by 8 a chain has shed most of its per-call cost, and at
+# the paper size it adds about 9 MB of memory (16: 72 MB; README,
+# "Performance")
+GENERATE_CHUNK = 8
+
 # (model, vocab, seed, mean_only) of this process's latest generate run: set
 # once per run in the CLI process and once in every pool worker
 _generation = None
@@ -147,13 +154,13 @@ def _start_generation(checkpoint, vocab_path, seed, mean_only):
     return _generation
 
 
-def _generate_sentence(job):
-    """(fixations, clamped) for one (index, words) job of the current run."""
-    index, words = job
+def _generate_chunk(jobs):
+    """The results of a chunk of (index, words) jobs of the current run,
+    sampled in one lockstep chain."""
     model, vocab, seed, mean_only = _generation
-    res = generate(model, tokenize_sentence(words, vocab), vocab,
-                   rng=sentence_rng(seed, index), mean_only=mean_only)
-    return res.fixations, res.clamped
+    return generate_batch(model, [tokenize_sentence(words, vocab) for _, words in jobs],
+                          vocab, rngs=[sentence_rng(seed, index) for index, _ in jobs],
+                          mean_only=mean_only)
 
 
 def _cmd_generate(args) -> int:
@@ -166,24 +173,31 @@ def _cmd_generate(args) -> int:
     usable = fitting_sentence_ids(sentences, vocab, model.config.max_len)
     for sid in sorted(set(sentences) - set(usable)):
         log.warning("skipping sentence %s: does not fit the model frame", sid)
+    if not usable:
+        raise ValidationError(
+            f"no sentence fits the model frame of {model.config.max_len} slots")
 
     jobs = [(i, sentences[sid]) for i, sid in enumerate(usable)]
-    if st["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=st["workers"],
+    chunks = [jobs[lo:lo + GENERATE_CHUNK] for lo in range(0, len(jobs), GENERATE_CHUNK)]
+    workers = min(st["workers"], len(chunks))  # a worker without a chunk is not started
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_start_generation,
                                  initargs=setup) as pool:
-            outputs = list(pool.map(_generate_sentence, jobs))
+            per_chunk = list(pool.map(_generate_chunk, chunks))
     else:
-        outputs = list(map(_generate_sentence, jobs))
+        per_chunk = list(map(_generate_chunk, chunks))
+    results = [res for chunk in per_chunk for res in chunk]
 
     out = Corpus(
         sentences={sid: sentences[sid] for sid in usable},
-        records=[ScanpathRecord("model", sid, tuple(fixations))
-                 for sid, (fixations, _) in zip(usable, outputs)],
+        records=[ScanpathRecord("model", sid, tuple(res.fixations))
+                 for sid, res in zip(usable, results)],
     )
     save_corpus(out, args.out)
     print(f"wrote {len(out.records)} scanpaths to {args.out} "
-          f"({sum(clamped for _, clamped in outputs)} out-of-range indices clamped)")
+          f"({sum(res.clamped for res in results)} out-of-range indices clamped, "
+          f"{sum(not res.ended for res in results)} without an end marker)")
     return 0
 
 

@@ -193,6 +193,10 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
 
     z is (B, L, dim) and is cast to the parameters' dtype; t is a scalar
     step or a (B,) array; pad_mask is (B, L) bool with True on real slots.
+    A scalar t runs the time MLP on one time-code row and adds its output
+    to every frame, so each frame's prediction is bit-identical to running
+    that frame alone (a one-row and a B-row matmul take different BLAS
+    paths); a (B,) t runs one row per frame.
     Every per-token layer runs on the real slots alone, packed as
     (N_real, dim) rows; only attention scatters them back into (B, L)
     frames, where padding is never a key. The prediction comes back as
@@ -208,14 +212,16 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
     p = params.tensors
     rows = np.flatnonzero(pad_mask.ravel())
 
-    t_arr = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)), (bsz,))
+    t = np.asarray(t, dtype=np.float64)
+    if t.shape not in ((), (bsz,)):
+        raise ValidationError(f"expected a scalar t or one of shape ({bsz},), got {t.shape}")
     # in float64 first: t up to t_max times a frequency loses digits in float32
-    t_code = timestep_embedding(t_arr, dim).astype(params.dtype)
+    t_code = timestep_embedding(t, dim).astype(params.dtype)
     t_hid = _linear(t_code, p["time_w1"], p["time_b1"])
     t_phi = _gelu_cdf(t_hid)
     t_vec = _linear(t_hid * t_phi, p["time_w2"], p["time_b2"])
 
-    z_in = _pack(z, rows) + t_vec[rows // seq]
+    z_in = _pack(z, rows) + (t_vec[rows // seq] if t.ndim else t_vec)
     h, ln_in_cache = _layer_norm(z_in, p["ln_in_g"], p["ln_in_b"])
 
     key_bias = np.where(pad_mask, 0.0, MASK_BIAS).astype(params.dtype)[:, None, None, :]
@@ -322,6 +328,8 @@ def backward(params: DenoiserParams, cache, d_out):
 
     d_t_vec = d_z_in.sum(axis=1)
     t_hid, t_phi = cache["t_hid"], cache["t_phi"]
+    if len(t_hid) != bsz:  # a scalar t: one time-code row served every frame
+        d_t_vec = d_t_vec.sum(axis=0, keepdims=True)
     d_t_act, grads["time_w2"], grads["time_b2"] = _linear_bwd(
         d_t_vec, t_hid * t_phi, p["time_w2"])
     d_t_hid = d_t_act * _gelu_grad(t_hid, t_phi)

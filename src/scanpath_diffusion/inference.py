@@ -17,8 +17,16 @@ The final scanpath-side ids are decoded by truncating at the end marker,
 dropping frame markers, and clamping stray out-of-range values.
 
 Seeding rule: the sentence at position i of `fitting_sentence_ids` draws
-all its noise from `sentence_rng(seed, i)`, whatever the worker count or
-run order, so `trace` replays the chain that `generate` ran.
+all its noise from `sentence_rng(seed, i)`, whatever the worker count,
+run order or the other sentences its chain runs in lockstep with
+(`generate_batch`).
+
+A lockstep chain gives each sentence the bits of its one-sentence chain,
+so `trace` replays the chain that `generate` ran, provided the BLAS gives
+a frame's block of rows in a stacked product the bits it gets alone:
+the per-token denoiser layers are such products, and the rest of a
+chain runs one frame at a time. `demos/blas_row_stability.py` checks the
+property; OpenBLAS has it at the desk and paper model sizes.
 """
 
 from __future__ import annotations
@@ -31,14 +39,14 @@ import numpy as np
 from . import denoiser as dn
 from .corpus import table_writer
 from .embedding import embed_parts, round_argmax
-from .encoding import decode_fixations, encode_instance, scanpath_room
+from .encoding import decode_fixations, encode_instance, scanpath_room, stack_instances
 from .errors import ValidationError
 from .model import Model
 from .schedules import posterior_params
 from .tokenization import TokenizedSentence, Vocabulary, tokenize_sentence
 
-__all__ = ["GenerationResult", "generate", "dump_latent_trace", "TRACE_HEADER",
-           "fitting_sentence_ids", "sentence_rng"]
+__all__ = ["GenerationResult", "generate", "generate_batch", "dump_latent_trace",
+           "TRACE_HEADER", "fitting_sentence_ids", "sentence_rng"]
 
 log = logging.getLogger(__name__)
 
@@ -60,55 +68,75 @@ def sentence_rng(seed: int, index: int) -> np.random.Generator:
 class GenerationResult:
     fixations: list[int]
     clamped: int
+    ended: bool  # the end marker is among the final target ids
     raw_target_ids: np.ndarray
     word_count: int
     target_budget: int
 
 
-def generate(model: Model, tok: TokenizedSentence, vocab: Vocabulary, *,
-             rng: np.random.Generator, target_budget: int | None = None,
-             mean_only: bool = False, on_step=None) -> GenerationResult:
-    """Sample one scanpath for a tokenized sentence.
+def generate_batch(model: Model, toks: list[TokenizedSentence], vocab: Vocabulary, *,
+                   rngs: list[np.random.Generator], target_budget: int | None = None,
+                   mean_only: bool = False, on_step=None) -> list[GenerationResult]:
+    """Sample one scanpath for each tokenized sentence, all chains in lockstep.
+
+    Every reverse step runs one denoiser forward over the stacked frames.
+    Sentence i draws all its noise from rngs[i], in the order and shapes
+    of a one-sentence chain, and a frame's prediction does not depend on
+    the other frames, so each result is bit-identical to `generate` with
+    the same generator.
 
     on_step, if given, is called after every reverse step as
     on_step(step_index, t_after, z, z0_anchored) with step_index counting
-    1..t_max, t_after the step label of the new state, z the full frame
-    latent (L, dim), and z0_anchored the post-anchor clean prediction.
+    1..t_max, t_after the step label of the new state, z the stacked frame
+    latents (B, L, dim), and z0_anchored the post-anchor clean predictions.
     """
-    inst = encode_instance(tok, None, model.config.max_len, vocab,
-                           target_budget=target_budget)
+    if len(rngs) != len(toks):
+        raise ValidationError(f"need one generator per sentence, got {len(rngs)} "
+                              f"for {len(toks)}")
+    if not toks:
+        return []
+    insts = [encode_instance(tok, None, model.config.max_len, vocab,
+                             target_budget=target_budget) for tok in toks]
+    batch = stack_instances(insts)
     sched = model.schedule()
-    tgt = inst.target_mask
-    n_tgt = int(tgt.sum())
+    tgt = batch.target_mask
+    n_tgt = tgt.sum(axis=1)
     dim = model.config.dim
 
-    emb_idx, emb_ctx = embed_parts(
-        model.emb, inst.x_idx[None], inst.x_bert[None], inst.x_pos[None]
-    )
-    emb_idx, emb_ctx = emb_idx[0], emb_ctx[0]
+    def noise():
+        return np.concatenate([rng.standard_normal((n, dim)) for rng, n in zip(rngs, n_tgt)])
 
+    def round_frames(x):
+        # one product per frame: against the transposed index table, a
+        # stacked product gives a small block of rows other bits than the
+        # block gets alone (demos/blas_row_stability.py)
+        return [round_argmax(frame[mask], model.emb) for frame, mask in zip(x, tgt)]
+
+    emb_idx, emb_ctx = embed_parts(model.emb, batch.x_idx, batch.x_bert, batch.x_pos)
+    ctx_tgt = emb_ctx[tgt]
     z = emb_idx + emb_ctx
-    z[tgt] = rng.standard_normal((n_tgt, dim)) + emb_ctx[tgt]
+    z[tgt] = noise() + ctx_tgt
 
-    pad_mask = inst.pad_mask[None]
     for i, t in enumerate(range(sched.t_max, 0, -1), start=1):
-        z0_hat, _ = dn.forward(model.den, z[None], t, pad_mask)
-        z0_anchored = z0_hat[0]
-        ids = round_argmax(z0_anchored[tgt], model.emb)
-        z0_anchored[tgt] = model.emb.e_idx[ids]
+        z0_anchored, _ = dn.forward(model.den, z, t, batch.pad_mask)
+        z0_anchored[tgt] = model.emb.e_idx[np.concatenate(round_frames(z0_anchored))]
         if t >= 2:
-            zt_idx = z[tgt] - emb_ctx[tgt]
+            zt_idx = z[tgt] - ctx_tgt
             z0_idx = z0_anchored[tgt]  # anchor-1 already stripped the context
             mu, var = posterior_params(zt_idx, z0_idx, t, sched)
-            step_idx = mu if mean_only else mu + np.sqrt(var) * rng.standard_normal(mu.shape)
-            z[tgt] = step_idx + emb_ctx[tgt]
+            step_idx = mu if mean_only else mu + np.sqrt(var) * noise()
+            z[tgt] = step_idx + ctx_tgt
         else:
             z[tgt] = z0_anchored[tgt]
         if on_step is not None:
             on_step(i, t - 1, z, z0_anchored)
 
-    final_ids = round_argmax(z[tgt], model.emb)
-    fixations, clamped = decode_fixations(final_ids, inst.word_count)
+    return [_decode(ids, inst.word_count) for ids, inst in zip(round_frames(z), insts)]
+
+
+def _decode(final_ids: np.ndarray, word_count: int) -> GenerationResult:
+    """The result of a chain whose target slots rounded to final_ids."""
+    fixations, clamped = decode_fixations(final_ids, word_count)
     if not fixations:
         # degenerate sample: every slot decoded to a marker; fall back to a
         # single fixation on the first word rather than an empty scanpath
@@ -117,10 +145,24 @@ def generate(model: Model, tok: TokenizedSentence, vocab: Vocabulary, *,
     return GenerationResult(
         fixations=fixations,
         clamped=clamped,
+        ended=bool(np.any(final_ids == word_count + 1)),
         raw_target_ids=final_ids,
-        word_count=inst.word_count,
-        target_budget=n_tgt - 2,
+        word_count=word_count,
+        target_budget=len(final_ids) - 2,
     )
+
+
+def generate(model: Model, tok: TokenizedSentence, vocab: Vocabulary, *,
+             rng: np.random.Generator, target_budget: int | None = None,
+             mean_only: bool = False, on_step=None) -> GenerationResult:
+    """Sample one scanpath for a tokenized sentence: `generate_batch` of one.
+
+    on_step is called as in `generate_batch`, with the sentence's own
+    frame latents z and z0_anchored of shape (L, dim).
+    """
+    frame_step = on_step and (lambda i, t_after, z, z0: on_step(i, t_after, z[0], z0[0]))
+    return generate_batch(model, [tok], vocab, rngs=[rng], target_budget=target_budget,
+                          mean_only=mean_only, on_step=frame_step)[0]
 
 
 def dump_latent_trace(model: Model, tok: TokenizedSentence, vocab: Vocabulary,

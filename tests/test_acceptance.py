@@ -17,7 +17,7 @@ import pytest
 from scanpath_diffusion import (Corpus, ModelConfig, ScanpathRecord,
                                 TrainStats, baseline_corpus, build_schedule,
                                 build_vocab, encode_instance, evaluation_report,
-                                generate, init_model, levenshtein, nld,
+                                generate, generate_batch, init_model, levenshtein, nld,
                                 posterior_params, q_sample, reading_measures,
                                 save_corpus, save_sentences,
                                 stack_instances, synthetic_corpus,
@@ -269,14 +269,14 @@ def test_criterion_06_memorization():
     assert not result.aborted
 
     # budget covers the longest training scanpath; rng per sentence so the
-    # outcome does not depend on generation order
+    # outcome does not depend on generation order or on the lockstep chain
     budget = max(len(r.fixations) for r in corpus.records) + 2
-    records = []
-    for i, sid in enumerate(sorted(corpus.sentences)):
-        out = generate(model, toks[sid], vocab,
-                       rng=np.random.default_rng([777, i]),
-                       target_budget=budget)
-        records.append(ScanpathRecord("model", sid, tuple(out.fixations)))
+    sids = sorted(corpus.sentences)
+    outs = generate_batch(model, [toks[sid] for sid in sids], vocab,
+                          rngs=[np.random.default_rng([777, i]) for i in range(len(sids))],
+                          target_budget=budget)
+    records = [ScanpathRecord("model", sid, tuple(out.fixations))
+               for sid, out in zip(sids, outs)]
     generated = Corpus(sentences=dict(corpus.sentences), records=records)
 
     stats = TrainStats.from_corpus(corpus)

@@ -17,6 +17,7 @@ from scanpath_diffusion import (Corpus, ScanpathRecord, Vocabulary,
                                 save_table, sentence_rng, synthetic_corpus,
                                 tokenize_sentence)
 import scanpath_diffusion
+from scanpath_diffusion import cli as cli_mod
 from scanpath_diffusion.cli import main
 
 
@@ -326,6 +327,60 @@ def test_generate_skips_oversized_sentence(trained, tmp_path, caplog, capsys):
     assert any("s_long" in r.message for r in caplog.records)
     pred = load_corpus(out, trained["paths"]["sentences"])
     assert "s_long" not in {r.sentence_id for r in pred.records}
+
+
+def test_generate_matches_library_chain_per_sentence(trained, tmp_path, capsys):
+    """The CLI's lockstep chains give each sentence the scanpath of
+    `generate` with its `sentence_rng`, the chain `trace` replays."""
+    out = tmp_path / "pred.csv"
+    assert main(gen_args(trained, out)) == 0
+    line = capsys.readouterr().out
+    paths = trained["paths"]
+    model = load_checkpoint(trained["ckpt"])
+    vocab = Vocabulary.from_file(paths["vocab"])
+    sentences = load_sentences(paths["sentences"])
+    usable = fitting_sentence_ids(sentences, vocab, model.config.max_len)
+    pred = {r.sentence_id: list(r.fixations) for r in load_corpus(out, paths["sentences"]).records}
+    assert set(pred) == set(usable)
+    results = [generate(model, tokenize_sentence(sentences[sid], vocab), vocab,
+                        rng=sentence_rng(9, i)) for i, sid in enumerate(usable)]
+    assert [pred[sid] for sid in usable] == [res.fixations for res in results]
+    clamped = sum(res.clamped for res in results)
+    open_ = sum(not res.ended for res in results)
+    assert f"({clamped} out-of-range indices clamped, {open_} without an end marker)" in line
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_generate_chunking_does_not_change_output(trained, tmp_path, monkeypatch, workers):
+    """Chunks of 3 (a full one and a ragged one) write the bytes of one chunk."""
+    one, split = tmp_path / "one.csv", tmp_path / "split.csv"
+    assert main(gen_args(trained, one)) == 0
+    monkeypatch.setattr(cli_mod, "GENERATE_CHUNK", 3)
+    assert main(gen_args(trained, split, ["--workers", workers])) == 0
+    assert one.read_bytes() == split.read_bytes()
+
+
+def test_generate_starts_no_pool_for_one_chunk(trained, tmp_path, monkeypatch):
+    """The 4 fixture sentences are one chunk: --workers 2 runs it in process."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for a single chunk")
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", no_pool)
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert main(gen_args(trained, one)) == 0
+    assert main(gen_args(trained, two, ["--workers", "2"])) == 0
+    assert one.read_bytes() == two.read_bytes()
+
+
+def test_generate_with_no_fitting_sentence_exits_one_before_writing(trained, tmp_path,
+                                                                    capsys):
+    sent_path = tmp_path / "sent.csv"
+    save_sentences({"s_long": ("bala",) * 16}, sent_path)  # 21 slots; the model has 20
+    out = tmp_path / "pred.csv"
+    args = gen_args(trained, out)
+    args[args.index("--sentences") + 1] = str(sent_path)
+    assert main(args) == 1
+    assert "no sentence fits the model frame of 20 slots" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_rejects_tampered_checkpoint_config(trained, tmp_path, capsys):

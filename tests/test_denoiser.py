@@ -289,6 +289,50 @@ def test_per_row_t_changes_only_that_row():
     assert not np.allclose(base[1], bumped[1])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scalar_t_frames_match_each_frame_alone(dtype):
+    """A scalar t is one time-code row for the whole batch, so a frame's
+    prediction is bit-identical to running that frame alone, padding or not."""
+    rng = np.random.default_rng(9)
+    params = init_denoiser(16, 2, 2, rng)
+    for _, arr in params.tensors.items():
+        arr[...] = rng.normal(0, 0.5, size=arr.shape)
+    params.tensors = {k: v.astype(dtype) for k, v in params.tensors.items()}
+    lens = np.array([12, 6, 9, 12, 7, 10, 8, 11])
+    pad = np.arange(12)[None, :] < lens[:, None]
+    z = rng.standard_normal(pad.shape + (16,))
+    out, _ = dn.forward(params, z, 7, pad)
+    for i in range(len(lens)):
+        alone, _ = dn.forward(params, z[i:i + 1], 7, pad[i:i + 1])
+        assert np.array_equal(out[i], alone[0]), i
+
+
+def test_scalar_t_backward_matches_per_frame_t():
+    """Backward through one shared time-code row sums its gradient over the
+    frames: the same gradients as a (B,) t of equal steps, up to rounding
+    (the two forwards already differ in the last bits of the time vector)."""
+    rng = np.random.default_rng(10)
+    params = init_denoiser(8, 1, 2, rng)
+    for _, arr in params.tensors.items():
+        arr[...] = rng.normal(0, 0.3, size=arr.shape)
+    z = rng.standard_normal((3, 5, 8))
+    pad = np.arange(5)[None, :] < np.array([5, 3, 4])[:, None]
+    d_out = rng.standard_normal(z.shape)
+    _, shared = dn.forward(params, z, 4, pad, need_cache=True)
+    _, per_frame = dn.forward(params, z, np.full(3, 4), pad, need_cache=True)
+    grads, d_z = dn.backward(params, shared, d_out)
+    ref_grads, ref_d_z = dn.backward(params, per_frame, d_out)
+    assert np.allclose(d_z, ref_d_z, rtol=1e-12, atol=1e-14)
+    for name, g in ref_grads.items():
+        assert np.allclose(grads[name], g, rtol=1e-12, atol=1e-14), name
+
+
+def test_forward_rejects_t_of_another_shape():
+    params = init_denoiser(8, 1, 2, np.random.default_rng(0))
+    with pytest.raises(ValidationError):
+        dn.forward(params, np.zeros((3, 4, 8)), np.array([1, 2]), np.ones((3, 4), dtype=bool))
+
+
 def _gelu_reference(x):
     return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
 

@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from scanpath_diffusion import (ValidationError, dump_latent_trace, generate,
+from scanpath_diffusion import (ValidationError, at_checkpoint_precision,
+                                dump_latent_trace, generate, generate_batch,
                                 init_model, load_checkpoint, save_checkpoint,
                                 tensor_shapes, tokenize_sentence)
 from scanpath_diffusion import container
@@ -127,6 +128,74 @@ def test_generate_empty_decode_falls_back(tiny_vocab, monkeypatch, caplog):
         res = generate(model, tok, tiny_vocab, rng=np.random.default_rng(5))
     assert res.fixations == [1]
     assert any("empty scanpath" in r.message for r in caplog.records)
+
+
+def test_ended_marks_an_end_marker_among_the_final_ids():
+    # word_count 4: the end marker is 5; decoding stops there
+    done = inf_mod._decode(np.array([0, 2, 5, 1, 0]), 4)
+    assert (done.fixations, done.clamped, done.ended) == ([2], 0, True)
+    assert done.target_budget == 3
+    # no end marker: every slot decodes, and the stray 6 is clamped
+    open_ = inf_mod._decode(np.array([0, 2, 3, 6, 0]), 4)
+    assert (open_.fixations, open_.clamped, open_.ended) == ([2, 3, 4], 1, False)
+
+
+# ---------------------------------------------------------------------------
+# lockstep chains
+
+BATCH_SENTENCES = (["bala", "deon", "firi", "gola"], ["huon", "kari"],
+                   ["lola", "meon", "bala", "deon", "firi", "gola", "huon"], ["kari"],
+                   ["gola", "bala", "meon"])
+
+
+def _record_steps(steps):
+    def on_step(i, t_after, z, z0_anchored):
+        steps.append((i, t_after, z.copy(), z0_anchored.copy()))
+    return on_step
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("target_budget,mean_only", [(None, False), (5, False), (None, True)])
+def test_generate_batch_matches_generate_per_sentence(tiny_vocab, dtype, target_budget,
+                                                      mean_only):
+    """Every sentence of a lockstep chain gets the scanpath and every latent
+    of its own one-sentence chain, bit for bit."""
+    model = small_model(tiny_vocab)
+    if dtype == "float32":
+        model = at_checkpoint_precision(model)
+    toks = [tokenize_sentence(words, tiny_vocab) for words in BATCH_SENTENCES]
+    steps = []
+    results = generate_batch(model, toks, tiny_vocab,
+                             rngs=[np.random.default_rng([5, i]) for i in range(len(toks))],
+                             target_budget=target_budget, mean_only=mean_only,
+                             on_step=_record_steps(steps))
+    assert len(steps) == model.config.t_max
+    for k, tok in enumerate(toks):
+        alone = []
+        res = generate(model, tok, tiny_vocab, rng=np.random.default_rng([5, k]),
+                       target_budget=target_budget, mean_only=mean_only,
+                       on_step=_record_steps(alone))
+        got = results[k]
+        assert got.fixations == res.fixations
+        assert np.array_equal(got.raw_target_ids, res.raw_target_ids)
+        assert (got.clamped, got.ended, got.word_count, got.target_budget) == \
+            (res.clamped, res.ended, res.word_count, res.target_budget)
+        assert len(alone) == len(steps)
+        for (i, t, z, z0), (j, u, z_alone, z0_alone) in zip(steps, alone):
+            assert (i, t) == (j, u)
+            assert z.dtype == z_alone.dtype == np.dtype(dtype)
+            assert np.array_equal(z[k], z_alone), (k, i)
+            assert np.array_equal(z0[k], z0_alone), (k, i)
+
+
+def test_generate_batch_of_no_sentence_is_empty(tiny_vocab):
+    assert generate_batch(small_model(tiny_vocab), [], tiny_vocab, rngs=[]) == []
+
+
+def test_generate_batch_needs_one_generator_per_sentence(tiny_vocab):
+    with pytest.raises(ValidationError, match="one generator per sentence"):
+        generate_batch(small_model(tiny_vocab), [sentence_tok(tiny_vocab)] * 2, tiny_vocab,
+                       rngs=[np.random.default_rng(0)])
 
 
 # ---------------------------------------------------------------------------

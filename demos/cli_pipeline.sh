@@ -15,9 +15,13 @@ python3 - "$work" <<'EOF'
 import sys
 from pathlib import Path
 from scanpath_diffusion import build_vocab, save_corpus, save_sentences, synthetic_corpus
+from scanpath_diffusion.synthetic import WORD_POOL
 
 work = Path(sys.argv[1])
 corpus = synthetic_corpus(n_sentences=18, min_words=4, max_words=6, seed=13)
+# 20 pieces leave no scanpath slot in the 24-slot frame: every command skips
+# this sentence, which has no scanpaths and sorts between s04 and s05
+corpus.sentences["s04x"] = tuple(WORD_POOL[k % len(WORD_POOL)] for k in range(20))
 save_sentences(corpus.sentences, work / "sentences.csv")
 save_corpus(corpus, work / "corpus.csv")
 vocab = build_vocab(corpus.sentences.values())
@@ -47,13 +51,31 @@ scanpath-diffusion generate \
   --sentences "$work/sentences.csv" --vocab "$work/vocab.txt" \
   --out "$work/pred.csv" --seed 9
 
-# ---- the same samples from a 2-process pool (18 sentences, 3 chunks of at -
-# ---- most 8 shared by 2 workers): the worker count changes no byte --------
+# ---- the same samples from a 2-process pool (18 fitting sentences, 3 ------
+# ---- chunks of at most 8 shared by 2 workers): the worker count changes ---
+# ---- no byte --------------------------------------------------------------
 scanpath-diffusion generate \
   --checkpoint "$work/run/checkpoint.bin" \
   --sentences "$work/sentences.csv" --vocab "$work/vocab.txt" \
   --out "$work/pred_w2.csv" --seed 9 --workers 2
 cmp "$work/pred.csv" "$work/pred_w2.csv"
+
+# ---- the sentence after the skipped one traces to the scanpath generate ---
+# ---- wrote for it: both take their seeds from the same order --------------
+traced=$(scanpath-diffusion trace \
+  --checkpoint "$work/run/checkpoint.bin" \
+  --sentences "$work/sentences.csv" --vocab "$work/vocab.txt" \
+  --sentence-id s05 --out "$work/trace_s05.csv" --seed 9)
+python3 - "$work/pred.csv" "$traced" <<'EOF'
+import csv
+import sys
+
+with open(sys.argv[1], newline="", encoding="utf-8") as fh:
+    written = [int(row["fixation_word_index"]) for row in csv.DictReader(fh)
+               if row["sentence_id"] == "s05"]
+assert written and sys.argv[2].endswith(f"decoded scanpath {written}"), (sys.argv[2], written)
+print(f"trace of s05 decodes to the scanpath generate wrote: {written}")
+EOF
 
 # ---- score against the human records --------------------------------------
 scanpath-diffusion evaluate \

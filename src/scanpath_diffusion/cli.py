@@ -31,9 +31,7 @@ from .reports import evaluation_report, export_word_measures, write_evaluation_r
 from .schedules import KINDS, build_schedule, dump_schedule
 from .splits import MODES, load_split_plan, make_splits, save_split_plan
 from .tokenization import Vocabulary, tokenize_sentence
-from .training import check_train_settings, train as run_training
-
-log = logging.getLogger(__name__)
+from .training import LOOP_SETTINGS, check_train_settings, train as run_training
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,21 +108,15 @@ def _cmd_train(args) -> int:
     rng = np.random.default_rng(st["seed"])
     model = at_checkpoint_precision(init_model(config, rng, e_bert=e_bert))
 
-    check_train_settings(steps=st["steps"], batch=st["batch"], lr=st["lr"],
-                         weight_decay=st["weight_decay"], clip_norm=st["clip_norm"],
-                         sampler_history=st["sampler_history"],
-                         ckpt_interval=st["ckpt_interval"])
+    loop = {key: st[key] for key in LOOP_SETTINGS}
+    check_train_settings(**loop)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_kv_file(st, out_dir / "config.txt")
     result = run_training(
-        model, instances,
-        steps=st["steps"], batch=st["batch"], lr=st["lr"], seed=st["seed"],
-        weight_decay=st["weight_decay"], clip_norm=st["clip_norm"],
-        sampler_history=st["sampler_history"],
+        model, instances, seed=st["seed"], **loop,
         metrics_path=out_dir / "metrics.csv",
         ckpt_path=out_dir / "checkpoint.bin",
-        ckpt_interval=st["ckpt_interval"],
         log_every=max(1, st["steps"] // 20) if st["steps"] else 0,
     )
     if result.aborted:
@@ -171,8 +163,6 @@ def _cmd_generate(args) -> int:
     model, vocab, _, _ = _start_generation(*setup)
     sentences = load_sentences(args.sentences)
     usable = fitting_sentence_ids(sentences, vocab, model.config.max_len)
-    for sid in sorted(set(sentences) - set(usable)):
-        log.warning("skipping sentence %s: does not fit the model frame", sid)
     if not usable:
         raise ValidationError(
             f"no sentence fits the model frame of {model.config.max_len} slots")
@@ -203,6 +193,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     _settings(args)  # validate --config if given
+    if args.predictors and not args.word_export:
+        raise ValidationError("--predictors needs --word-export")
     sentences_true = load_corpus(args.true, args.sentences)
     sentences_pred = load_corpus(args.pred, args.sentences)
     predictors = (load_predictors(args.predictors, sentences_true.sentences)
@@ -221,6 +213,10 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_baseline(args) -> int:
     st = _settings(args)
+    if args.kind == "human" and (args.out or args.target_sentences):
+        raise ValidationError("the human baseline takes no --out or --target-sentences")
+    if args.kind != "human" and not args.out:
+        raise ValidationError("--out is required for uniform/trainlabel baselines")
     corpus = load_corpus(args.corpus, args.sentences)
     if args.kind == "human":
         hb = human_baseline(corpus)
@@ -232,8 +228,6 @@ def _cmd_baseline(args) -> int:
         else corpus.sentences
     rng = np.random.default_rng(st["seed"])
     out = baseline_corpus(args.kind, targets, stats, rng)
-    if not args.out:
-        raise ValidationError("--out is required for uniform/trainlabel baselines")
     save_corpus(out, args.out)
     print(f"wrote {len(out.records)} {args.kind} scanpaths to {args.out}")
     return 0

@@ -14,8 +14,9 @@ and is described by three aligned integer sequences plus three masks:
   x_pos   position within each side, restarting at 0 for the scanpath side
 
 condition_mask covers the sentence side, target_mask the scanpath side;
-they are disjoint and union to pad_mask. For generation the scanpath side
-is built from placeholder zeros over a caller-sized budget.
+they are disjoint and union to pad_mask, so a stacked Batch carries only
+target_mask and pad_mask. For generation the scanpath side is built from
+placeholder zeros over a caller-sized budget.
 
 Real slots always form a prefix of the frame, so a stacked batch can be cut
 after its last column that holds a real slot in any frame (trim_batch):
@@ -157,7 +158,6 @@ class Batch:
     x_idx: np.ndarray
     x_bert: np.ndarray
     x_pos: np.ndarray
-    condition_mask: np.ndarray
     target_mask: np.ndarray
     pad_mask: np.ndarray
 

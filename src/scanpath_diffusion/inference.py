@@ -16,10 +16,10 @@ starts, and stays, at its exact embedding. Each step t = t_max .. 1:
 The final scanpath-side ids are decoded by truncating at the end marker,
 dropping frame markers, and clamping stray out-of-range values.
 
-Seeding rule: the sentence at position i of `fitting_sentence_ids` draws
-all its noise from `sentence_rng(seed, i)`, whatever the worker count,
-run order or the other sentences its chain runs in lockstep with
-(`generate_batch`).
+Seeding rule: the sentence at position i of `fitting_sentence_ids` (the
+sorted ids of the sentences `corpus.filter_encodable` keeps) draws all its
+noise from `sentence_rng(seed, i)`, whatever the worker count, run order
+or the other sentences its chain runs in lockstep with (`generate_batch`).
 
 A lockstep chain gives each sentence the bits of its one-sentence chain,
 so `trace` replays the chain that `generate` ran, provided the BLAS gives
@@ -37,13 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import denoiser as dn
-from .corpus import table_writer
+from .corpus import Corpus, filter_encodable, table_writer
 from .embedding import embed_parts, round_argmax
-from .encoding import decode_fixations, encode_instance, scanpath_room, stack_instances
+from .encoding import decode_fixations, encode_instance, stack_instances
 from .errors import ValidationError
 from .model import Model
 from .schedules import posterior_params
-from .tokenization import TokenizedSentence, Vocabulary, tokenize_sentence
+from .tokenization import TokenizedSentence, Vocabulary
 
 __all__ = ["GenerationResult", "generate", "generate_batch", "dump_latent_trace",
            "TRACE_HEADER", "fitting_sentence_ids", "sentence_rng"]
@@ -54,13 +54,12 @@ TRACE_HEADER = ["t", "position", "dim", "value"]
 
 
 def fitting_sentence_ids(sentences: dict, vocab: Vocabulary, max_len: int) -> list[str]:
-    """Sorted ids of the sentences that leave room for a scanpath in the frame."""
-    return [sid for sid in sorted(sentences)
-            if scanpath_room(len(tokenize_sentence(sentences[sid], vocab).pieces), max_len) > 0]
+    """Sorted ids of the sentences `filter_encodable` keeps (it warns about the rest)."""
+    return sorted(filter_encodable(Corpus(sentences=sentences), vocab, max_len).sentences)
 
 
 def sentence_rng(seed: int, index: int) -> np.random.Generator:
-    """The generator of the sentence at `index` in `fitting_sentence_ids`."""
+    """The generator of the sentence at `index` in the sorted ids `filter_encodable` keeps."""
     return np.random.default_rng([seed, index])
 
 

@@ -262,6 +262,11 @@ class AdamW:
             theta -= self.lr * ((m / c1) / (np.sqrt(v / c2) + self.eps))
 
 
+# check_train_settings' keywords, the loop settings train takes by the same names
+LOOP_SETTINGS = ("steps", "batch", "lr", "weight_decay", "clip_norm", "sampler_history",
+                 "ckpt_interval")
+
+
 def check_train_settings(*, steps: int, batch: int, lr: float, weight_decay: float,
                          clip_norm: float, sampler_history: int, ckpt_interval: int) -> None:
     """Reject training-loop settings train cannot run with."""

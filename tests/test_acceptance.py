@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from scanpath_diffusion import (Corpus, ModelConfig, ScanpathRecord,
-                                TrainStats, baseline_corpus, build_schedule,
+                                TrainStats, at_checkpoint_precision,
+                                baseline_corpus, build_schedule,
                                 build_vocab, encode_instance, evaluation_report,
                                 generate, generate_batch, init_model, levenshtein, nld,
                                 posterior_params, q_sample, reading_measures,
@@ -260,7 +261,8 @@ def test_criterion_06_memorization():
         v_idx=max_len, v_bert=len(vocab), t_max=200, schedule="sqrt", s=1e-4,
         beta_zero=None, emb_target_low_t=True,
     )
-    model = init_model(config, np.random.default_rng(77))
+    # the float32 model `cli train` ships
+    model = at_checkpoint_precision(init_model(config, np.random.default_rng(77)))
     instances = [encode_instance(toks[r.sentence_id], r.fixations,
                                  max_len, vocab)
                  for r in corpus.records]

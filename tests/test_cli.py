@@ -481,6 +481,25 @@ def test_evaluate_rejects_predictor_word_outside_sentence_before_writing(
     assert not report_dir.exists()
     assert not word_csv.exists()
 
+
+def test_evaluate_rejects_predictors_without_word_export_before_writing(
+        trained, tmp_path, capsys):
+    paths = trained["paths"]
+    sid = sorted(trained["corpus"].sentences)[0]
+    pred_file = tmp_path / "predictors.csv"
+    pred_file.write_text(f"sentence_id,word_index,freq\n{sid},1,2.5\n")
+    report_dir = tmp_path / "report"
+    rc = main(["evaluate", "--true", str(paths["corpus"]),
+               "--pred", str(paths["corpus"]),
+               "--sentences", str(paths["sentences"]),
+               "--out-dir", str(report_dir), "--predictors", str(pred_file)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "--predictors needs --word-export" in captured.err
+    assert captured.out == ""
+    assert not report_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # baseline
 
@@ -533,6 +552,18 @@ def test_baseline_generator_requires_out(tmp_path, capsys):
                "--sentences", str(paths["sentences"])])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_baseline_human_rejects_out(tmp_path, capsys):
+    _, _, paths = make_world(tmp_path)
+    out = tmp_path / "human.csv"
+    rc = main(["baseline", "human", "--corpus", str(paths["corpus"]),
+               "--sentences", str(paths["sentences"]), "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "the human baseline takes no --out" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +624,28 @@ def test_trace_replays_generate_chain(trained, tmp_path):
     generate(model, tokenize_sentence(sentences[sid], vocab), vocab,
              rng=sentence_rng(9, index), on_step=on_step)
     assert np.array_equal(first, after_step_1[0])
+
+
+def test_trace_after_a_skipped_sentence_decodes_what_generate_wrote(trained, tmp_path,
+                                                                   capsys):
+    """A sentence too long for the frame takes no place in the seeding
+    order: the sentence after it traces to the scanpath generate wrote."""
+    sentences = dict(trained["corpus"].sentences)
+    first, *_, last = sorted(sentences)
+    sentences[first + "_long"] = ("bala",) * 16  # 21 frame slots; the model has 20
+    sent_path, out = tmp_path / "sent.csv", tmp_path / "pred.csv"
+    save_sentences(sentences, sent_path)
+    args = gen_args(trained, out)
+    args[args.index("--sentences") + 1] = str(sent_path)
+    assert main(args) == 0
+    capsys.readouterr()
+    written = {r.sentence_id: list(r.fixations) for r in load_corpus(out, sent_path).records}
+    assert main(["trace", "--checkpoint", str(trained["ckpt"]),
+                 "--sentences", str(sent_path),
+                 "--vocab", str(trained["paths"]["vocab"]),
+                 "--sentence-id", last, "--out", str(tmp_path / "t.csv"),
+                 "--seed", "9"]) == 0
+    assert f"decoded scanpath {written[last]}" in capsys.readouterr().out
 
 
 def test_trace_sentence_that_does_not_fit(trained, tmp_path, capsys):

@@ -212,9 +212,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    # the human baseline draws nothing, so a seed flag would be silently ignored
+    # (a --config file may still set seed: one file serves every command)
+    if args.kind == "human" and (args.out or args.target_sentences or args.seed is not None):
+        raise ValidationError("the human baseline takes no --out, --target-sentences "
+                              "or --seed")
     st = _settings(args)
-    if args.kind == "human" and (args.out or args.target_sentences):
-        raise ValidationError("the human baseline takes no --out or --target-sentences")
     if args.kind != "human" and not args.out:
         raise ValidationError("--out is required for uniform/trainlabel baselines")
     corpus = load_corpus(args.corpus, args.sentences)

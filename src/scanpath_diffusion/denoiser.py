@@ -16,6 +16,15 @@ it, padding is never a key, and the results are gathered back at the real
 rows. The prediction and the input gradient come back as (B, L, dim) with
 exact zeros at padding slots.
 
+A caller that reads only some predictions (the loss and the reverse chain
+read the scanpath side) passes their read_mask. The last block then takes
+keys and values from every real row but runs its query side, up to the
+output norm, on the read rows alone; the other predictions come back as
+exact zeros. A read prediction and the input gradient are bit-identical
+to the all-rows pass, and the parameter gradients lose only rows whose
+gradient is exactly zero (`demos/blas_row_stability.py` checks the BLAS
+property this rests on).
+
 Forward and backward are written out by hand in numpy. Every layer
 computes in the dtype of the parameters (float64 for a fresh library
 model, float32 for one that goes to or comes from a checkpoint): forward
@@ -25,8 +34,10 @@ with respect to the input latents (the training loss needs the latter,
 since the latents are built from trainable tables). The cache keeps each
 GELU's normal CDF Phi(u) in place of its output u*Phi(u): backward
 rebuilds the output with the same product and reuses Phi in the
-derivative, so erf is evaluated once per step and the results are
-bit-identical to evaluating it again.
+derivative, so Phi is evaluated once per step and the results are
+bit-identical to evaluating it again. In float64, Phi is exact erf
+arithmetic; in float32 it is read from a constant table by linear
+interpolation, within 1.5e-7 of the exact value.
 """
 
 from __future__ import annotations
@@ -35,22 +46,35 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, ndtr
 
 from .errors import ValidationError
 
 LN_EPS = 1e-5
 MASK_BIAS = -1e30
+# the fewest rows a per-token product runs on (see forward's read_mask)
+MIN_PRODUCT_ROWS = 6
 
 
 # ---------------------------------------------------------------------------
 # primitive ops (forward + backward pairs)
 
+def _row_mean(x):
+    """x.mean(axis=-1, keepdims=True), bit for bit, in x's dtype.
+
+    ndarray.mean divides the sum by a numpy integer, in float64 for a
+    float32 x, then rounds back; a python int keeps the division in float32,
+    and since float64 carries more than twice float32's digits, rounding
+    twice gives the bits of rounding once.
+    """
+    return x.sum(axis=-1, keepdims=True) / x.shape[-1]
+
+
 def _layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
+    # the bits of x.mean and x.var, with the mean subtracted once
+    xhat = x - _row_mean(x)
+    inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + LN_EPS)
+    xhat *= inv
     return xhat * g + b, (xhat, inv)
 
 
@@ -59,8 +83,8 @@ def _layer_norm_bwd(d_out, g, cache):
     d_xhat = d_out * g
     d_g = (d_out * xhat).sum(axis=tuple(range(d_out.ndim - 1)))
     d_b = d_out.sum(axis=tuple(range(d_out.ndim - 1)))
-    m1 = d_xhat.mean(axis=-1, keepdims=True)
-    m2 = (d_xhat * xhat).mean(axis=-1, keepdims=True)
+    m1 = _row_mean(d_xhat)
+    m2 = _row_mean(d_xhat * xhat)
     d_x = inv * (d_xhat - m1 - xhat * m2)
     return d_x, d_g, d_b
 
@@ -77,9 +101,38 @@ def _linear_bwd(d_out, x, w):
     return d_x, d_w, d_b
 
 
+# Phi on a grid of step 2**-10 over [-8, 8], from float64 ndtr rounded to
+# float32: its value at each grid point and its rise over the cell above
+# (0 above the last point)
+_CDF_CELLS = 1024  # grid points per unit
+_CDF_HALF = 8 * _CDF_CELLS
+_cdf_grid = ndtr(np.arange(-_CDF_HALF, _CDF_HALF + 1) / _CDF_CELLS)
+_CDF_VALUE = _cdf_grid.astype(np.float32)
+_CDF_SLOPE = np.append(np.diff(_cdf_grid), 0.0).astype(np.float32)
+del _cdf_grid
+
+
 def _gelu_cdf(x):
-    """Phi(x), the standard normal CDF; GELU(x) = x * Phi(x)."""
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    """Phi(x), the standard normal CDF; GELU(x) = x * Phi(x).
+
+    float32 reads a linear interpolation of the table above, within 1.5e-7
+    of the exact Phi (tested); any other dtype evaluates erf.
+    """
+    if x.dtype != np.float32:
+        return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    # x * 1024 and its floor are exact; fmax/fmin, unlike clip, turn a NaN
+    # into a bound, so it reaches no int cast, and x * Phi(x) is NaN again
+    y = x * _CDF_CELLS
+    np.fmax(y, -_CDF_HALF, out=y)
+    np.fmin(y, _CDF_HALF, out=y)
+    cell = np.floor(y)
+    y -= cell
+    idx = cell.astype(np.intp)
+    idx += _CDF_HALF
+    phi = _CDF_SLOPE.take(idx)
+    phi *= y
+    phi += _CDF_VALUE.take(idx)
+    return phi
 
 
 def _gelu(x):
@@ -188,7 +241,8 @@ def _unpack(x, rows, bsz, seq):
     return out.reshape(bsz, seq, -1)
 
 
-def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
+def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False,
+            read_mask=None):
     """Run the denoiser. Returns (prediction, cache or None).
 
     z is (B, L, dim) and is cast to the parameters' dtype; t is a scalar
@@ -201,6 +255,13 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
     (N_real, dim) rows; only attention scatters them back into (B, L)
     frames, where padding is never a key. The prediction comes back as
     (B, L, dim) with exact zeros at padding.
+
+    read_mask (B, L), real slots only, marks the predictions the caller
+    reads (default: every real slot); the others come back as exact zeros.
+    The last block still takes keys and values from every real slot, but
+    runs its query side (Q, attention output, W_O, LN2, feed forward and
+    the output norm) on the read rows alone, so a read prediction is
+    bit-identical to the one an all-rows forward gives.
     """
     z = np.asarray(z, dtype=params.dtype)
     if z.ndim != 3 or z.shape[2] != params.dim:
@@ -209,8 +270,21 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
     bsz, seq, dim = z.shape
     if pad_mask.shape != (bsz, seq):
         raise ValidationError(f"expected pad_mask of shape ({bsz}, {seq}), got {pad_mask.shape}")
+    read_mask = pad_mask if read_mask is None else np.asarray(read_mask, dtype=bool)
+    if read_mask.shape != (bsz, seq) or np.any(read_mask & ~pad_mask):
+        raise ValidationError(f"expected a read_mask of shape ({bsz}, {seq}) marking real "
+                              f"slots only")
     p = params.tensors
     rows = np.flatnonzero(pad_mask.ravel())
+    is_read = read_mask.ravel()[rows]
+    # positions, among the packed rows, of the last block's query side; a
+    # product of fewer than MIN_PRODUCT_ROWS rows can take another BLAS path
+    # than the same rows inside a larger one, so a smaller read set keeps
+    # every row and zeroes the unread predictions instead
+    last = np.flatnonzero(is_read)
+    if len(last) < MIN_PRODUCT_ROWS or len(last) == len(rows):
+        last = slice(None)
+    unread = ~is_read[last]
 
     t = np.asarray(t, dtype=np.float64)
     if t.shape not in ((), (bsz,)):
@@ -227,24 +301,24 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
     key_bias = np.where(pad_mask, 0.0, MASK_BIAS).astype(params.dtype)[:, None, None, :]
     scale = 1.0 / math.sqrt(params.head_dim)
 
-    def heads(x):
-        return _split_heads(_unpack(x, rows, bsz, seq), params.n_heads)
+    def heads(x, at):
+        return _split_heads(_unpack(x, at, bsz, seq), params.n_heads)
 
     blocks = []
     for i in range(params.n_blocks):
         pre = f"b{i}."
-        h_pre_attn = h
+        sel = last if i == params.n_blocks - 1 else slice(None)  # this block's query rows
         a, ln1_cache = _layer_norm(h, p[pre + "ln1_g"], p[pre + "ln1_b"])
-        q = heads(_linear(a, p[pre + "wq"], p[pre + "bq"]))
-        k = heads(_linear(a, p[pre + "wk"], p[pre + "bk"]))
-        v = heads(_linear(a, p[pre + "wv"], p[pre + "bv"]))
+        q = heads(_linear(a[sel], p[pre + "wq"], p[pre + "bq"]), rows[sel])
+        k = heads(_linear(a, p[pre + "wk"], p[pre + "bk"]), rows)
+        v = heads(_linear(a, p[pre + "wv"], p[pre + "bv"]), rows)
         scores = q @ k.swapaxes(-1, -2) * scale + key_bias
         scores -= scores.max(axis=-1, keepdims=True)
         att = np.exp(scores)
         att /= att.sum(axis=-1, keepdims=True)
-        ctx = _pack(_merge_heads(att @ v), rows)
+        ctx = _pack(_merge_heads(att @ v), rows[sel])
         attn_out = _linear(ctx, p[pre + "wo"], p[pre + "bo"])
-        h = h_pre_attn + attn_out
+        h = h[sel] + attn_out
 
         h_pre_ffn = h
         fin, ln2_cache = _layer_norm(h, p[pre + "ln2_g"], p[pre + "ln2_b"])
@@ -259,11 +333,12 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
             })
 
     out, ln_out_cache = _layer_norm(h, p["ln_out_g"], p["ln_out_b"])
-    out = _unpack(out, rows, bsz, seq)
+    out[unread] = 0.0
+    out = _unpack(out, rows[last], bsz, seq)
     if not need_cache:
         return out, None
     cache = {
-        "rows": rows,
+        "rows": rows, "last": last, "unread": unread,
         "t_code": t_code, "t_hid": t_hid, "t_phi": t_phi,
         "ln_in": ln_in_cache, "ln_out": ln_out_cache, "blocks": blocks,
     }
@@ -273,24 +348,28 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False):
 def backward(params: DenoiserParams, cache, d_out):
     """Backprop through a cached forward pass.
 
-    d_out is (B, L, dim), cast to the parameters' dtype; its padding slots
-    are never read. Returns
+    d_out is (B, L, dim), cast to the parameters' dtype; only its slots
+    the forward's read_mask marks are read. Returns
     (grads, d_z): parameter gradients in `denoiser_shapes` order, and the
     (B, L, dim) gradient with respect to the input latents, exact zeros at
-    padding. Like forward, every per-token layer runs on the packed rows.
+    padding. Like forward, every per-token layer runs on the packed rows,
+    and the last block's query side on the read rows alone.
     """
     p = params.tensors
     grads = {}
     scale = 1.0 / math.sqrt(params.head_dim)
-    rows = cache["rows"]
+    rows, last = cache["rows"], cache["last"]
     bsz, seq = d_out.shape[:2]
 
+    d_h = _pack(np.asarray(d_out, dtype=params.dtype), rows[last])
+    d_h[cache["unread"]] = 0.0
     d_h, grads["ln_out_g"], grads["ln_out_b"] = _layer_norm_bwd(
-        _pack(np.asarray(d_out, dtype=params.dtype), rows), p["ln_out_g"], cache["ln_out"])
+        d_h, p["ln_out_g"], cache["ln_out"])
 
     for i in reversed(range(params.n_blocks)):
         pre = f"b{i}."
         blk = cache["blocks"][i]
+        sel = last if i == params.n_blocks - 1 else slice(None)
 
         # feed-forward branch
         u, phi = blk["u"], blk["phi"]
@@ -306,21 +385,24 @@ def backward(params: DenoiserParams, cache, d_out):
         # attention branch
         d_ctx, grads[pre + "wo"], grads[pre + "bo"] = _linear_bwd(
             d_h, blk["ctx"], p[pre + "wo"])
-        d_ctx_h = _split_heads(_unpack(d_ctx, rows, bsz, seq), params.n_heads)
+        d_ctx_h = _split_heads(_unpack(d_ctx, rows[sel], bsz, seq), params.n_heads)
         att = blk["att"]
         d_att = d_ctx_h @ blk["v"].swapaxes(-1, -2)
         d_v = att.swapaxes(-1, -2) @ d_ctx_h
         d_scores = att * (d_att - (d_att * att).sum(axis=-1, keepdims=True))
         d_q = d_scores @ blk["k"] * scale
         d_k = d_scores.swapaxes(-1, -2) @ blk["q"] * scale
-        d_a = np.zeros_like(blk["a"])
-        for name, d_head in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
+        a = blk["a"]
+        d_a = np.zeros_like(a)
+        for name, d_head, at in (("wq", d_q, sel), ("wk", d_k, slice(None)),
+                                 ("wv", d_v, slice(None))):
             d_x, grads[pre + name], grads[pre + "b" + name[1]] = _linear_bwd(
-                _pack(_merge_heads(d_head), rows), blk["a"], p[pre + name])
-            d_a += d_x
+                _pack(_merge_heads(d_head), rows[at]), a[at], p[pre + name])
+            d_a[at] += d_x
         d_h_ln1, grads[pre + "ln1_g"], grads[pre + "ln1_b"] = _layer_norm_bwd(
             d_a, p[pre + "ln1_g"], blk["ln1"])
-        d_h = d_h + d_h_ln1
+        d_h_ln1[sel] += d_h
+        d_h = d_h_ln1
 
     d_z_in, grads["ln_in_g"], grads["ln_in_b"] = _layer_norm_bwd(
         d_h, p["ln_in_g"], cache["ln_in"])

@@ -87,7 +87,9 @@ def generate_batch(model: Model, toks: list[TokenizedSentence], vocab: Vocabular
     on_step, if given, is called after every reverse step as
     on_step(step_index, t_after, z, z0_anchored) with step_index counting
     1..t_max, t_after the step label of the new state, z the stacked frame
-    latents (B, L, dim), and z0_anchored the post-anchor clean predictions.
+    latents (B, L, dim), and z0_anchored the post-anchor clean predictions
+    (B, L, dim): the chain reads the denoiser on the scanpath side only
+    (its read_mask), so z0_anchored is exact zeros outside that side.
     """
     if len(rngs) != len(toks):
         raise ValidationError(f"need one generator per sentence, got {len(rngs)} "
@@ -117,7 +119,7 @@ def generate_batch(model: Model, toks: list[TokenizedSentence], vocab: Vocabular
     z[tgt] = noise() + ctx_tgt
 
     for i, t in enumerate(range(sched.t_max, 0, -1), start=1):
-        z0_anchored, _ = dn.forward(model.den, z, t, batch.pad_mask)
+        z0_anchored, _ = dn.forward(model.den, z, t, batch.pad_mask, read_mask=tgt)
         z0_anchored[tgt] = model.emb.e_idx[np.concatenate(round_frames(z0_anchored))]
         if t >= 2:
             zt_idx = z[tgt] - ctx_tgt

@@ -110,7 +110,7 @@ def loss_forward(model: Model, batch: Batch, t_arr, rng: np.random.Generator,
     coef = np.where(noised[..., None], sqrt_ab, 1.0).astype(dtype)
 
     z0_hat, den_cache = dn.forward(model.den, z_t, t_arr, batch.pad_mask,
-                                   need_cache=need_cache)
+                                   need_cache=need_cache, read_mask=batch.target_mask)
 
     emb_rows = (t_arr == 0) | (model.config.emb_target_low_t & (t_arr == 1))
     target = np.where(emb_rows[:, None, None], emb_total, z0)

@@ -133,6 +133,21 @@ def test_train_rejects_frozen_table_of_wrong_vocab_size(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+
+def test_train_with_a_nan_weight_aborts(tmp_path, capsys):
+    """A NaN in the float32 model runs through every layer, the GELU's CDF
+    table included, without a warning, and ends in the non-finite abort."""
+    _, vocab, paths = make_world(tmp_path)
+    table = np.ones((len(vocab), 8))
+    table[:, 3] = np.nan
+    save_table(table, tmp_path / "table.bin")
+    rc = main(["train", "--corpus", str(paths["corpus"]),
+               "--sentences", str(paths["sentences"]),
+               "--vocab", str(paths["vocab"]), "--frozen-table", str(tmp_path / "table.bin"),
+               "--out-dir", str(tmp_path / "run"), *TRAIN_FLAGS])
+    assert rc == 2
+    assert "training aborted on non-finite loss" in capsys.readouterr().err
+
 @pytest.mark.parametrize("line, flags, message", [
     ("beta_zero = -0.1", [], "beta_zero must be >= 0"),
     ("beta_zero = nan", [], "beta_zero must be >= 0"),
@@ -565,6 +580,25 @@ def test_baseline_human_rejects_out(tmp_path, capsys):
     assert captured.out == ""
     assert not out.exists()
 
+
+
+def test_baseline_human_rejects_seed_flag_before_loading(tmp_path, capsys):
+    """The human baseline draws nothing: --seed is refused before any file
+    is read, while a --config file that sets seed (for every command) is fine."""
+    _, _, paths = make_world(tmp_path)
+    rc = main(["baseline", "human", "--corpus", str(tmp_path / "missing.csv"),
+               "--sentences", str(paths["sentences"]), "--seed", "5"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "the human baseline takes no --out, --target-sentences or --seed" in captured.err
+    assert captured.out == ""
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 5\n")
+    rc = main(["baseline", "human", "--corpus", str(paths["corpus"]),
+               "--sentences", str(paths["sentences"]), "--config", str(cfg)])
+    assert rc == 0
+    assert "inter-reader mean NLD" in capsys.readouterr().out
 
 # ---------------------------------------------------------------------------
 # trace

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, ndtr
 
 from scanpath_diffusion import (ValidationError, encode_instance, init_denoiser,
                                 tokenize_sentence)
@@ -530,3 +530,155 @@ def test_packed_path_matches_padded_reference(tiny_vocab, case, dim, n_blocks,
     for name, g in ref_grads.items():
         floor = 1e-12 * np.abs(g).max()
         assert np.allclose(grads[name], g, rtol=1e-12, atol=floor), name
+
+
+# ---------------------------------------------------------------------------
+# lean layer norm, float32 normal CDF table, read rows
+
+def _layer_norm_reference(x, g, b):
+    """The layer norm as written with ndarray.mean and ndarray.var."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + dn.LN_EPS)
+    xhat = (x - mu) * inv
+    return xhat * g + b, (xhat, inv)
+
+
+def _layer_norm_bwd_reference(d_out, g, cache):
+    xhat, inv = cache
+    d_xhat = d_out * g
+    d_g = (d_out * xhat).sum(axis=tuple(range(d_out.ndim - 1)))
+    d_b = d_out.sum(axis=tuple(range(d_out.ndim - 1)))
+    m1 = d_xhat.mean(axis=-1, keepdims=True)
+    m2 = (d_xhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * (d_xhat - m1 - xhat * m2), d_g, d_b
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(256, 64), (7, 13), (3, 5, 12), (1, 1), (33, 1024)])
+def test_layer_norm_is_bit_identical_to_mean_and_var(dtype, shape):
+    rng = np.random.default_rng(sum(shape))
+    x = (rng.normal(1.5, 7.0, size=shape)).astype(dtype)
+    g, b = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(2))
+    d_out = rng.standard_normal(shape).astype(dtype)
+
+    out, cache = dn._layer_norm(x, g, b)
+    ref_out, ref_cache = _layer_norm_reference(x, g, b)
+    assert out.dtype == cache[0].dtype == cache[1].dtype == np.dtype(dtype)
+    assert np.array_equal(out, ref_out)
+    assert all(np.array_equal(a, r) for a, r in zip(cache, ref_cache))
+    got = dn._layer_norm_bwd(d_out, g, cache)
+    want = _layer_norm_bwd_reference(d_out, g, ref_cache)
+    assert [a.dtype for a in got] == [np.dtype(dtype)] * 3
+    assert all(np.array_equal(a, r) for a, r in zip(got, want))
+
+
+def test_float32_gelu_cdf_table_is_within_its_tolerance():
+    """Tolerance fixed before measuring: |Phi_table - ndtr| <= 1.5e-7 over a
+    dense float32 sweep of [-10, 10] and the awkward points."""
+    tiny = np.finfo(np.float32).smallest_subnormal
+    edges = [0.0, -0.0, tiny, -tiny, 1e-40, -1e-40, np.finfo(np.float32).tiny,
+             8.0, -8.0, np.nextafter(np.float32(8), 0), np.nextafter(np.float32(-8), 0),
+             np.nextafter(np.float32(8), 9), np.nextafter(np.float32(-8), -9),
+             np.inf, -np.inf]
+    x = np.concatenate([np.linspace(-10, 10, 2_000_001, dtype=np.float32),
+                        np.array(edges, dtype=np.float32)])
+    phi = dn._gelu_cdf(x)
+    assert phi.dtype == np.float32
+    assert np.abs(phi.astype(np.float64) - ndtr(x.astype(np.float64))).max() <= 1.5e-7
+
+
+def test_float32_gelu_cdf_lets_nan_through():
+    """A NaN reaches no int cast (that would warn, then index out of the
+    table), and the GELU output u * Phi(u) is NaN again."""
+    x = np.array([np.nan, -np.nan, 0.5, np.inf, -np.inf], dtype=np.float32)
+    out = x * dn._gelu_cdf(x)
+    assert out.dtype == np.float32
+    assert np.array_equal(np.isnan(out), [True, True, False, False, False])
+    assert np.array_equal(dn._gelu(x), out, equal_nan=True)
+
+
+def _random_params(dim, n_blocks, n_heads, dtype, rng):
+    params = init_denoiser(dim, n_blocks, n_heads, rng)
+    for _, arr in params.tensors.items():
+        arr[...] = rng.normal(0, 0.5, size=arr.shape)
+    params.tensors = {k: v.astype(dtype) for k, v in params.tensors.items()}
+    return params
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t", [6, np.array([0, 3, 9, 1, 4])], ids=["scalar-t", "per-frame-t"])
+def test_read_mask_changes_no_read_prediction(dtype, t):
+    """The last block's query side on the read rows alone: read predictions
+    and d_z are bit-identical to the all-rows pass, unread rows are exact
+    zeros, and parameter gradients lose only rows whose gradient is zero."""
+    rng = np.random.default_rng(50)
+    params = _random_params(12, 3, 3, dtype, rng)
+    lens = np.array([11, 4, 7, 9, 6])
+    pad = np.arange(11)[None, :] < lens[:, None]
+    read = pad & (np.arange(11)[None, :] >= np.array([5, 1, 4, 2, 3])[:, None])
+    z = rng.standard_normal(pad.shape + (12,))
+    d_out = rng.standard_normal(z.shape)
+
+    out, cache = dn.forward(params, z, t, pad, need_cache=True, read_mask=read)
+    grads, d_z = dn.backward(params, cache, d_out)
+    full, full_cache = dn.forward(params, z, t, pad, need_cache=True)
+    ref_grads, ref_d_z = dn.backward(params, full_cache, np.where(read[..., None], d_out, 0.0))
+
+    assert read.sum() >= dn.MIN_PRODUCT_ROWS
+    assert out.dtype == d_z.dtype == np.dtype(dtype)
+    assert np.array_equal(out[read], full[read])
+    assert np.all(out[~read] == 0.0)
+    assert np.array_equal(dn.forward(params, z, t, pad, read_mask=read)[0], out)
+    assert np.array_equal(d_z, ref_d_z)
+    assert list(grads) == list(ref_grads)
+    rel = 1e-12 if dtype == np.float64 else 1e-5
+    for name, g in ref_grads.items():
+        assert np.allclose(grads[name], g, rtol=rel, atol=rel * np.abs(g).max()), name
+
+
+def test_read_mask_of_few_rows_keeps_every_row():
+    """Fewer read rows than a product needs run the last block on every
+    real row: the same bits as the all-rows pass, unread rows zeroed."""
+    rng = np.random.default_rng(51)
+    params = _random_params(8, 2, 2, np.float64, rng)
+    pad = np.ones((1, 9), dtype=bool)
+    read = np.zeros_like(pad)
+    read[0, 6:] = True
+    z = rng.standard_normal((1, 9, 8))
+    d_out = rng.standard_normal(z.shape)
+
+    out, cache = dn.forward(params, z, 3, pad, need_cache=True, read_mask=read)
+    grads, d_z = dn.backward(params, cache, d_out)
+    full, full_cache = dn.forward(params, z, 3, pad, need_cache=True)
+    ref_grads, ref_d_z = dn.backward(params, full_cache, np.where(read[..., None], d_out, 0.0))
+    assert np.array_equal(out, np.where(read[..., None], full, 0.0))
+    assert np.array_equal(d_z, ref_d_z)
+    for name, g in ref_grads.items():
+        assert np.array_equal(grads[name], g), name
+
+
+
+def test_small_read_set_alone_matches_it_stacked():
+    """A one-slot scanpath side is 3 read rows. At the paper width, a
+    3-row feed-forward product takes another BLAS path than the same rows
+    in a stacked one, so without the MIN_PRODUCT_ROWS rule a frame's
+    one-sentence chain would part from its lockstep chain."""
+    rng = np.random.default_rng(52)
+    params = _random_params(256, 1, 8, np.float32, rng)
+    pad = np.arange(16)[None, :] < np.array([9, 12])[:, None]
+    read = pad & (np.arange(16)[None, :] >= np.array([6, 7])[:, None])
+    z = rng.standard_normal(pad.shape + (256,))
+    both, _ = dn.forward(params, z, 5, pad, read_mask=read)
+    alone, _ = dn.forward(params, z[:1], 5, pad[:1], read_mask=read[:1])
+    assert read[0].sum() < dn.MIN_PRODUCT_ROWS <= read.sum()
+    assert np.array_equal(both[0], alone[0])
+
+def test_forward_rejects_read_mask_outside_real_slots():
+    params = init_denoiser(8, 1, 2, np.random.default_rng(0))
+    pad = np.ones((2, 4), dtype=bool)
+    pad[1, 3] = False
+    z = np.zeros((2, 4, 8))
+    for read in (np.ones((2, 4), dtype=bool), np.ones((2, 3), dtype=bool)):
+        with pytest.raises(ValidationError, match="read_mask"):
+            dn.forward(params, z, 1, pad, read_mask=read)

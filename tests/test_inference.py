@@ -120,6 +120,21 @@ def test_final_state_is_anchored_rows(tiny_vocab):
     assert np.array_equal(final["z"][tgt], final["anchored"][tgt])
 
 
+
+def test_anchored_prediction_is_zero_outside_the_scanpath_side(tiny_vocab):
+    """The chain reads the denoiser on the scanpath side only."""
+    model = small_model(tiny_vocab)
+    tok = sentence_tok(tiny_vocab)
+    from scanpath_diffusion.encoding import encode_instance
+    tgt = encode_instance(tok, None, model.config.max_len, tiny_vocab).target_mask
+    seen = []
+
+    def on_step(i, t_after, z, z0_anchored):
+        seen.append(bool(np.all(z0_anchored[~tgt] == 0.0)))
+
+    generate(model, tok, tiny_vocab, rng=np.random.default_rng(3), on_step=on_step)
+    assert seen and all(seen)
+
 def test_generate_empty_decode_falls_back(tiny_vocab, monkeypatch, caplog):
     model = small_model(tiny_vocab)
     tok = sentence_tok(tiny_vocab)

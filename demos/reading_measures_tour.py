@@ -7,9 +7,12 @@ Run:  python3 demos/reading_measures_tour.py
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from scanpath_diffusion import (Corpus, ScanpathRecord, evaluation_report,
-                                human_baseline, levenshtein, nld, pearson,
-                                reading_measures, write_evaluation_report)
+                                human_baseline, levenshtein, levenshtein_many,
+                                nld, pearson, reading_measures,
+                                write_evaluation_report)
 
 # ---------------------------------------------------------------------------
 # Scanpaths are 1-based word indices in fixation order. NLD is edit distance
@@ -67,6 +70,49 @@ with tempfile.TemporaryDirectory(prefix="scanpath_report_") as tmp:
     print(f"\nmodel mean NLD {report.mean_nld:.4f}; report files (first lines):")
     for f in sorted(out.iterdir()):
         print(f"  {f.name}: {f.read_text().splitlines()[0]}")
+
+# ---------------------------------------------------------------------------
+# Long scanpaths: a side of more than 64 fixations spans several 64-bit
+# words of the edit-distance kernel. Both results are checked against a
+# plain two-row DP.
+
+
+def dp_distance(a, b):
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        cur = [i]
+        for j, y in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
+        prev = cur
+    return prev[-1]
+
+
+rng = np.random.default_rng(0)
+long_words = tuple(f"w{i}" for i in range(40))
+long_records = [
+    ScanpathRecord(f"r{k}", sid, tuple(rng.integers(1, 41, size=int(n)).tolist()))
+    for sid in ("long1", "long2")
+    for k, n in enumerate(rng.integers(129, 260, size=4))
+]
+long_pairs = [(a.fixations, b.fixations) for a in long_records for b in long_records]
+dists = levenshtein_many(long_pairs)
+assert dists == [dp_distance(a, b) for a, b in long_pairs], "levenshtein_many != DP"
+
+long_corpus = Corpus(sentences={"long1": long_words, "long2": long_words},
+                     records=long_records)
+per_scanpath = [
+    np.mean([dp_distance(rec.fixations, o.fixations)
+             / max(len(rec.fixations), len(o.fixations))
+             for o in long_records
+             if o.sentence_id == rec.sentence_id and o.reader_id != rec.reader_id])
+    for rec in long_records
+]
+hb = human_baseline(long_corpus)
+assert (hb.count, hb.mean) == (len(per_scanpath), np.mean(per_scanpath)), \
+    "human_baseline != DP"
+lengths = [len(rec.fixations) for rec in long_records]
+print(f"\n{len(long_pairs)} distances between scanpaths of {min(lengths)}-{max(lengths)} "
+      f"fixations match a plain DP; inter-reader mean NLD {hb.mean:.4f}")
 
 r, p = pearson([1.0, 2.0, 3.0, 4.0], [1.1, 1.9, 3.2, 3.9])
 print(f"\npearson on a 4-point example: r={r:.4f}, p={p:.4f}")

@@ -20,14 +20,14 @@ from .encoding import (Batch, EncodedInstance, decode_fixations,
                        encode_instance, stack_instances, trim_batch)
 from .errors import ConfigError, CorpusFormatError, ValidationError
 from .inference import (GenerationResult, dump_latent_trace,
-                        fitting_sentence_ids, generate, generate_batch,
+                        fitting_sentences, generate, generate_batch,
                         sentence_rng)
 from .measures import SUMMARY_MEASURES, ReadingMeasures, reading_measures
 from .metrics import levenshtein, levenshtein_many, nld, pearson
 from .model import (Model, at_checkpoint_precision, init_model,
                     load_checkpoint, save_checkpoint, tensor_shapes)
 from .reports import (EvaluationReport, evaluation_report,
-                      export_word_measures, pair_records,
+                      export_word_measures, pair_records, record_measures,
                       write_evaluation_report)
 from .schedules import (KINDS, NoiseSchedule, TimestepSampler, build_schedule,
                         dump_schedule, posterior_params, q_sample)
@@ -50,13 +50,13 @@ __all__ = [
     "build_schedule", "build_vocab",
     "decode_fixations", "dump_latent_trace", "dump_schedule", "embed",
     "embed_parts", "encode_instance", "evaluation_report",
-    "export_word_measures", "filter_encodable", "fitting_sentence_ids",
+    "export_word_measures", "filter_encodable", "fitting_sentences",
     "generate", "generate_batch", "human_baseline",
     "init_denoiser", "init_embedding", "init_model", "levenshtein",
     "levenshtein_many", "load_checkpoint", "load_corpus", "load_predictors", "load_sentences",
     "load_split_plan", "load_table", "make_splits", "nld",
     "pair_records", "parse_kv_file", "pearson", "posterior_params", "q_sample",
-    "reading_measures", "resolve_settings", "round_argmax", "round_logits",
+    "reading_measures", "record_measures", "resolve_settings", "round_argmax", "round_logits",
     "save_checkpoint", "save_corpus", "save_sentences",
     "save_split_plan", "save_table", "sentence_rng", "stack_instances",
     "synthetic_corpus", "tensor_shapes", "tokenize_sentence", "tokenize_word",

@@ -98,28 +98,32 @@ def human_baseline(corpus: Corpus) -> HumanBaseline:
     same sentence.
 
     The distance is symmetric, so each unordered pair of records by two
-    different readers is scored once per sentence, in one batched edit-
-    distance call, and both records read it from the same table.
+    different readers on a sentence is scored once, all pairs of the
+    corpus in one batched edit-distance call, and both records read it
+    from the same table.
     """
     if len(corpus.readers) < 2:
         raise ValidationError("inter-reader score needs at least 2 readers")
     by_sentence: dict[str, list[ScanpathRecord]] = {}
     for rec in corpus.records:
         by_sentence.setdefault(rec.sentence_id, []).append(rec)
+    groups = list(by_sentence.values())
+    keys = [(g, i, k) for g, recs in enumerate(groups)
+            for i in range(len(recs)) for k in range(i + 1, len(recs))
+            if recs[i].reader_id != recs[k].reader_id]
+    dists = levenshtein_many((groups[g][i].fixations, groups[g][k].fixations)
+                             for g, i, k in keys)
+    table: dict[tuple[int, int, int], int] = {}
+    for (g, i, k), d in zip(keys, dists):
+        table[g, i, k] = table[g, k, i] = d
     per_scanpath = []
-    for recs in by_sentence.values():
-        pairs = [(i, k) for i in range(len(recs)) for k in range(i + 1, len(recs))
-                 if recs[i].reader_id != recs[k].reader_id]
-        dists = levenshtein_many((recs[i].fixations, recs[k].fixations) for i, k in pairs)
-        table: dict[tuple[int, int], int] = {}
-        for (i, k), d in zip(pairs, dists):
-            table[i, k] = table[k, i] = d
+    for g, recs in enumerate(groups):
         for i, rec in enumerate(recs):
             others = [k for k, o in enumerate(recs) if o.reader_id != rec.reader_id]
             if not others:
                 continue
             per_scanpath.append(float(np.mean([
-                table[i, k] / max(len(rec.fixations), len(recs[k].fixations))
+                table[g, i, k] / max(len(rec.fixations), len(recs[k].fixations))
                 for k in others
             ])))
     if not per_scanpath:

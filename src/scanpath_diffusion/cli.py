@@ -24,13 +24,13 @@ from .corpus import (Corpus, ScanpathRecord, filter_encodable, load_corpus,
 from .embedding import load_table
 from .encoding import encode_instance
 from .errors import ValidationError
-from .inference import (dump_latent_trace, fitting_sentence_ids, generate_batch,
-                        sentence_rng)
+from .inference import dump_latent_trace, fitting_sentences, generate_batch, sentence_rng
 from .model import at_checkpoint_precision, init_model, load_checkpoint
-from .reports import evaluation_report, export_word_measures, write_evaluation_report
+from .reports import (evaluation_report, export_word_measures, record_measures,
+                      write_evaluation_report)
 from .schedules import KINDS, build_schedule, dump_schedule
 from .splits import MODES, load_split_plan, make_splits, save_split_plan
-from .tokenization import Vocabulary, tokenize_sentence
+from .tokenization import Vocabulary
 from .training import LOOP_SETTINGS, check_train_settings, train as run_training
 
 
@@ -70,7 +70,7 @@ def _cmd_prepare(args) -> int:
     vocab = Vocabulary.from_file(args.vocab)
     corpus = load_corpus(args.corpus, args.sentences)
     n_sent, n_rec = len(corpus.sentences), len(corpus.records)
-    kept = filter_encodable(corpus, vocab, st["max_len"])
+    kept, _ = filter_encodable(corpus, vocab, st["max_len"])
     plan = make_splits(kept, st["split_mode"], st["folds"], st["seed"])
     save_split_plan(plan, args.out)
     print(f"sentences kept {len(kept.sentences)}/{n_sent}, "
@@ -93,8 +93,7 @@ def _cmd_train(args) -> int:
         if not 0 <= fold < plan.n_folds:
             raise ValidationError(f"fold {fold} outside 0..{plan.n_folds - 1}")
         corpus = corpus.subset(plan.folds[fold].train)
-    kept = filter_encodable(corpus, vocab, st["max_len"])
-    toks = {sid: tokenize_sentence(words, vocab) for sid, words in kept.sentences.items()}
+    kept, toks = filter_encodable(corpus, vocab, st["max_len"])
     instances = [encode_instance(toks[rec.sentence_id], rec.fixations, st["max_len"], vocab)
                  for rec in kept.records]
     if not instances:
@@ -147,11 +146,11 @@ def _start_generation(checkpoint, vocab_path, seed, mean_only):
 
 
 def _generate_chunk(jobs):
-    """The results of a chunk of (index, words) jobs of the current run,
-    sampled in one lockstep chain."""
+    """The results of a chunk of (index, tokenized sentence) jobs of the
+    current run, sampled in one lockstep chain."""
     model, vocab, seed, mean_only = _generation
-    return generate_batch(model, [tokenize_sentence(words, vocab) for _, words in jobs],
-                          vocab, rngs=[sentence_rng(seed, index) for index, _ in jobs],
+    return generate_batch(model, [tok for _, tok in jobs], vocab,
+                          rngs=[sentence_rng(seed, index) for index, _ in jobs],
                           mean_only=mean_only)
 
 
@@ -162,12 +161,12 @@ def _cmd_generate(args) -> int:
     setup = (args.checkpoint, args.vocab, st["seed"], st["mean_only"])
     model, vocab, _, _ = _start_generation(*setup)
     sentences = load_sentences(args.sentences)
-    usable = fitting_sentence_ids(sentences, vocab, model.config.max_len)
+    usable = fitting_sentences(sentences, vocab, model.config.max_len)
     if not usable:
         raise ValidationError(
             f"no sentence fits the model frame of {model.config.max_len} slots")
 
-    jobs = [(i, sentences[sid]) for i, sid in enumerate(usable)]
+    jobs = list(enumerate(usable.values()))
     chunks = [jobs[lo:lo + GENERATE_CHUNK] for lo in range(0, len(jobs), GENERATE_CHUNK)]
     workers = min(st["workers"], len(chunks))  # a worker without a chunk is not started
     if workers > 1:
@@ -199,14 +198,15 @@ def _cmd_evaluate(args) -> int:
     sentences_pred = load_corpus(args.pred, args.sentences)
     predictors = (load_predictors(args.predictors, sentences_true.sentences)
                   if args.predictors else None)
-    report = evaluation_report(sentences_true, sentences_pred)
+    measures = record_measures(sentences_true)  # for the report and the export
+    report = evaluation_report(sentences_true, sentences_pred, measures)
     print(f"mean NLD {report.mean_nld:.6f} over {len(report.nld_rows)} scanpaths")
     if args.out_dir:
         files = write_evaluation_report(report, args.out_dir)
         for name, path in files.items():
             print(f"{name}: {path}")
     if args.word_export:
-        export_word_measures(sentences_true, args.word_export, predictors)
+        export_word_measures(sentences_true, args.word_export, predictors, measures)
         print(f"word measures: {args.word_export}")
     return 0
 
@@ -253,12 +253,11 @@ def _cmd_trace(args) -> int:
     sentences = load_sentences(args.sentences)
     if args.sentence_id not in sentences:
         raise ValidationError(f"unknown sentence_id {args.sentence_id!r}")
-    usable = fitting_sentence_ids(sentences, vocab, model.config.max_len)
+    usable = fitting_sentences(sentences, vocab, model.config.max_len)
     if args.sentence_id not in usable:
         raise ValidationError(f"sentence {args.sentence_id}: does not fit the model frame")
-    tok = tokenize_sentence(sentences[args.sentence_id], vocab)
-    rng = sentence_rng(st["seed"], usable.index(args.sentence_id))
-    res = dump_latent_trace(model, tok, vocab, args.out, rng=rng,
+    rng = sentence_rng(st["seed"], list(usable).index(args.sentence_id))
+    res = dump_latent_trace(model, usable[args.sentence_id], vocab, args.out, rng=rng,
                             stride=st["trace_stride"], mean_only=st["mean_only"])
     print(f"trace written to {args.out}; decoded scanpath {res.fixations}")
     return 0

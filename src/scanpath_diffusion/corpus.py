@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .encoding import scanpath_room
 from .errors import CorpusFormatError, ValidationError
-from .tokenization import Vocabulary, tokenize_sentence
+from .tokenization import TokenizedSentence, Vocabulary, tokenize_sentence
 
 log = logging.getLogger(__name__)
 
@@ -240,36 +240,38 @@ def load_predictors(path, sentences=None) -> dict[tuple[str, int], dict[str, str
     return table
 
 
-def filter_encodable(corpus: Corpus, vocab: Vocabulary, max_len: int) -> Corpus:
-    """Drop sentences/records that cannot fit in a max_len frame.
+def filter_encodable(corpus: Corpus, vocab: Vocabulary,
+                     max_len: int) -> tuple[Corpus, dict[str, TokenizedSentence]]:
+    """Drop sentences/records that cannot fit in a max_len frame; returns
+    the kept corpus and the tokenization of each kept sentence.
 
     A frame holds the subword pieces, the fixations, and 4 marker slots. A
     sentence is dropped when even a single-fixation scanpath would not fit;
     a record is dropped when its own fixation count does not fit. Drops are
     warnings, not errors.
     """
-    kept_sentences: dict[str, tuple[str, ...]] = {}
-    n_pieces: dict[str, int] = {}
+    toks: dict[str, TokenizedSentence] = {}
     for sid, words in corpus.sentences.items():
-        n = len(tokenize_sentence(words, vocab).pieces)
-        if scanpath_room(n, max_len) < 1:
+        tok = tokenize_sentence(words, vocab)
+        if scanpath_room(len(tok.pieces), max_len) < 1:
             log.warning(
                 "dropping sentence %s: %d subword pieces cannot fit in frame of %d",
-                sid, n, max_len,
+                sid, len(tok.pieces), max_len,
             )
             continue
-        kept_sentences[sid] = words
-        n_pieces[sid] = n
+        toks[sid] = tok
     kept_records = []
     for rec in corpus.records:
-        if rec.sentence_id not in kept_sentences:
+        if rec.sentence_id not in toks:
             continue
-        if len(rec.fixations) > scanpath_room(n_pieces[rec.sentence_id], max_len):
+        n_pieces = len(toks[rec.sentence_id].pieces)
+        if len(rec.fixations) > scanpath_room(n_pieces, max_len):
             log.warning(
                 "dropping scanpath (%s, %s): %d pieces + %d fixations exceed frame of %d",
-                rec.reader_id, rec.sentence_id,
-                n_pieces[rec.sentence_id], len(rec.fixations), max_len,
+                rec.reader_id, rec.sentence_id, n_pieces, len(rec.fixations), max_len,
             )
             continue
         kept_records.append(rec)
-    return Corpus(sentences=kept_sentences, records=kept_records)
+    kept = Corpus(sentences={sid: corpus.sentences[sid] for sid in toks},
+                  records=kept_records)
+    return kept, toks

@@ -16,8 +16,8 @@ starts, and stays, at its exact embedding. Each step t = t_max .. 1:
 The final scanpath-side ids are decoded by truncating at the end marker,
 dropping frame markers, and clamping stray out-of-range values.
 
-Seeding rule: the sentence at position i of `fitting_sentence_ids` (the
-sorted ids of the sentences `corpus.filter_encodable` keeps) draws all its
+Seeding rule: the sentence at position i of `fitting_sentences` (the
+sentences `corpus.filter_encodable` keeps, in sorted id order) draws all its
 noise from `sentence_rng(seed, i)`, whatever the worker count, run order
 or the other sentences its chain runs in lockstep with (`generate_batch`).
 
@@ -46,16 +46,19 @@ from .schedules import posterior_params
 from .tokenization import TokenizedSentence, Vocabulary
 
 __all__ = ["GenerationResult", "generate", "generate_batch", "dump_latent_trace",
-           "TRACE_HEADER", "fitting_sentence_ids", "sentence_rng"]
+           "TRACE_HEADER", "fitting_sentences", "sentence_rng"]
 
 log = logging.getLogger(__name__)
 
 TRACE_HEADER = ["t", "position", "dim", "value"]
 
 
-def fitting_sentence_ids(sentences: dict, vocab: Vocabulary, max_len: int) -> list[str]:
-    """Sorted ids of the sentences `filter_encodable` keeps (it warns about the rest)."""
-    return sorted(filter_encodable(Corpus(sentences=sentences), vocab, max_len).sentences)
+def fitting_sentences(sentences: dict, vocab: Vocabulary,
+                      max_len: int) -> dict[str, TokenizedSentence]:
+    """The tokenization of each sentence `filter_encodable` keeps (it warns
+    about the rest), in sorted id order."""
+    toks = filter_encodable(Corpus(sentences=sentences), vocab, max_len)[1]
+    return {sid: toks[sid] for sid in sorted(toks)}
 
 
 def sentence_rng(seed: int, index: int) -> np.random.Generator:

@@ -1,26 +1,47 @@
 """Edit-distance scanpath similarity and correlation statistics.
 
-Edit distances come from one numpy kernel that runs the unit-cost DP for
-many pairs at once. The pairs of a block are padded to a common length
-(the two sides with different sentinels, so padding never matches) and
-the table is filled row by row: row i first takes the cheaper of deletion
-and substitution/match from row i-1,
+Edit distances come from one numpy kernel: the bit-vector algorithm of
+Myers (1999, JACM 46(3)) in Hyyrö's (2001) form for the global distance,
+run for a block of pairs at once. Each pair's longer side is the pattern,
+of length m; its DP column j is held as vertical deltas, bit i of VP (of
+VN) set when D[i+1][j] - D[i][j] is +1 (is -1). Column 0 is VP = all
+ones, VN = 0. The shorter side is the text; each of its symbols t_j
+moves every pair's column one step with a fixed number of word
+operations, where Eq marks the pattern positions that hold t_j:
 
-    tmp[:, j] = min(prev[:, j] + 1, prev[:, j-1] + cost[:, j]),
+    X  = Eq | VN
+    Xh = (((Eq & VP) + VP) ^ VP) | Eq
+    Ph = VN | ~(Xh | VP)          Mh = VP & Xh     (horizontal deltas)
+    Ph = (Ph << 1) | 1            Mh = Mh << 1     (row 0 is D[0][j] = j)
+    VP = Mh | ~(X | Ph)           VN = Ph & X
 
-and then the chain of insertions along the row is one cumulative minimum,
+A pattern fills ceil(m / 64) uint64 words, lowest bits first. The
+addition and both shifts carry from each word into the next, so the
+words act as one m-bit integer. Bits from m up hold garbage that never
+reaches a lower bit, since only the carries and the shifts move bits,
+and they move them up. After the last symbol, D[m][n] = n + (the set
+bits of VP) - (the set bits of VN), counted below bit m.
 
-    cur = minimum.accumulate(tmp - j, axis=1) + j,
-
-since cur[j] = min over k <= j of tmp[k] + (j - k). A pair's distance is
-read at row len(a), column len(b), which padding never reaches. The
-arithmetic is integer throughout, so the results are exact and come back
-as Python ints.
+A pair takes one step per text symbol, and a step costs a few operations
+per pattern word. So the pattern is the longer side: lengths 20 and 60
+take 20 one-word steps, not 60. The texts of a block end on the same
+step. Before its first symbol, a pair steps on a symbol that matches no
+position of its pattern and shifts in 0 instead of 1; below bit m, that
+step leaves VP = all ones and VN = 0 as they are. A block takes its
+pairs in order of falling text length, so the pairs that shift in 1 are
+a prefix of the block. Each block numbers its symbols afresh
+(np.unique), so any int64 values work, and builds its match masks once,
+from a table with a row of words per pair and symbol; a block whose
+masks would take more than 4 words per pair and position of its longest
+side (the row-by-row DP this kernel replaced held 5 int64) is scored in
+halves. The arithmetic is integer throughout, so the distances are
+exact; they come back as Python ints.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -29,54 +50,132 @@ from .errors import ValidationError
 
 __all__ = ["levenshtein", "levenshtein_many", "nld", "pearson"]
 
-# pairs per DP block: memory is O(_CHUNK * longest sequence in the block)
+# pairs per kernel block
 _CHUNK = 512
 
+_ONES = ~np.uint64(0)
+_ONE = np.uint64(1)
+_TOP = np.uint64(63)
 
-def _levenshtein_block(pairs: list[tuple[list, list]]) -> list[int]:
-    len_a = np.array([len(a) for a, _ in pairs], dtype=np.int64)
-    len_b = np.array([len(b) for _, b in pairs], dtype=np.int64)
-    rows, cols = int(len_a.max()), int(len_b.max())
-    a_pad = np.full((len(pairs), rows), -1, dtype=np.int64)
-    b_pad = np.full((len(pairs), cols), -2, dtype=np.int64)
-    for k, (a, b) in enumerate(pairs):
-        a_pad[k, :len(a)] = a
-        b_pad[k, :len(b)] = b
-    j = np.arange(cols + 1, dtype=np.int64)
-    prev = np.broadcast_to(j, (len(pairs), cols + 1))
-    dist = len_b.copy()  # row 0 answers the pairs with an empty a
-    tmp = np.empty((len(pairs), cols + 1), dtype=np.int64)
-    for i in range(1, rows + 1):
-        cost = a_pad[:, i - 1, None] != b_pad
-        tmp[:, 0] = i
-        np.minimum(prev[:, 1:] + 1, prev[:, :-1] + cost, out=tmp[:, 1:])
-        prev = np.minimum.accumulate(tmp - j, axis=1) + j
-        done = np.flatnonzero(len_a == i)
-        dist[done] = prev[done, len_b[done]]
-    return dist.tolist()
+
+def _add(x, y):
+    """x + y for rows of words, each word's carry going into the next."""
+    total = x + y
+    if total.shape[1] > 1:
+        carry = total < y
+        for w in range(1, total.shape[1]):
+            total[:, w] += carry[:, w - 1]
+            carry[:, w] |= carry[:, w - 1] & (total[:, w] == 0)
+    return total
+
+
+def _shift_up(x):
+    """x << 1 for rows of words, each word's top bit going into the next."""
+    out = x << _ONE
+    if x.shape[1] > 1:
+        out[:, 1:] |= x[:, :-1] >> _TOP
+    return out
+
+
+def _step_masks(pats: list, texts: list, m, n, symbols, words: int) -> np.ndarray:
+    """(steps, pairs, words) match masks: at step j, the pattern positions
+    that hold the text's symbol there, or none before the text begins (the
+    texts end on the last step)."""
+    count, widest, steps, rows = len(pats), int(m.max()), int(n[0]), len(symbols) + 1
+    pair_rows = np.arange(count)[:, None] * rows
+    # table row k * rows + s: bit i set where pattern k holds symbol s at
+    # position i; row k * rows + rows - 1 takes the positions past the
+    # pattern's end, so it matches no position of the pattern
+    row_of_position = np.full((count, widest), rows - 1)
+    row_of_position[np.arange(widest) < m[:, None]] = np.searchsorted(
+        symbols, np.fromiter(chain.from_iterable(pats), np.int64, int(m.sum())))
+    row_of_position += pair_rows
+    pos = np.arange(widest)
+    table = np.zeros((count * rows, words), np.uint64)
+    np.bitwise_or.at(table, (row_of_position, pos >> 6), _ONE << (pos & 63).astype(np.uint64))
+    del row_of_position
+    # the table row of each pair at each step
+    row_of_step = np.full((count, steps), rows - 1)
+    row_of_step[np.arange(steps) >= steps - n[:, None]] = np.searchsorted(
+        symbols, np.fromiter(chain.from_iterable(texts), np.int64, int(n.sum())))
+    row_of_step += pair_rows
+    return table[row_of_step.T]
+
+
+def _levenshtein_block(pats: list, texts: list, budget: int) -> np.ndarray:
+    """Distances of the (pattern, text) pairs, len(pattern) >= len(text),
+    the texts in order of falling length.
+
+    The match masks take at most `budget` words; a block that would need
+    more is scored in halves.
+    """
+    count = len(pats)
+    m = np.fromiter(map(len, pats), np.int64, count)
+    n = np.fromiter(map(len, texts), np.int64, count)
+    words, steps = max(1, -(-int(m.max()) // 64)), int(n[0])
+    symbols = np.unique(np.fromiter(chain(chain.from_iterable(pats), chain.from_iterable(texts)),
+                                    np.int64, int(m.sum() + n.sum())))
+    if count > 1 and count * (len(symbols) + 1 + steps) * words > budget:
+        half = count // 2
+        return np.concatenate([_levenshtein_block(pats[:half], texts[:half], budget),
+                               _levenshtein_block(pats[half:], texts[half:], budget)])
+    step_eq = _step_masks(pats, texts, m, n, symbols, words)
+    # the number of pairs whose text has begun at each step: they shift in
+    # the 1 of row 0, the others 0
+    begun = np.searchsorted(-n, np.arange(-steps, 0), side="right").tolist()
+
+    vp = np.full((count, words), _ONES)
+    vn = np.zeros((count, words), np.uint64)
+    for eq, c in zip(step_eq, begun):
+        x = eq | vn
+        xh = (_add(eq & vp, vp) ^ vp) | eq
+        ph = _shift_up(vn | ~(xh | vp))
+        ph[:c, 0] |= _ONE
+        mh = _shift_up(vp & xh)
+        vp = mh | ~(x | ph)
+        vn = ph & x
+    # D[m][n] = D[0][n] + the vertical deltas of the last column below bit m
+    bits = np.unpackbits(np.concatenate((vp, vn), axis=1).astype("<u8", copy=False)
+                         .view(np.uint8), axis=1, bitorder="little")
+    below = np.arange(64 * words) < m[:, None, None]
+    up, down = (bits.reshape(count, 2, -1) & below).sum(axis=2, dtype=np.int64).T
+    return n + up - down
 
 
 def levenshtein_many(pairs) -> list[int]:
     """Unit-cost edit distance of every (a, b) pair of index sequences.
 
-    One vectorised DP over blocks of pairs (see the module docstring);
+    One bit-vector kernel over blocks of pairs (see the module docstring);
     distances come back as Python ints, in the order of the pairs. The
-    distance is symmetric, so each pair puts its shorter side on the rows:
-    the row loop then runs over the fewest steps.
+    distance is symmetric, so each pair puts its longer side in the bit
+    vectors and steps over the shorter one; the blocks take the pairs in
+    order of falling step count.
     """
-    pairs = [(list(a), list(b)) for a, b in pairs]
-    pairs = [(a, b) if len(a) <= len(b) else (b, a) for a, b in pairs]
-    out: list[int] = []
-    for lo in range(0, len(pairs), _CHUNK):
-        out.extend(_levenshtein_block(pairs[lo:lo + _CHUNK]))
-    return out
+    pats, texts = [], []
+    for a, b in pairs:
+        a, b = tuple(a), tuple(b)
+        if len(a) < len(b):
+            a, b = b, a
+        pats.append(a)
+        texts.append(b)
+    order = np.argsort([-len(t) for t in texts], kind="stable").tolist()
+    pats = [pats[k] for k in order]
+    texts = [texts[k] for k in order]
+    dists = np.zeros(len(order), np.int64)
+    for lo in range(0, len(order), _CHUNK):
+        block = pats[lo:lo + _CHUNK]
+        # the match masks take at most 4 words per pair and position of the
+        # block's longest side: the row-by-row DP this kernel replaced held 5
+        budget = 4 * len(block) * max(1, max(map(len, block)))
+        dists[order[lo:lo + _CHUNK]] = _levenshtein_block(block, texts[lo:lo + _CHUNK], budget)
+    return dists.tolist()
 
 
 def levenshtein(a, b) -> int:
     """Unit-cost edit distance between two index sequences.
 
-    One pair pays the batched kernel's fixed cost per DP row; to score many
-    pairs, pass them all to levenshtein_many in one call.
+    One pair pays the batched kernel's setup and its fixed cost per step;
+    to score many pairs, pass them all to levenshtein_many in one call.
     """
     return levenshtein_many([(a, b)])[0]
 

@@ -13,7 +13,9 @@ tables come out of one evaluation:
   nld_measure_correlations.csv  across scanpaths: true measure vs distance
 
 plus an optional per-word export joining word-level measures with outside
-predictor columns.
+predictor columns. The report and the export read the true records'
+reading measures from one `record_measures` list, so a caller that
+writes both computes them once.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ import numpy as np
 
 from .corpus import Corpus, ScanpathRecord, write_table
 from .errors import ValidationError
-from .measures import SUMMARY_MEASURES, reading_measures
+from .measures import SUMMARY_MEASURES, ReadingMeasures, reading_measures
 from .metrics import levenshtein_many, pearson
 
 __all__ = [
-    "pair_records", "evaluation_report", "write_evaluation_report",
+    "pair_records", "record_measures", "evaluation_report", "write_evaluation_report",
     "export_word_measures", "EvaluationReport",
 ]
 
@@ -53,6 +55,21 @@ def pair_records(true: Corpus, pred: Corpus) -> list[tuple[ScanpathRecord, Scanp
             )
         pairs.append((rec, hit))
     return pairs
+
+
+def record_measures(corpus: Corpus) -> list[ReadingMeasures]:
+    """The reading measures of every record, in record order."""
+    return [reading_measures(rec.fixations, len(corpus.sentences[rec.sentence_id]))
+            for rec in corpus.records]
+
+
+def _check_measures(corpus: Corpus, measures) -> list[ReadingMeasures]:
+    if measures is None:
+        return record_measures(corpus)
+    if len(measures) != len(corpus.records):
+        raise ValidationError(f"{len(measures)} measure sets for "
+                              f"{len(corpus.records)} records")
+    return measures
 
 
 def _mean_sd(values) -> tuple[float, float]:
@@ -79,8 +96,12 @@ def _correlation_rows(columns: dict[str, list], distances: list[float],
             for name, (r_val, p_val) in stats.items()]
 
 
-def evaluation_report(true: Corpus, pred: Corpus) -> EvaluationReport:
+def evaluation_report(true: Corpus, pred: Corpus,
+                      true_measures: list[ReadingMeasures] | None = None) -> EvaluationReport:
+    """Score the predictions against the true records; `true_measures`
+    (default: computed here) are the true records' `record_measures`."""
     pairs = pair_records(true, pred)
+    true_measures = _check_measures(true, true_measures)
 
     dists = levenshtein_many((t.fixations, p.fixations) for t, p in pairs)
     nld_rows = []
@@ -95,14 +116,13 @@ def evaluation_report(true: Corpus, pred: Corpus) -> EvaluationReport:
         })
     mean_nld = float(np.mean([row["nld"] for row in nld_rows]))
 
-    def scalars(rec: ScanpathRecord):
-        m = len(true.sentences[rec.sentence_id])
-        rm = reading_measures(rec.fixations, m)
+    def scalars(rm: ReadingMeasures):
         return {name: rm.scalar(name) for name in SUMMARY_MEASURES}
 
-    true_scalars = [scalars(t) for t, _ in pairs]
+    true_scalars = [scalars(rm) for rm in true_measures]
     pred_unique = {(p.reader_id, p.sentence_id): p for _, p in pairs}
-    pred_scalars = [scalars(p) for p in pred_unique.values()]
+    pred_scalars = [scalars(reading_measures(p.fixations, len(true.sentences[p.sentence_id])))
+                    for p in pred_unique.values()]
 
     measure_rows = []
     for name in SUMMARY_MEASURES:
@@ -155,12 +175,15 @@ WORD_EXPORT_BASE = ["reader_id", "sentence_id", "word_index", "word",
 
 
 def export_word_measures(corpus: Corpus, path,
-                         predictors: dict[tuple[str, int], dict[str, str]] | None = None) -> None:
-    """Per-word measure rows for every scanpath, joined with predictors.
+                         predictors: dict[tuple[str, int], dict[str, str]] | None = None,
+                         measures: list[ReadingMeasures] | None = None) -> None:
+    """Per-word measure rows for every scanpath, joined with predictors;
+    `measures` (default: computed here) are the corpus's `record_measures`.
 
     Predictor columns whose names collide with the computed base columns
     are dropped from the join.
     """
+    measures = _check_measures(corpus, measures)
     extra_names: list[str] = []
     if predictors:
         seen = set()
@@ -171,11 +194,10 @@ def export_word_measures(corpus: Corpus, path,
                     extra_names.append(name)
 
     def rows():
-        for rec in corpus.records:
+        for rec, rm in zip(corpus.records, measures):
             words = corpus.sentences[rec.sentence_id]
-            rm = reading_measures(rec.fixations, len(words))
-            measures = zip(rm.sr.tolist(), rm.ffc.tolist(), rm.tfc.tolist(), rm.fpr.tolist())
-            for w, (word, counts) in enumerate(zip(words, measures), start=1):
+            counts_by_word = zip(rm.sr.tolist(), rm.ffc.tolist(), rm.tfc.tolist(), rm.fpr.tolist())
+            for w, (word, counts) in enumerate(zip(words, counts_by_word), start=1):
                 joined = (predictors or {}).get((rec.sentence_id, w), {})
                 yield [rec.reader_id, rec.sentence_id, w, word, len(word), *counts,
                        *(joined.get(name, "") for name in extra_names)]

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from scanpath_diffusion import (Corpus, ScanpathRecord, Vocabulary,
-                                build_vocab, fitting_sentence_ids, generate,
+                                build_vocab, fitting_sentences, generate,
                                 load_checkpoint, load_corpus, load_sentences,
                                 save_checkpoint, save_corpus, save_sentences,
-                                save_table, sentence_rng, synthetic_corpus,
-                                tokenize_sentence)
+                                reading_measures, save_table, sentence_rng,
+                                synthetic_corpus, tokenize_sentence)
 import scanpath_diffusion
 from scanpath_diffusion import cli as cli_mod
 from scanpath_diffusion.cli import main
@@ -23,6 +23,23 @@ from scanpath_diffusion.cli import main
 
 def write_vocab(vocab, path):
     path.write_text("".join(tok + "\n" for tok in vocab.tokens))
+
+
+def count_calls(monkeypatch, fn):
+    """A list that gets one entry per call of the package function `fn`,
+    under every name the package's modules bind it to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "scanpath_diffusion":
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
 
 
 def make_world(root):
@@ -354,7 +371,7 @@ def test_generate_matches_library_chain_per_sentence(trained, tmp_path, capsys):
     model = load_checkpoint(trained["ckpt"])
     vocab = Vocabulary.from_file(paths["vocab"])
     sentences = load_sentences(paths["sentences"])
-    usable = fitting_sentence_ids(sentences, vocab, model.config.max_len)
+    usable = list(fitting_sentences(sentences, vocab, model.config.max_len))
     pred = {r.sentence_id: list(r.fixations) for r in load_corpus(out, paths["sentences"]).records}
     assert set(pred) == set(usable)
     results = [generate(model, tokenize_sentence(sentences[sid], vocab), vocab,
@@ -455,6 +472,22 @@ def test_evaluate_word_export_with_predictors(trained, tmp_path, capsys):
     assert rows[0][-1] == "freq"
     hits = [r for r in rows[1:] if r[1] == sid and r[2] == "1"]
     assert hits and all(r[-1] == "2.5" for r in hits)
+
+
+def test_evaluate_computes_each_scanpaths_measures_once(tmp_path, monkeypatch, capsys):
+    # the report and the word export share the true records' measures; a
+    # single-reader prediction file adds one set per sentence
+    corpus, _, paths = make_world(tmp_path)
+    pred = tmp_path / "pred.csv"
+    assert main(["baseline", "trainlabel", "--corpus", str(paths["corpus"]),
+                 "--sentences", str(paths["sentences"]), "--out", str(pred),
+                 "--seed", "3"]) == 0
+    calls = count_calls(monkeypatch, reading_measures)
+    assert main(["evaluate", "--true", str(paths["corpus"]), "--pred", str(pred),
+                 "--sentences", str(paths["sentences"]),
+                 "--out-dir", str(tmp_path / "report"),
+                 "--word-export", str(tmp_path / "words.csv")]) == 0
+    assert len(calls) == len(corpus.records) + len(corpus.sentences)
 
 
 def test_evaluate_rejects_bad_predictors_before_writing(trained, tmp_path, capsys):
@@ -600,6 +633,26 @@ def test_baseline_human_rejects_seed_flag_before_loading(tmp_path, capsys):
     assert rc == 0
     assert "inter-reader mean NLD" in capsys.readouterr().out
 
+def test_each_command_tokenizes_each_sentence_once(trained, tmp_path, monkeypatch):
+    # the fit rule's tokenization is the one that train, generate and trace use
+    paths = trained["paths"]
+    n_sentences = len(trained["corpus"].sentences)
+    calls = count_calls(monkeypatch, tokenize_sentence)
+    assert main(["train", "--corpus", str(paths["corpus"]),
+                 "--sentences", str(paths["sentences"]), "--vocab", str(paths["vocab"]),
+                 "--out-dir", str(tmp_path / "run"), *TRAIN_FLAGS]) == 0
+    assert len(calls) == n_sentences
+    calls.clear()
+    assert main(gen_args(trained, tmp_path / "pred.csv", ["--workers", "1"])) == 0
+    assert len(calls) == n_sentences
+    calls.clear()
+    assert main(["trace", "--checkpoint", str(trained["ckpt"]),
+                 "--sentences", str(paths["sentences"]), "--vocab", str(paths["vocab"]),
+                 "--sentence-id", sorted(trained["corpus"].sentences)[1],
+                 "--out", str(tmp_path / "trace.csv")]) == 0
+    assert len(calls) == n_sentences
+
+
 # ---------------------------------------------------------------------------
 # trace
 
@@ -637,7 +690,7 @@ def test_trace_replays_generate_chain(trained, tmp_path):
     vocab = Vocabulary.from_file(paths["vocab"])
     sentences = load_sentences(paths["sentences"])
     index = 2
-    sid = fitting_sentence_ids(sentences, vocab, model.config.max_len)[index]
+    sid = list(fitting_sentences(sentences, vocab, model.config.max_len))[index]
     out = tmp_path / "trace.csv"
     assert main(["trace", "--checkpoint", str(trained["ckpt"]),
                  "--sentences", str(paths["sentences"]),

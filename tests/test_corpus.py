@@ -11,7 +11,7 @@ from scanpath_diffusion import (Corpus, CorpusFormatError, ScanpathRecord,
                                 init_model, load_corpus, load_predictors,
                                 load_sentences, load_split_plan, make_splits,
                                 save_corpus, save_sentences, save_split_plan,
-                                synthetic_corpus, train)
+                                synthetic_corpus, tokenize_sentence, train)
 from scanpath_diffusion.cli import main
 from scanpath_diffusion.reports import evaluation_report, write_evaluation_report
 from scanpath_diffusion.splits import MODES, Fold, SplitPlan
@@ -248,8 +248,9 @@ def test_filter_encodable_drops_and_warns(caplog):
     corpus = Corpus(sentences=sentences, records=records)
     vocab = build_vocab(sentences.values())
     with caplog.at_level("WARNING"):
-        kept = filter_encodable(corpus, vocab, max_len=16)
-    assert set(kept.sentences) == {"short"}
+        kept, toks = filter_encodable(corpus, vocab, max_len=16)
+    assert set(kept.sentences) == set(toks) == {"short"}
+    assert toks["short"] == tokenize_sentence(sentences["short"], vocab)
     assert [(r.reader_id, r.sentence_id) for r in kept.records] == [("r1", "short")]
     assert sum("dropping sentence" in r.message for r in caplog.records) == 1
     assert sum("dropping scanpath" in r.message for r in caplog.records) == 1
@@ -261,8 +262,8 @@ def test_filter_encodable_boundary():
     corpus = Corpus(sentences=sentences,
                     records=[ScanpathRecord("r", "s", (1,))])
     vocab = build_vocab(sentences.values())
-    assert filter_encodable(corpus, vocab, 7).records
-    assert not filter_encodable(corpus, vocab, 6).sentences
+    assert filter_encodable(corpus, vocab, 7)[0].records
+    assert filter_encodable(corpus, vocab, 6) == (Corpus(sentences={}), {})
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from scanpath_diffusion import (Corpus, HumanBaseline, ScanpathRecord,
                                 human_baseline, levenshtein,
                                 levenshtein_many, nld,
                                 pair_records, pearson, reading_measures,
-                                trainlabel_baseline, uniform_baseline,
+                                record_measures, trainlabel_baseline, uniform_baseline,
                                 write_evaluation_report)
-from scanpath_diffusion import metrics
+from scanpath_diffusion import baselines, metrics
 from scanpath_diffusion.measures import SUMMARY_MEASURES
 from scanpath_diffusion.reports import WORD_EXPORT_BASE
 
@@ -108,6 +108,76 @@ def test_levenshtein_many_mixed_lengths_in_one_block():
 def test_levenshtein_many_spans_several_chunks():
     rng = np.random.default_rng(9)
     assert_matches_oracle(random_pairs(rng, 2 * metrics._CHUNK + 37, np.arange(13)))
+
+
+# values that exercise the per-block symbol numbering: sparse, negative and
+# large, next to each other in one block
+ODD_SYMBOLS = [-2**62, -7, 0, 3, 10**12, 2**62 + 5]
+
+
+def word_boundary_pairs(rng, length):
+    """Pairs whose longer side has `length` symbols, both orientations,
+    against shorter sides of several lengths (an empty one among them)."""
+    pairs = []
+    for alphabet in ([5], np.arange(1, 41), ODD_SYMBOLS):
+        for other in sorted({0, 1, length // 3, length - 1, length}):
+            a = rng.choice(alphabet, size=length).tolist()
+            b = rng.choice(alphabet, size=other).tolist()
+            pairs += [(a, b), (b, a)]
+    return pairs
+
+
+@pytest.mark.parametrize("length", [63, 64, 65, 127, 128, 129, 200])
+def test_levenshtein_many_across_word_boundaries(length):
+    # a pattern of more than 64 symbols spans several uint64 words: the
+    # addition and both shifts carry from word to word
+    rng = np.random.default_rng(length)
+    pairs = word_boundary_pairs(rng, length)
+    # near-copies: long runs of matches, so carries ripple across words
+    a = rng.integers(1, 41, size=length).tolist()
+    b = list(a)
+    for i in rng.choice(length, size=3, replace=False):
+        b[i] = 41
+    pairs += [(a, b), (a, b[1:]), (b[:-1], a)]
+    # a run that matches nothing and covers a whole word, between runs that
+    # match: the addition's carry crosses that word to the next
+    if length >= 140:
+        c = [1] * 62 + [2] * 75 + [1] * 2 + [3] * (length - 139)
+        pairs += [(c, [1]), (c, [1] * (length // 4)), ([1, 3] * (length // 4), c)]
+    assert_matches_oracle(pairs)
+
+
+def test_levenshtein_many_one_block_mixes_word_counts(monkeypatch):
+    # one-word and three-word patterns share one block, whose masks are
+    # three words wide
+    rng = np.random.default_rng(10)
+    pairs = (random_pairs(rng, 15, np.arange(0, 65))
+             + random_pairs(rng, 15, np.arange(129, 193))
+             + [(a, b) for (a, _), (b, _) in zip(random_pairs(rng, 15, np.arange(1, 64)),
+                                                  random_pairs(rng, 15, np.arange(129, 193)))])
+    rng.shuffle(pairs)
+    blocks = []
+    kernel = metrics._levenshtein_block
+    monkeypatch.setattr(metrics, "_levenshtein_block",
+                        lambda *args: blocks.append(len(args[0])) or kernel(*args))
+    assert_matches_oracle(pairs)
+    assert blocks == [len(pairs)]
+
+
+def test_levenshtein_many_splits_a_block_with_many_symbols(monkeypatch):
+    # all-distinct symbols would make the match table outgrow its budget,
+    # so the block is scored in smaller parts, with the same distances
+    rng = np.random.default_rng(11)
+    pairs = [(rng.integers(-10**9, 10**9, size=150).tolist(),
+              rng.integers(-10**9, 10**9, size=int(rng.integers(0, 151))).tolist())
+             for _ in range(6)]
+    pairs += [(a, a[::2]) for a, _ in pairs]
+    blocks = []
+    kernel = metrics._levenshtein_block
+    monkeypatch.setattr(metrics, "_levenshtein_block",
+                        lambda *args: blocks.append(len(args[0])) or kernel(*args))
+    assert_matches_oracle(pairs)
+    assert blocks[0] == len(pairs) and min(blocks) < len(pairs)
 
 
 def test_levenshtein_many_empty_input():
@@ -447,7 +517,7 @@ def random_reading_corpus(rng, n_readers, n_sentences):
     return Corpus(sentences=sentences, records=records)
 
 
-def test_human_baseline_equals_all_ordered_pairs():
+def test_human_baseline_equals_all_ordered_pairs(monkeypatch):
     rng = np.random.default_rng(12)
     for n_readers, n_sentences in [(2, 3), (3, 5), (5, 4), (8, 6)]:
         corpus = random_reading_corpus(rng, n_readers, n_sentences)
@@ -456,6 +526,25 @@ def test_human_baseline_equals_all_ordered_pairs():
         hb = human_baseline(corpus)
         old = human_baseline_all_ordered_pairs(corpus)
         assert (hb.mean, hb.se, hb.count) == (old.mean, old.se, old.count)
+
+    # a corpus whose cross-reader pairs fill several kernel blocks, one of
+    # its readers with two records on a sentence: still one call
+    corpus = random_reading_corpus(rng, 14, 32)
+    rec = corpus.records[0]
+    corpus.records.append(ScanpathRecord(rec.reader_id, rec.sentence_id, (1, 2, 1)))
+    by_sentence = {}
+    for r in corpus.records:
+        by_sentence.setdefault(r.sentence_id, []).append(r.reader_id)
+    n_pairs = sum(a != b for ids in by_sentence.values()
+                  for i, a in enumerate(ids) for b in ids[i + 1:])
+    assert n_pairs > 2 * metrics._CHUNK
+    calls = []
+    monkeypatch.setattr(baselines, "levenshtein_many",
+                        lambda pairs: calls.append(1) or levenshtein_many(pairs))
+    hb = human_baseline(corpus)
+    old = human_baseline_all_ordered_pairs(corpus)
+    assert (hb.mean, hb.se, hb.count) == (old.mean, old.se, old.count)
+    assert calls == [1]
 
 
 def test_human_baseline_reader_with_two_records_on_a_sentence():
@@ -729,6 +818,30 @@ def test_export_word_measures(tmp_path):
     assert [r1[1][7], r1[2][7], r1[3][7]] == ["1", "1", "1"]   # tfc
     assert [r1[1][8], r1[2][8], r1[3][8]] == ["0", "0", "1"]   # fpr
     assert all(row[0] == "r2" for row in rows[3:])
+
+
+def test_report_and_export_take_the_records_measures(tmp_path):
+    sentences = {"s1": ("the", "walking", "dog"), "s2": ("a", "cat")}
+    true = Corpus(sentences=sentences, records=[
+        ScanpathRecord("r1", "s1", (1, 3, 2)),
+        ScanpathRecord("r2", "s1", (1, 2, 3)),
+        ScanpathRecord("r1", "s2", (2, 1, 2)),
+    ])
+    pred = Corpus(sentences=sentences, records=[
+        ScanpathRecord("model", "s1", (1, 2)), ScanpathRecord("model", "s2", (1,))])
+    measures = record_measures(true)
+    assert [m.tfc.tolist() for m in measures] == [[1, 1, 1], [1, 1, 1], [1, 2]]
+    given = write_evaluation_report(evaluation_report(true, pred, measures), tmp_path / "given")
+    computed = write_evaluation_report(evaluation_report(true, pred), tmp_path / "computed")
+    given["words"], computed["words"] = tmp_path / "given.csv", tmp_path / "computed.csv"
+    export_word_measures(true, given["words"], measures=measures)
+    export_word_measures(true, computed["words"])
+    assert ({name: f.read_bytes() for name, f in given.items()}
+            == {name: f.read_bytes() for name, f in computed.items()})
+    with pytest.raises(ValidationError, match="2 measure sets for 3 records"):
+        evaluation_report(true, pred, measures[:2])
+    with pytest.raises(ValidationError, match="2 measure sets for 3 records"):
+        export_word_measures(true, tmp_path / "short.csv", measures=measures[:2])
 
 
 def test_export_word_measures_with_predictors(tmp_path):

@@ -25,6 +25,17 @@ to the all-rows pass, and the parameter gradients lose only rows whose
 gradient is exactly zero (`demos/blas_row_stability.py` checks the BLAS
 property this rests on).
 
+A large batch runs as shards of at most SHARD_FRAMES frames
+(`frame_shards`): the time MLP runs once for the batch, and the blocks,
+read rows and MIN_PRODUCT_ROWS rule included, run per shard, on the
+caller's thread pool when it passes one. The cut depends on the batch
+alone (its size, and its real rows per shard against MIN_SHARD_WORK),
+never on the thread count. Each shard's rows are a block of the one-shard
+pass's products, so predictions and the input gradient are bit-identical
+to it; the parameter gradients of the shards are summed in shard order,
+so they differ only in summation order (`demos/blas_row_stability.py`
+checks the blocks, backward too, and the products run from two threads).
+
 Forward and backward are written out by hand in numpy. Every layer
 computes in the dtype of the parameters (float64 for a fresh library
 model, float32 for one that goes to or comes from a checkpoint): forward
@@ -54,6 +65,13 @@ LN_EPS = 1e-5
 MASK_BIAS = -1e30
 # the fewest rows a per-token product runs on (see forward's read_mask)
 MIN_PRODUCT_ROWS = 6
+# the most frames in one shard of a batch (see frame_shards)
+SHARD_FRAMES = 8
+# the least work, mean packed real rows x dim**2, a shard must carry before a
+# batch is split: about the break-even of two shards on two threads against
+# one at dim 256, the highest of the three model widths measured (README,
+# "Performance"), so a split never costs time at any of them
+MIN_SHARD_WORK = 96 * 256 * 256
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +259,32 @@ def _unpack(x, rows, bsz, seq):
     return out.reshape(bsz, seq, -1)
 
 
+def frame_shards(pad_mask, dim: int) -> list[slice]:
+    """The runs of frames that forward and backward compute one by one.
+
+    A batch of B frames becomes ceil(B / SHARD_FRAMES) shards of nearly
+    equal size (the sizes np.array_split gives), so no shard is a small
+    leftover, but only when a shard carries at least MIN_SHARD_WORK: its
+    mean packed real rows times dim squared. Otherwise the batch is one
+    shard. The cut depends on the batch alone, never on how many threads
+    run the shards.
+    """
+    bsz = len(pad_mask)
+    n = max(1, -(-bsz // SHARD_FRAMES))
+    if n > 1 and np.count_nonzero(pad_mask) * dim * dim < MIN_SHARD_WORK * n:
+        n = 1
+    size, extra = divmod(bsz, n)
+    bounds = [i * size + min(i, extra) for i in range(n + 1)]
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _map(pool, fn, items):
+    """fn over items, in order: on the pool when there is more than one."""
+    return list((pool.map if pool is not None and len(items) > 1 else map)(fn, items))
+
+
 def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False,
-            read_mask=None):
+            read_mask=None, pool=None):
     """Run the denoiser. Returns (prediction, cache or None).
 
     z is (B, L, dim) and is cast to the parameters' dtype; t is a scalar
@@ -262,6 +304,11 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False,
     runs its query side (Q, attention output, W_O, LN2, feed forward and
     the output norm) on the read rows alone, so a read prediction is
     bit-identical to the one an all-rows forward gives.
+
+    The time MLP runs once for the batch; the blocks run per shard of
+    frames (`frame_shards`), on `pool` (anything with an ordered `map`,
+    such as a ThreadPoolExecutor) when there are several, in the calling
+    thread otherwise. Each prediction is bit-identical to a one-shard pass.
     """
     z = np.asarray(z, dtype=params.dtype)
     if z.ndim != 3 or z.shape[2] != params.dim:
@@ -275,6 +322,34 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False,
         raise ValidationError(f"expected a read_mask of shape ({bsz}, {seq}) marking real "
                               f"slots only")
     p = params.tensors
+
+    t = np.asarray(t, dtype=np.float64)
+    if t.shape not in ((), (bsz,)):
+        raise ValidationError(f"expected a scalar t or one of shape ({bsz},), got {t.shape}")
+    # in float64 first: t up to t_max times a frequency loses digits in float32
+    t_code = timestep_embedding(t, dim).astype(params.dtype)
+    t_hid = _linear(t_code, p["time_w1"], p["time_b1"])
+    t_phi = _gelu_cdf(t_hid)
+    t_vec = _linear(t_hid * t_phi, p["time_w2"], p["time_b2"])
+
+    out = np.zeros(z.shape, dtype=params.dtype)
+    shards = frame_shards(pad_mask, dim)
+    caches = _map(pool, lambda s: _forward_shard(
+        params, z[s], t_vec[s] if t.ndim else t_vec, pad_mask[s], read_mask[s], out[s],
+        need_cache), shards)
+    if not need_cache:
+        return out, None
+    cache = {"t_code": t_code, "t_hid": t_hid, "t_phi": t_phi,
+             "shards": list(zip(shards, caches))}
+    return out, cache
+
+
+def _forward_shard(params, z, t_vec, pad_mask, read_mask, out, need_cache):
+    """forward's blocks over a run of frames, written into its slice of the
+    prediction, out; t_vec is one time-vector row per frame or one for all.
+    Returns the shard's cache, or None."""
+    p = params.tensors
+    bsz, seq, dim = z.shape
     rows = np.flatnonzero(pad_mask.ravel())
     is_read = read_mask.ravel()[rows]
     # positions, among the packed rows, of the last block's query side; a
@@ -286,16 +361,7 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False,
         last = slice(None)
     unread = ~is_read[last]
 
-    t = np.asarray(t, dtype=np.float64)
-    if t.shape not in ((), (bsz,)):
-        raise ValidationError(f"expected a scalar t or one of shape ({bsz},), got {t.shape}")
-    # in float64 first: t up to t_max times a frequency loses digits in float32
-    t_code = timestep_embedding(t, dim).astype(params.dtype)
-    t_hid = _linear(t_code, p["time_w1"], p["time_b1"])
-    t_phi = _gelu_cdf(t_hid)
-    t_vec = _linear(t_hid * t_phi, p["time_w2"], p["time_b2"])
-
-    z_in = _pack(z, rows) + (t_vec[rows // seq] if t.ndim else t_vec)
+    z_in = _pack(z, rows) + (t_vec[rows // seq] if len(t_vec) > 1 else t_vec)
     h, ln_in_cache = _layer_norm(z_in, p["ln_in_g"], p["ln_in_b"])
 
     key_bias = np.where(pad_mask, 0.0, MASK_BIAS).astype(params.dtype)[:, None, None, :]
@@ -332,20 +398,16 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False,
                 "ctx": ctx, "ln2": ln2_cache, "fin": fin, "u": u, "phi": phi,
             })
 
-    out, ln_out_cache = _layer_norm(h, p["ln_out_g"], p["ln_out_b"])
-    out[unread] = 0.0
-    out = _unpack(out, rows[last], bsz, seq)
+    pred, ln_out_cache = _layer_norm(h, p["ln_out_g"], p["ln_out_b"])
+    pred[unread] = 0.0
+    out.reshape(-1, dim)[rows[last]] = pred
     if not need_cache:
-        return out, None
-    cache = {
-        "rows": rows, "last": last, "unread": unread,
-        "t_code": t_code, "t_hid": t_hid, "t_phi": t_phi,
-        "ln_in": ln_in_cache, "ln_out": ln_out_cache, "blocks": blocks,
-    }
-    return out, cache
+        return None
+    return {"rows": rows, "last": last, "unread": unread,
+            "ln_in": ln_in_cache, "ln_out": ln_out_cache, "blocks": blocks}
 
 
-def backward(params: DenoiserParams, cache, d_out):
+def backward(params: DenoiserParams, cache, d_out, pool=None):
     """Backprop through a cached forward pass.
 
     d_out is (B, L, dim), cast to the parameters' dtype; only its slots
@@ -354,14 +416,49 @@ def backward(params: DenoiserParams, cache, d_out):
     (B, L, dim) gradient with respect to the input latents, exact zeros at
     padding. Like forward, every per-token layer runs on the packed rows,
     and the last block's query side on the read rows alone.
+
+    The blocks run per shard of the forward pass, on `pool` when there are
+    several, and the time MLP once on the whole batch. d_z is bit-identical
+    to a one-shard pass; the parameter gradients of shards 1.. are added
+    into shard 0's, in shard order, so they differ from a one-shard pass
+    only in summation order.
     """
+    d_out = np.asarray(d_out, dtype=params.dtype)
+    d_z = np.zeros(d_out.shape, dtype=params.dtype)
+    grads, *rest = _map(pool, lambda part: _backward_shard(
+        params, part[1], d_out[part[0]], d_z[part[0]]), cache["shards"])
+    for shard_grads in rest:
+        for name, g in shard_grads.items():
+            grads[name] += g
+
+    d_t_vec = d_z.sum(axis=1)
+    t_hid, t_phi = cache["t_hid"], cache["t_phi"]
+    if len(t_hid) != len(d_z):  # a scalar t: one time-code row served every frame
+        d_t_vec = d_t_vec.sum(axis=0, keepdims=True)
+    d_t_act, grads["time_w2"], grads["time_b2"] = _linear_bwd(
+        d_t_vec, t_hid * t_phi, params.tensors["time_w2"])
+    d_t_hid = d_t_act * _gelu_grad(t_hid, t_phi)
+    _, grads["time_w1"], grads["time_b1"] = _linear_bwd(
+        d_t_hid, cache["t_code"], params.tensors["time_w1"])
+
+    # the gradients above arrive in reverse layer order; hand them back in
+    # manifest order, because clip_global_norm sums the squares in dict order
+    # and another order moves the norm's last bits, and with them the run
+    order = denoiser_shapes(params.dim, params.n_blocks)
+    return {name: grads[name] for name in order}, d_z
+
+
+def _backward_shard(params, cache, d_out, d_z):
+    """backward's blocks over one shard, its input gradient written into
+    its slice d_z. Returns the shard's gradients of every tensor but the
+    time MLP's."""
     p = params.tensors
     grads = {}
     scale = 1.0 / math.sqrt(params.head_dim)
     rows, last = cache["rows"], cache["last"]
-    bsz, seq = d_out.shape[:2]
+    bsz, seq, dim = d_out.shape
 
-    d_h = _pack(np.asarray(d_out, dtype=params.dtype), rows[last])
+    d_h = _pack(d_out, rows[last])
     d_h[cache["unread"]] = 0.0
     d_h, grads["ln_out_g"], grads["ln_out_b"] = _layer_norm_bwd(
         d_h, p["ln_out_g"], cache["ln_out"])
@@ -406,20 +503,5 @@ def backward(params: DenoiserParams, cache, d_out):
 
     d_z_in, grads["ln_in_g"], grads["ln_in_b"] = _layer_norm_bwd(
         d_h, p["ln_in_g"], cache["ln_in"])
-    d_z_in = _unpack(d_z_in, rows, bsz, seq)
-
-    d_t_vec = d_z_in.sum(axis=1)
-    t_hid, t_phi = cache["t_hid"], cache["t_phi"]
-    if len(t_hid) != bsz:  # a scalar t: one time-code row served every frame
-        d_t_vec = d_t_vec.sum(axis=0, keepdims=True)
-    d_t_act, grads["time_w2"], grads["time_b2"] = _linear_bwd(
-        d_t_vec, t_hid * t_phi, p["time_w2"])
-    d_t_hid = d_t_act * _gelu_grad(t_hid, t_phi)
-    _, grads["time_w1"], grads["time_b1"] = _linear_bwd(
-        d_t_hid, cache["t_code"], p["time_w1"])
-
-    # the gradients above arrive in reverse layer order; hand them back in
-    # manifest order, because clip_global_norm sums the squares in dict order
-    # and another order moves the norm's last bits, and with them the run
-    order = denoiser_shapes(params.dim, params.n_blocks)
-    return {name: grads[name] for name in order}, d_z_in
+    d_z.reshape(-1, dim)[rows] = d_z_in
+    return grads

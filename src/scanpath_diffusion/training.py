@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -54,7 +56,7 @@ from .schedules import TimestepSampler, q_sample
 __all__ = [
     "loss_forward", "loss_backward",
     "AdamW", "clip_global_norm", "check_train_settings", "train", "TrainResult",
-    "METRICS_HEADER",
+    "METRICS_HEADER", "shard_threads",
 ]
 
 log = logging.getLogger(__name__)
@@ -73,13 +75,14 @@ class LossBreakdown:
 
 
 def loss_forward(model: Model, batch: Batch, t_arr, rng: np.random.Generator,
-                 need_cache: bool = False):
+                 need_cache: bool = False, pool=None):
     """Forward pass of the full training loss for one batch.
 
     t_arr holds one step index in 0..t_max per frame. The schedule and
     beta_zero are the model's (model.schedule(), model.beta_zero()). The
     batch may be narrower than the model's frame (see trim_batch), never
     wider. Returns (LossBreakdown, cache); the cache feeds loss_backward.
+    pool runs the denoiser's shards (`denoiser.forward`).
     """
     t_arr = np.asarray(t_arr, dtype=np.int64)
     bsz, width = batch.x_idx.shape
@@ -110,7 +113,8 @@ def loss_forward(model: Model, batch: Batch, t_arr, rng: np.random.Generator,
     coef = np.where(noised[..., None], sqrt_ab, 1.0).astype(dtype)
 
     z0_hat, den_cache = dn.forward(model.den, z_t, t_arr, batch.pad_mask,
-                                   need_cache=need_cache, read_mask=batch.target_mask)
+                                   need_cache=need_cache, read_mask=batch.target_mask,
+                                   pool=pool)
 
     emb_rows = (t_arr == 0) | (model.config.emb_target_low_t & (t_arr == 1))
     target = np.where(emb_rows[:, None, None], emb_total, z0)
@@ -147,11 +151,12 @@ def loss_forward(model: Model, batch: Batch, t_arr, rng: np.random.Generator,
     return breakdown, cache
 
 
-def loss_backward(model: Model, cache, weights) -> dict[str, np.ndarray]:
+def loss_backward(model: Model, cache, weights, pool=None) -> dict[str, np.ndarray]:
     """Gradients of mean_i [w_i * mse_i + round_i] over the batch.
 
     weights are the per-frame importance weights for the reconstruction
-    term. Returns gradients keyed like Model.trainable_tensors().
+    term; pool runs the denoiser's shards (`denoiser.backward`). Returns
+    gradients keyed like Model.trainable_tensors().
     """
     batch: Batch = cache["batch"]
     bsz = batch.size
@@ -185,7 +190,7 @@ def loss_backward(model: Model, cache, weights) -> dict[str, np.ndarray]:
         d_logits.reshape(-1, d_logits.shape[-1]).T @ z0_hat.reshape(-1, dim)
     )
 
-    den_grads, d_zt = dn.backward(model.den, cache["den_cache"], d_z0_hat)
+    den_grads, d_zt = dn.backward(model.den, cache["den_cache"], d_z0_hat, pool=pool)
 
     # z_t = coef * (emb_idx + noise) + emb_ctx (+ drawn noise); the target
     # is emb_idx + emb_ctx (+ noise for the clean-latent rows)
@@ -282,6 +287,26 @@ def check_train_settings(*, steps: int, batch: int, lr: float, weight_decay: flo
         raise ValidationError(f"ckpt_interval must be >= 0, got {ckpt_interval}")
 
 
+# the variables that set a BLAS call's thread count, in the order they are read
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def shard_threads(n_shards: int) -> int:
+    """Threads to run a batch's denoiser shards on: the usable CPUs divided
+    by the threads each BLAS call takes, at most one per shard, at least 1.
+
+    BLAS with no thread count set is taken to use every CPU already, which
+    leaves one thread: shard threads on top of a threaded BLAS slow
+    training down (README, "Performance").
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    counts = [int(v) for v in (os.environ.get(var, "").strip() for var in BLAS_THREAD_VARS)
+              if v.isdigit() and int(v) > 0]
+    blas = counts[0] if counts else cpus  # unset, unreadable or 0: BLAS takes every CPU
+    return max(1, min(cpus // blas, n_shards))
+
+
 @dataclass
 class TrainResult:
     steps_done: int
@@ -300,6 +325,10 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     A non-finite loss or gradient aborts the loop before the update, so
     the in-memory model (and any checkpoint on disk) stays at the last
     good step. Metrics rows are flushed as they are produced.
+
+    The denoiser runs a batch's shards on a thread pool of `shard_threads`
+    threads that lives only as long as this call; the shards depend on the
+    batch alone, so the thread count changes no bit of the run.
     """
     check_train_settings(steps=steps, batch=batch, lr=lr, weight_decay=weight_decay,
                          clip_norm=clip_norm, sampler_history=sampler_history,
@@ -312,15 +341,20 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
 
     rows: list[dict] = []
     aborted = False
+    n_shards = math.ceil(batch / dn.SHARD_FRAMES)
+    threads = shard_threads(n_shards)
+    sharded_steps = 0
     metrics = table_writer(metrics_path, METRICS_HEADER) if metrics_path else nullcontext()
-    with metrics as write_rows:
+    shard_pool = ThreadPoolExecutor(threads) if threads > 1 else nullcontext()
+    with metrics as write_rows, shard_pool as pool:
         for step in range(1, steps + 1):
             picks = rng.integers(0, len(instances), size=batch)
             frame_batch = trim_batch(stack_instances([instances[int(i)] for i in picks]))
+            sharded_steps += len(dn.frame_shards(frame_batch.pad_mask, model.den.dim)) > 1
             t_arr, weights = sampler.sample(rng, size=batch)
             breakdown, cache = loss_forward(model, frame_batch, t_arr, rng,
-                                            need_cache=True)
-            grads = loss_backward(model, cache, weights)
+                                            need_cache=True, pool=pool)
+            grads = loss_backward(model, cache, weights, pool=pool)
             for t_i, mse_i in zip(t_arr.tolist(), breakdown.per_sample_mse.tolist()):
                 sampler.update(int(t_i), mse_i)
             grad_norm = clip_global_norm(grads, clip_norm)
@@ -339,6 +373,8 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
                          step, steps, breakdown.total, grad_norm)
             if ckpt_path and ckpt_interval and step % ckpt_interval == 0 and step < steps:
                 save_checkpoint(model, ckpt_path)
+    log.info("batches of %d frames: up to %d shards on %d threads; the shard gate split "
+             "%d of %d steps", batch, n_shards, threads, sharded_steps, len(rows))
     if ckpt_path and not aborted:
         save_checkpoint(model, ckpt_path)
     return TrainResult(steps_done=len(rows), aborted=aborted, rows=rows)

@@ -2,9 +2,11 @@
 
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,8 @@ from scanpath_diffusion import (Corpus, ScanpathRecord, Vocabulary,
                                 synthetic_corpus, tokenize_sentence)
 import scanpath_diffusion
 from scanpath_diffusion import cli as cli_mod
+from scanpath_diffusion import denoiser as dn
+from scanpath_diffusion import training
 from scanpath_diffusion.cli import main
 
 
@@ -284,6 +288,55 @@ def test_train_progress_goes_to_stderr_through_logging(tmp_path):
     assert [line.split(" total=")[0] for line in steps] == [
         "INFO scanpath_diffusion.training: step 1/2",
         "INFO scanpath_diffusion.training: step 2/2"]
+
+# TRAIN_FLAGS at batch 12: two shards of 6 frames once the gate is opened
+SHARD_FLAGS = [*TRAIN_FLAGS[:TRAIN_FLAGS.index("--batch")], "--batch", "12",
+               *TRAIN_FLAGS[TRAIN_FLAGS.index("--batch") + 2:]]
+
+
+def train_args(paths, out_dir, flags=TRAIN_FLAGS):
+    return ["train", "--corpus", str(paths["corpus"]), "--sentences", str(paths["sentences"]),
+            "--vocab", str(paths["vocab"]), "--out-dir", str(out_dir), *flags]
+
+
+def test_train_thread_count_does_not_change_output(tmp_path, monkeypatch, caplog):
+    """The shards depend on the batch alone: a sharded run on one thread and
+    on two writes the same bytes, and the log says the gate split it."""
+    _, _, paths = make_world(tmp_path)
+    monkeypatch.setattr(dn, "MIN_SHARD_WORK", 0)
+    for threads in (1, 2):
+        monkeypatch.setattr(training, "shard_threads", lambda n_shards, k=threads: k)
+        with caplog.at_level(logging.INFO, logger="scanpath_diffusion.training"):
+            assert main(train_args(paths, tmp_path / f"run{threads}", SHARD_FLAGS)) == 0
+        assert (f"batches of 12 frames: up to 2 shards on {threads} threads; the shard "
+                f"gate split 2 of 2 steps") in caplog.text
+    for name in ("config.txt", "metrics.csv", "checkpoint.bin"):
+        assert (tmp_path / "run1" / name).read_bytes() == (tmp_path / "run2" / name).read_bytes()
+
+
+def test_sharded_train_leaves_no_thread_before_a_forking_generate(tmp_path, monkeypatch):
+    """train's shard threads end with it, so the process generate forks its
+    workers from, right after, has none."""
+    corpus = synthetic_corpus(n_sentences=10, min_words=3, max_words=5, seed=11)
+    vocab = build_vocab(corpus.sentences.values())
+    paths = {"sentences": tmp_path / "sentences.csv", "corpus": tmp_path / "corpus.csv",
+             "vocab": tmp_path / "vocab.txt"}
+    save_sentences(corpus.sentences, paths["sentences"])
+    save_corpus(corpus, paths["corpus"])
+    write_vocab(vocab, paths["vocab"])
+    monkeypatch.setattr(dn, "MIN_SHARD_WORK", 0)
+    monkeypatch.setattr(training, "shard_threads", lambda n_shards: 2)
+
+    before = threading.active_count()
+    assert main(train_args(paths, tmp_path / "run", SHARD_FLAGS)) == 0
+    assert threading.active_count() == before
+    out = tmp_path / "pred.csv"
+    assert main(["generate", "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
+                 "--sentences", str(paths["sentences"]), "--vocab", str(paths["vocab"]),
+                 "--out", str(out), "--seed", "9", "--workers", "2"]) == 0
+    assert {r.sentence_id for r in load_corpus(out, paths["sentences"]).records} == \
+        set(corpus.sentences)
+
 
 def test_trained_checkpoint_is_float32_and_round_trips(trained, tmp_path):
     model = load_checkpoint(trained["ckpt"])

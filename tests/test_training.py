@@ -12,6 +12,7 @@ from scanpath_diffusion import (AdamW, ModelConfig, ValidationError,
                                 posterior_params, q_sample, synthetic_corpus,
                                 tokenize_sentence, train)
 from scanpath_diffusion import denoiser as dn
+from scanpath_diffusion import training
 from scanpath_diffusion.embedding import embed_parts
 from scanpath_diffusion.encoding import stack_instances, trim_batch
 from scanpath_diffusion.training import (METRICS_HEADER, clip_global_norm,
@@ -525,3 +526,21 @@ def test_train_input_validation(tiny_vocab, small_corpus):
         train(model, instances, steps=1, batch=1, lr=0.0, seed=0)
     with pytest.raises(ValidationError):
         train(model, instances, steps=1, batch=1, lr=1e-3, seed=0, clip_norm=-1)
+
+
+def test_shard_threads_divides_the_cpus_by_blas_threads(monkeypatch):
+    """Usable CPUs over the BLAS thread count, at most one per shard; BLAS
+    with no count set is taken to use every CPU, which leaves one."""
+    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    for var in training.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert training.shard_threads(3) == 1
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert training.shard_threads(3) == 3
+    assert training.shard_threads(8) == 4
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # read before OMP_NUM_THREADS
+    assert training.shard_threads(3) == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+    assert training.shard_threads(3) == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "many")  # unreadable: the next variable
+    assert training.shard_threads(3) == 3

@@ -38,9 +38,13 @@ products give blocks of a dozen or more rows other bits, but the gate
 never splits at the desk size. A reached difference breaks an identity,
 and the script exits 1. The other products run one frame at a time by
 construction: the time code is one row whatever the batch, the sentence
-projection and attention are per-frame matmuls of one shape, and the
-rounding runs one product per frame, because against the transposed
-index table small stacked row blocks do differ.
+projection is a per-frame matmul of one shape, attention runs the frames
+of one real length as one stacked (g, H, n, n) matmul over their packed
+rows, which numpy computes as one product per frame and head, of that
+frame's own shape and strides (the packed rows stay in batch order, so
+no per-token product sees its rows reordered), and the rounding runs one
+product per frame, because against the transposed index table small
+stacked row blocks do differ.
 """
 
 import sys

@@ -8,13 +8,15 @@ position of the input; the model has no positional table of its own (the
 latents already carry one).
 
 Only real slots are computed. Forward gathers them once into packed
-(N_real, dim) rows, and every per-token layer (time-vector add, layer
-norms, Q/K/V/O projections, feed forward, GELU) runs on those rows, in
-forward and backward alike. Attention alone needs the (B, H, L, L) layout:
-q, k and v (and the context gradient) are scattered into zeroed frames for
-it, padding is never a key, and the results are gathered back at the real
-rows. The prediction and the input gradient come back as (B, L, dim) with
-exact zeros at padding slots.
+(N_real, dim) rows, frame by frame in batch order, and every layer runs on
+those rows, in forward and backward alike. The per-token layers (time-vector
+add, layer norms, Q/K/V/O projections, feed forward, GELU) run on all of
+them at once. Attention runs once per run of frames of one real length n
+(`_frame_runs`, the frames taken by a stable sort on length): the run's g
+frames are a (g, H, n, n) product over their own packed rows, so padding
+is never a key, never a query and never stored, and a frame's outputs do
+not depend on the width of its batch. The prediction and the input
+gradient come back as (B, L, dim) with exact zeros at padding slots.
 
 A caller that reads only some predictions (the loss and the reverse chain
 read the scanpath side) passes their read_mask. The last block then takes
@@ -62,7 +64,6 @@ from scipy.special import erf, ndtr
 from .errors import ValidationError
 
 LN_EPS = 1e-5
-MASK_BIAS = -1e30
 # the fewest rows a per-token product runs on (see forward's read_mask)
 MIN_PRODUCT_ROWS = 6
 # the most frames in one shard of a batch (see frame_shards)
@@ -237,26 +238,86 @@ def init_denoiser(dim: int, n_blocks: int, n_heads: int, rng: np.random.Generato
 # ---------------------------------------------------------------------------
 # forward / backward
 
-def _split_heads(x, n_heads):
-    b, l, d = x.shape
-    return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x):
-    b, h, l, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
-
-
 def _pack(x, rows):
     """(B, L, d) frames -> (N_real, d) rows, keeping the real slots only."""
     return x.reshape(-1, x.shape[-1])[rows]
 
 
-def _unpack(x, rows, bsz, seq):
-    """(N_real, d) rows -> (B, L, d) frames, exact zeros at padding slots."""
-    out = np.zeros((bsz * seq, x.shape[-1]), dtype=x.dtype)
-    out[rows] = x
-    return out.reshape(bsz, seq, -1)
+def _scatter(x, at, n):
+    """x's rows at positions `at` of n rows, the others exact zeros; x
+    itself when `at` is a slice, which here always means every row."""
+    if isinstance(at, slice):
+        return x
+    out = np.zeros((n, x.shape[1]), dtype=x.dtype)
+    out[at] = x
+    return out
+
+
+def _frame_runs(pad_mask):
+    """A shard's runs of frames of one real length, for attention.
+
+    The packed rows hold the frames in batch order, each frame's real
+    slots in slot order. Taking the frames by a stable sort on real
+    length, each nonzero length n gives one run: (at, g, n), its g frames
+    in batch order and `at` the positions of their g * n rows among the
+    packed rows, a slice when those rows are contiguous (a run of one
+    frame always is) and an index array otherwise. The runs depend on the
+    batch alone, not on its width.
+    """
+    lens = pad_mask.sum(axis=1)
+    first = np.cumsum(lens) - lens  # each frame's first packed row
+    runs = []
+    for n in np.unique(lens[lens > 0]):
+        frames = np.flatnonzero(lens == n)
+        at = (first[frames][:, None] + np.arange(n)).ravel()
+        if at[-1] - at[0] == len(at) - 1:
+            at = slice(at[0], at[-1] + 1)
+        runs.append((at, len(frames), int(n)))
+    return runs
+
+
+def _heads(x, run, n_heads):
+    """A run's packed rows of x, (g * n, d), as (g, H, n, d // H)."""
+    at, g, n = run
+    return x[at].reshape(g, n, n_heads, -1).transpose(0, 2, 1, 3)
+
+
+def _rows(x):
+    """(g, H, n, dh) heads -> their (g * n, H * dh) packed rows."""
+    g, h, n, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(g * n, h * dh)
+
+
+def _attention(q, k, v, runs, n_heads):
+    """Each frame's queries over its own keys, one (g, H, n, n) product per
+    run. q, k and v are packed (N_real, d) rows; returns the context rows
+    and each run's attention weights."""
+    scale = 1.0 / math.sqrt(q.shape[1] // n_heads)
+    ctx = np.empty_like(v)
+    atts = []
+    for run in runs:
+        scores = _heads(q, run, n_heads) @ _heads(k, run, n_heads).swapaxes(-1, -2) * scale
+        scores -= scores.max(axis=-1, keepdims=True)
+        att = np.exp(scores)
+        att /= att.sum(axis=-1, keepdims=True)
+        ctx[run[0]] = _rows(att @ _heads(v, run, n_heads))
+        atts.append(att)
+    return ctx, atts
+
+
+def _attention_bwd(d_ctx, q, k, v, atts, runs, n_heads):
+    """The gradients of _attention's q, k and v, as packed rows."""
+    scale = 1.0 / math.sqrt(q.shape[1] // n_heads)
+    d_q, d_k, d_v = (np.empty_like(x) for x in (q, k, v))
+    for run, att in zip(runs, atts):
+        at = run[0]
+        d_ctx_h = _heads(d_ctx, run, n_heads)
+        d_att = d_ctx_h @ _heads(v, run, n_heads).swapaxes(-1, -2)
+        d_v[at] = _rows(att.swapaxes(-1, -2) @ d_ctx_h)
+        d_scores = att * (d_att - (d_att * att).sum(axis=-1, keepdims=True))
+        d_q[at] = _rows(d_scores @ _heads(k, run, n_heads) * scale)
+        d_k[at] = _rows(d_scores.swapaxes(-1, -2) @ _heads(q, run, n_heads) * scale)
+    return d_q, d_k, d_v
 
 
 def frame_shards(pad_mask, dim: int) -> list[slice]:
@@ -293,10 +354,10 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False,
     to every frame, so each frame's prediction is bit-identical to running
     that frame alone (a one-row and a B-row matmul take different BLAS
     paths); a (B,) t runs one row per frame.
-    Every per-token layer runs on the real slots alone, packed as
-    (N_real, dim) rows; only attention scatters them back into (B, L)
-    frames, where padding is never a key. The prediction comes back as
-    (B, L, dim) with exact zeros at padding.
+    Every layer runs on the real slots alone, packed as (N_real, dim)
+    rows; attention runs each frame over its own real slots, one stacked
+    product per run of frames of one length. The prediction comes back
+    as (B, L, dim) with exact zeros at padding.
 
     read_mask (B, L), real slots only, marks the predictions the caller
     reads (default: every real slot); the others come back as exact zeros.
@@ -349,8 +410,9 @@ def _forward_shard(params, z, t_vec, pad_mask, read_mask, out, need_cache):
     prediction, out; t_vec is one time-vector row per frame or one for all.
     Returns the shard's cache, or None."""
     p = params.tensors
-    bsz, seq, dim = z.shape
+    seq, dim = z.shape[1:]
     rows = np.flatnonzero(pad_mask.ravel())
+    runs = _frame_runs(pad_mask)
     is_read = read_mask.ravel()[rows]
     # positions, among the packed rows, of the last block's query side; a
     # product of fewer than MIN_PRODUCT_ROWS rows can take another BLAS path
@@ -364,25 +426,17 @@ def _forward_shard(params, z, t_vec, pad_mask, read_mask, out, need_cache):
     z_in = _pack(z, rows) + (t_vec[rows // seq] if len(t_vec) > 1 else t_vec)
     h, ln_in_cache = _layer_norm(z_in, p["ln_in_g"], p["ln_in_b"])
 
-    key_bias = np.where(pad_mask, 0.0, MASK_BIAS).astype(params.dtype)[:, None, None, :]
-    scale = 1.0 / math.sqrt(params.head_dim)
-
-    def heads(x, at):
-        return _split_heads(_unpack(x, at, bsz, seq), params.n_heads)
-
     blocks = []
     for i in range(params.n_blocks):
         pre = f"b{i}."
         sel = last if i == params.n_blocks - 1 else slice(None)  # this block's query rows
         a, ln1_cache = _layer_norm(h, p[pre + "ln1_g"], p[pre + "ln1_b"])
-        q = heads(_linear(a[sel], p[pre + "wq"], p[pre + "bq"]), rows[sel])
-        k = heads(_linear(a, p[pre + "wk"], p[pre + "bk"]), rows)
-        v = heads(_linear(a, p[pre + "wv"], p[pre + "bv"]), rows)
-        scores = q @ k.swapaxes(-1, -2) * scale + key_bias
-        scores -= scores.max(axis=-1, keepdims=True)
-        att = np.exp(scores)
-        att /= att.sum(axis=-1, keepdims=True)
-        ctx = _pack(_merge_heads(att @ v), rows[sel])
+        # the last block's unread query rows attend as zeros, and are dropped
+        q = _scatter(_linear(a[sel], p[pre + "wq"], p[pre + "bq"]), sel, len(a))
+        k = _linear(a, p[pre + "wk"], p[pre + "bk"])
+        v = _linear(a, p[pre + "wv"], p[pre + "bv"])
+        ctx, att = _attention(q, k, v, runs, params.n_heads)
+        ctx = ctx[sel]
         attn_out = _linear(ctx, p[pre + "wo"], p[pre + "bo"])
         h = h[sel] + attn_out
 
@@ -403,7 +457,7 @@ def _forward_shard(params, z, t_vec, pad_mask, read_mask, out, need_cache):
     out.reshape(-1, dim)[rows[last]] = pred
     if not need_cache:
         return None
-    return {"rows": rows, "last": last, "unread": unread,
+    return {"rows": rows, "runs": runs, "last": last, "unread": unread,
             "ln_in": ln_in_cache, "ln_out": ln_out_cache, "blocks": blocks}
 
 
@@ -454,9 +508,7 @@ def _backward_shard(params, cache, d_out, d_z):
     time MLP's."""
     p = params.tensors
     grads = {}
-    scale = 1.0 / math.sqrt(params.head_dim)
     rows, last = cache["rows"], cache["last"]
-    bsz, seq, dim = d_out.shape
 
     d_h = _pack(d_out, rows[last])
     d_h[cache["unread"]] = 0.0
@@ -482,19 +534,14 @@ def _backward_shard(params, cache, d_out, d_z):
         # attention branch
         d_ctx, grads[pre + "wo"], grads[pre + "bo"] = _linear_bwd(
             d_h, blk["ctx"], p[pre + "wo"])
-        d_ctx_h = _split_heads(_unpack(d_ctx, rows[sel], bsz, seq), params.n_heads)
-        att = blk["att"]
-        d_att = d_ctx_h @ blk["v"].swapaxes(-1, -2)
-        d_v = att.swapaxes(-1, -2) @ d_ctx_h
-        d_scores = att * (d_att - (d_att * att).sum(axis=-1, keepdims=True))
-        d_q = d_scores @ blk["k"] * scale
-        d_k = d_scores.swapaxes(-1, -2) @ blk["q"] * scale
         a = blk["a"]
+        d_q, d_k, d_v = _attention_bwd(_scatter(d_ctx, sel, len(a)), blk["q"], blk["k"],
+                                       blk["v"], blk["att"], cache["runs"], params.n_heads)
         d_a = np.zeros_like(a)
-        for name, d_head, at in (("wq", d_q, sel), ("wk", d_k, slice(None)),
-                                 ("wv", d_v, slice(None))):
+        for name, d_x_rows, at in (("wq", d_q, sel), ("wk", d_k, slice(None)),
+                                   ("wv", d_v, slice(None))):
             d_x, grads[pre + name], grads[pre + "b" + name[1]] = _linear_bwd(
-                _pack(_merge_heads(d_head), rows[at]), a[at], p[pre + name])
+                d_x_rows[at], a[at], p[pre + name])
             d_a[at] += d_x
         d_h_ln1, grads[pre + "ln1_g"], grads[pre + "ln1_b"] = _layer_norm_bwd(
             d_a, p[pre + "ln1_g"], blk["ln1"])
@@ -503,5 +550,5 @@ def _backward_shard(params, cache, d_out, d_z):
 
     d_z_in, grads["ln_in_g"], grads["ln_in_b"] = _layer_norm_bwd(
         d_h, p["ln_in_g"], cache["ln_in"])
-    d_z.reshape(-1, dim)[rows] = d_z_in
+    d_z.reshape(-1, d_z.shape[2])[rows] = d_z_in
     return grads

@@ -20,9 +20,10 @@ placeholder zeros over a caller-sized budget.
 
 Real slots always form a prefix of the frame, so a stacked batch can be cut
 after its last column that holds a real slot in any frame (trim_batch):
-only all-padding trailing columns go, and since padding is never an
-attention key and never enters a loss, the cut changes results only by
-summation order.
+only all-padding trailing columns go. The denoiser computes no padding
+slot, not even as an attention key, so its predictions and gradients are
+bit-identical at either width; padding never enters a loss either, and
+only the loss's own sums over a frame's columns move, by summation order.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Transformer denoiser: forward oracle checks and manual-backprop gradients."""
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
@@ -381,9 +382,21 @@ def test_cached_gelu_cdf_is_bit_identical(monkeypatch, dim, n_blocks, n_heads, s
         assert np.array_equal(grads[name], g), name
 
 
+def _split_heads(x, n_heads):
+    b, l, d = x.shape
+    return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x):
+    b, h, l, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
+
+
 def _padded_forward(params, z, t, pad_mask):
     """The denoiser forward as it ran before packing: every per-token layer
-    over all B * L slots, padding included. Reference for the packed path."""
+    over all B * L slots, padding included, and attention frame by frame
+    over that frame's real slots (padding slots get a zero context).
+    Reference for the packed path."""
     bsz, seq, dim = z.shape
     p = params.tensors
 
@@ -396,22 +409,27 @@ def _padded_forward(params, z, t, pad_mask):
     z_in = z + t_vec[:, None, :]
     h, ln_in_cache = dn._layer_norm(z_in, p["ln_in_g"], p["ln_in_b"])
 
-    key_bias = np.where(pad_mask, 0.0, dn.MASK_BIAS)[:, None, None, :]
     scale = 1.0 / math.sqrt(params.head_dim)
+    real = [np.flatnonzero(frame) for frame in pad_mask]
 
     blocks = []
     for i in range(params.n_blocks):
         pre = f"b{i}."
         h_pre_attn = h
         a, ln1_cache = dn._layer_norm(h, p[pre + "ln1_g"], p[pre + "ln1_b"])
-        q = dn._split_heads(dn._linear(a, p[pre + "wq"], p[pre + "bq"]), params.n_heads)
-        k = dn._split_heads(dn._linear(a, p[pre + "wk"], p[pre + "bk"]), params.n_heads)
-        v = dn._split_heads(dn._linear(a, p[pre + "wv"], p[pre + "bv"]), params.n_heads)
-        scores = q @ k.swapaxes(-1, -2) * scale + key_bias
-        scores -= scores.max(axis=-1, keepdims=True)
-        att = np.exp(scores)
-        att /= att.sum(axis=-1, keepdims=True)
-        ctx = dn._merge_heads(att @ v)
+        q = _split_heads(dn._linear(a, p[pre + "wq"], p[pre + "bq"]), params.n_heads)
+        k = _split_heads(dn._linear(a, p[pre + "wk"], p[pre + "bk"]), params.n_heads)
+        v = _split_heads(dn._linear(a, p[pre + "wv"], p[pre + "bv"]), params.n_heads)
+        ctx_h = np.zeros_like(v)
+        att = []
+        for b, at in enumerate(real):
+            scores = q[b][:, at] @ k[b][:, at].swapaxes(-1, -2) * scale
+            scores -= scores.max(axis=-1, keepdims=True)
+            att_b = np.exp(scores)
+            att_b /= att_b.sum(axis=-1, keepdims=True)
+            ctx_h[b][:, at] = att_b @ v[b][:, at]
+            att.append(att_b)
+        ctx = _merge_heads(ctx_h)
         attn_out = dn._linear(ctx, p[pre + "wo"], p[pre + "bo"])
         h = h_pre_attn + attn_out
 
@@ -428,7 +446,7 @@ def _padded_forward(params, z, t, pad_mask):
 
     out, ln_out_cache = dn._layer_norm(h, p["ln_out_g"], p["ln_out_b"])
     cache = {
-        "t_code": t_code, "t_hid": t_hid, "t_phi": t_phi,
+        "t_code": t_code, "t_hid": t_hid, "t_phi": t_phi, "real": real,
         "ln_in": ln_in_cache, "ln_out": ln_out_cache, "blocks": blocks,
     }
     return out, cache
@@ -459,17 +477,20 @@ def _padded_backward(params, cache, d_out):
 
         d_ctx, grads[pre + "wo"], grads[pre + "bo"] = dn._linear_bwd(
             d_h, blk["ctx"], p[pre + "wo"])
-        d_ctx_h = dn._split_heads(d_ctx, params.n_heads)
-        att = blk["att"]
-        d_att = d_ctx_h @ blk["v"].swapaxes(-1, -2)
-        d_v = att.swapaxes(-1, -2) @ d_ctx_h
-        d_scores = att * (d_att - (d_att * att).sum(axis=-1, keepdims=True))
-        d_q = d_scores @ blk["k"] * scale
-        d_k = d_scores.swapaxes(-1, -2) @ blk["q"] * scale
+        d_ctx_h = _split_heads(d_ctx, params.n_heads)
+        q, k, v = blk["q"], blk["k"], blk["v"]
+        d_q, d_k, d_v = (np.zeros_like(x) for x in (q, k, v))
+        for b, (at, att) in enumerate(zip(cache["real"], blk["att"])):
+            d_ctx_b = d_ctx_h[b][:, at]
+            d_att = d_ctx_b @ v[b][:, at].swapaxes(-1, -2)
+            d_v[b][:, at] = att.swapaxes(-1, -2) @ d_ctx_b
+            d_scores = att * (d_att - (d_att * att).sum(axis=-1, keepdims=True))
+            d_q[b][:, at] = d_scores @ k[b][:, at] * scale
+            d_k[b][:, at] = d_scores.swapaxes(-1, -2) @ q[b][:, at] * scale
         d_a = np.zeros_like(blk["a"])
         for name, d_head in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
             d_x, grads[pre + name], grads[pre + "b" + name[1]] = dn._linear_bwd(
-                dn._merge_heads(d_head), blk["a"], p[pre + name])
+                _merge_heads(d_head), blk["a"], p[pre + name])
             d_a += d_x
         d_h_ln1, grads[pre + "ln1_g"], grads[pre + "ln1_b"] = dn._layer_norm_bwd(
             d_a, p[pre + "ln1_g"], blk["ln1"])
@@ -765,3 +786,95 @@ def test_shards_match_one_shard_pass(monkeypatch, bsz, with_read, threads):
             assert np.abs(g).max() <= 1e-12 * scale, name
         else:
             assert np.allclose(grads[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max()), name
+
+
+# ---------------------------------------------------------------------------
+# attention on real slots only
+
+def _forward_backward(params, z, t, pad, d_out, read=None):
+    out, cache = dn.forward(params, z, t, pad, need_cache=True, read_mask=read)
+    grads, d_z = dn.backward(params, cache, d_out)
+    return out, d_z, grads, cache
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("with_read", [False, True], ids=["all-rows", "read-mask"])
+@pytest.mark.parametrize("t", [5, np.array([0, 3, 9, 1, 4, 7])], ids=["scalar-t", "per-frame-t"])
+def test_batch_width_changes_no_bit(dtype, with_read, t):
+    """A batch cut after its last real column and the same batch padded out
+    to a wider frame: every real-slot prediction, the input gradient and
+    every parameter gradient are bit-identical, since padding is never
+    computed, not even as an attention key."""
+    rng = np.random.default_rng(71)
+    params = _random_params(16, 2, 4, dtype, rng)
+    lens = np.array([7, 3, 7, 5, 3, 7])  # runs of one, two and three frames
+    wide = 12
+    pad = np.arange(wide)[None, :] < lens[:, None]
+    read = pad & (np.arange(wide)[None, :] >= 2) if with_read else None
+    z = rng.standard_normal(pad.shape + (16,))
+    d_out = rng.standard_normal(z.shape)
+    cut = lens.max()
+
+    out, d_z, grads, cache = _forward_backward(params, z, t, pad, d_out, read)
+    out_cut, d_z_cut, grads_cut, _ = _forward_backward(
+        params, z[:, :cut], t, pad[:, :cut], d_out[:, :cut],
+        None if read is None else read[:, :cut])
+
+    assert np.array_equal(out[:, :cut], out_cut) and np.all(out[:, cut:] == 0.0)
+    assert np.array_equal(d_z[:, :cut], d_z_cut) and np.all(d_z[:, cut:] == 0.0)
+    assert list(grads) == list(grads_cut)
+    for name, g in grads_cut.items():
+        assert np.array_equal(grads[name], g), name
+    # the cache holds packed rows and one (g, H, n, n) weight per run
+    (_, shard), = cache["shards"]
+    for blk in shard["blocks"]:
+        assert [att.shape for att in blk["att"]] == [(2, 4, 3, 3), (1, 4, 5, 5), (3, 4, 7, 7)]
+        assert blk["q"].shape == blk["k"].shape == blk["v"].shape == (lens.sum(), 16)
+
+
+def test_all_padding_frame_gives_exact_zeros():
+    """A frame with no real slot is no run of attention: its prediction and
+    input gradient are exact zeros, and nothing warns. A batch of such
+    frames alone gives zeros too."""
+    rng = np.random.default_rng(72)
+    params = _random_params(8, 2, 2, np.float64, rng)
+    pad = np.arange(6)[None, :] < np.array([4, 0, 6])[:, None]
+    z = rng.standard_normal(pad.shape + (8,))
+    d_out = rng.standard_normal(z.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, d_z, grads, _ = _forward_backward(params, z, np.array([2, 5, 8]), pad, d_out)
+        empty_out, empty_d_z, empty_grads, _ = _forward_backward(
+            params, z[1:2], 3, pad[1:2], d_out[1:2])
+    assert np.all(out[~pad] == 0.0) and np.all(d_z[~pad] == 0.0)
+    assert np.all(np.isfinite(out)) and np.all(np.isfinite(d_z))
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
+    assert np.all(empty_out == 0.0) and np.all(empty_d_z == 0.0)
+    assert all(np.all(np.isfinite(g)) for g in empty_grads.values())
+
+
+def test_frame_with_a_hole_matches_it_compacted():
+    """The denoiser has no positions of its own: a frame whose real slots
+    have gaps gives, slot for slot, the bits of the same slots moved to the
+    front, forward and backward."""
+    rng = np.random.default_rng(73)
+    params = _random_params(12, 2, 3, np.float64, rng)
+    pad = np.arange(9)[None, :] < np.array([5, 9, 5])[:, None]
+    holed = pad.copy()
+    holed[0] = [True, False, True, True, False, False, True, True, False]
+    z = rng.standard_normal(pad.shape + (12,))
+    z_holed = z.copy()
+    z_holed[0, holed[0]] = z[0, pad[0]]
+    d_out = rng.standard_normal(z.shape)
+    d_out_holed = d_out.copy()
+    d_out_holed[0, holed[0]] = d_out[0, pad[0]]
+
+    results = []
+    for zz, mask, dd in ((z, pad, d_out), (z_holed, holed, d_out_holed)):
+        out, cache = dn.forward(params, zz, np.array([4, 1, 6]), mask, need_cache=True)
+        grads, d_z = dn.backward(params, cache, dd)
+        results.append((out[mask], d_z[mask], grads))
+    (out, d_z, grads), (out_h, d_z_h, grads_h) = results
+    assert np.array_equal(out, out_h) and np.array_equal(d_z, d_z_h)
+    for name, g in grads.items():
+        assert np.array_equal(grads_h[name], g), name

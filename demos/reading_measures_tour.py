@@ -4,15 +4,16 @@ measures, inter-reader agreement, and the report files.
 Run:  python3 demos/reading_measures_tour.py
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from scanpath_diffusion import (Corpus, ScanpathRecord, evaluation_report,
-                                human_baseline, levenshtein, levenshtein_many,
-                                nld, pearson, reading_measures,
-                                write_evaluation_report)
+from scanpath_diffusion import (SUMMARY_MEASURES, Corpus, ScanpathRecord,
+                                evaluation_report, human_baseline, levenshtein,
+                                levenshtein_many, nld, pearson, reading_measures,
+                                record_measures, write_evaluation_report)
 
 # ---------------------------------------------------------------------------
 # Scanpaths are 1-based word indices in fixation order. NLD is edit distance
@@ -113,6 +114,23 @@ assert (hb.count, hb.mean) == (len(per_scanpath), np.mean(per_scanpath)), \
 lengths = [len(rec.fixations) for rec in long_records]
 print(f"\n{len(long_pairs)} distances between scanpaths of {min(lengths)}-{max(lengths)} "
       f"fixations match a plain DP; inter-reader mean NLD {hb.mean:.4f}")
+
+# ---------------------------------------------------------------------------
+# A corpus is scored by one kernel call (record_measures); each record's
+# measures must equal those of its own one-record call.
+
+for corpus in (truth, long_corpus):
+    for rec, together in zip(corpus.records, record_measures(corpus)):
+        alone = reading_measures(rec.fixations, len(corpus.sentences[rec.sentence_id]))
+        if not (all(np.array_equal(getattr(together, name), getattr(alone, name))
+                    for name in ("sr", "ffc", "tfc", "fpr"))
+                and all(together.scalar(name) == alone.scalar(name)
+                        for name in SUMMARY_MEASURES)):
+            print(f"record_measures differs from reading_measures on "
+                  f"({rec.reader_id}, {rec.sentence_id})")
+            sys.exit(1)
+print(f"\nrecord_measures of {len(truth.records) + len(long_corpus.records)} records "
+      f"matches one reading_measures call per record")
 
 r, p = pearson([1.0, 2.0, 3.0, 4.0], [1.1, 1.9, 3.2, 3.9])
 print(f"\npearson on a 4-point example: r={r:.4f}, p={p:.4f}")

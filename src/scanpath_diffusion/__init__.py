@@ -22,7 +22,8 @@ from .errors import ConfigError, CorpusFormatError, ValidationError
 from .inference import (GenerationResult, dump_latent_trace,
                         fitting_sentences, generate, generate_batch,
                         sentence_rng)
-from .measures import SUMMARY_MEASURES, ReadingMeasures, reading_measures
+from .measures import (SUMMARY_MEASURES, ReadingMeasures, reading_measures,
+                       reading_measures_many)
 from .metrics import levenshtein, levenshtein_many, nld, pearson
 from .model import (Model, at_checkpoint_precision, init_model,
                     load_checkpoint, save_checkpoint, tensor_shapes)
@@ -56,7 +57,7 @@ __all__ = [
     "levenshtein_many", "load_checkpoint", "load_corpus", "load_predictors", "load_sentences",
     "load_split_plan", "load_table", "make_splits", "nld",
     "pair_records", "parse_kv_file", "pearson", "posterior_params", "q_sample",
-    "reading_measures", "record_measures", "resolve_settings", "round_argmax", "round_logits",
+    "reading_measures", "reading_measures_many", "record_measures", "resolve_settings", "round_argmax", "round_logits",
     "save_checkpoint", "save_corpus", "save_sentences",
     "save_split_plan", "save_table", "sentence_rng", "stack_instances",
     "synthetic_corpus", "tensor_shapes", "tokenize_sentence", "tokenize_word",

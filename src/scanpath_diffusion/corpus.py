@@ -11,8 +11,10 @@ the word count of the referenced sentence.
 
 Table rule: every CSV table the package writes goes through write_table or
 table_writer (UTF-8, a header line, CRLF line endings, floats as their
-shortest round-trip repr); every table it reads goes through _read_rows,
-which checks the header and each row's field count.
+shortest round-trip repr); every table it reads goes through _read_table,
+which reads it in chunks of rows, each as columns, checks the header and
+each row's field count, and raises a bad row only after the chunk of the
+rows before it: a load reports the first bad row of a file.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ import logging
 import os
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from itertools import groupby, islice
 
 from .encoding import scanpath_room
 from .errors import CorpusFormatError, ValidationError
+from .measures import first_non_integer
 from .tokenization import TokenizedSentence, Vocabulary, tokenize_sentence
 
 log = logging.getLogger(__name__)
@@ -54,17 +58,26 @@ class Corpus:
     records: list[ScanpathRecord] = field(default_factory=list)
 
     def __post_init__(self):
+        bad = first_non_integer([rec.fixations for rec in self.records])
+        if bad is not None:
+            k, f = bad
+            raise ValidationError(f"fixation index {f!r} is not an integer for "
+                                  f"({self.records[k].reader_id!r}, "
+                                  f"{self.records[k].sentence_id!r})")
+        valid: dict[int, frozenset[int]] = {}  # word count -> the indices 1..M
         for rec in self.records:
-            self._check_record(rec)
-
-    def _check_record(self, rec: ScanpathRecord) -> None:
-        if rec.sentence_id not in self.sentences:
-            raise ValidationError(f"scanpath references unknown sentence {rec.sentence_id!r}")
-        if not rec.fixations:
-            raise ValidationError(f"empty scanpath for ({rec.reader_id!r}, {rec.sentence_id!r})")
-        m = len(self.sentences[rec.sentence_id])
-        for f in rec.fixations:
-            if not 1 <= f <= m:
+            words = self.sentences.get(rec.sentence_id)
+            if words is None:
+                raise ValidationError(
+                    f"scanpath references unknown sentence {rec.sentence_id!r}")
+            if not rec.fixations:
+                raise ValidationError(
+                    f"empty scanpath for ({rec.reader_id!r}, {rec.sentence_id!r})")
+            m = len(words)
+            if m not in valid:
+                valid[m] = frozenset(range(1, m + 1))
+            if not valid[m].issuperset(rec.fixations):
+                f = next(f for f in rec.fixations if not 1 <= f <= m)
                 raise ValidationError(
                     f"fixation index {f} out of range 1..{m} "
                     f"for ({rec.reader_id!r}, {rec.sentence_id!r})"
@@ -107,12 +120,23 @@ def write_table(target, header, rows) -> None:
         write_rows(rows)
 
 
-def _read_rows(path, expected_header, more=None):
-    """Yield a CSV table's header, then (line_no, row) for each non-blank row.
+# rows the table reader parses into columns at a time: a table read holds
+# one chunk's fields, so neither the memory of a whole file's strings nor
+# the csv reader's row lists, which the garbage collector tracks, pile up
+_CHUNK_ROWS = 256
+
+
+def _read_table(path, expected_header, more=None):
+    """Yield a CSV table's header, then its rows in chunks of up to
+    _CHUNK_ROWS rows, each as (line numbers, columns): a tuple per header
+    field, an entry per row.
 
     The header must equal expected_header or, given `more` (the error
-    message's name for them), extend it by one or more columns. Every row
-    must have as many fields as the header.
+    message's name for them), extend it by one or more columns. Blank rows
+    are skipped but keep their place in the line numbering. A row with
+    another field count than the header's, or a read error, is raised after
+    the chunk of the rows before it: a caller that checks each chunk before
+    it takes the next reports the first bad row of the file.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -130,22 +154,47 @@ def _read_rows(path, expected_header, more=None):
                 path, 1, f"expected header {','.join(expected_header)},{more}"
             )
         yield header
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CorpusFormatError(
-                    path, line_no, f"expected {len(header)} fields, got {len(row)}"
+        width, line_no, error = len(header), 2, None
+        while True:
+            rows: list[list[str]] = []
+            try:
+                rows.extend(islice(reader, _CHUNK_ROWS))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                error = exc  # raised after the rows read before it
+            last = len(rows) < _CHUNK_ROWS
+            line_nos = range(line_no, line_no + len(rows))
+            line_no += len(rows)
+            widths = set(map(len, rows))
+            if 0 in widths:
+                line_nos = [k for k, row in zip(line_nos, rows) if row]
+                rows = [row for row in rows if row]
+                widths.discard(0)
+            if widths - {width}:
+                k = next(k for k, row in enumerate(rows) if len(row) != width)
+                error = CorpusFormatError(
+                    path, line_nos[k], f"expected {width} fields, got {len(rows[k])}"
                 )
-            yield line_no, row
+                rows = rows[:k]
+            if rows:
+                yield line_nos, tuple(zip(*rows))
+            if error is not None:
+                raise error
+            if last:
+                return
+
+
+def _table_rows(chunks):
+    """(line number, *fields) for each row of the chunks _read_table yields."""
+    for line_nos, columns in chunks:
+        yield from zip(line_nos, *columns)
 
 
 def load_sentences(path) -> dict[str, tuple[str, ...]]:
     """Load a sentence file into an id -> word-tuple map."""
     sentences: dict[str, tuple[str, ...]] = {}
-    rows = _read_rows(path, SENTENCE_HEADER)
-    next(rows)
-    for line_no, (sid, text) in rows:
+    chunks = _read_table(path, SENTENCE_HEADER)
+    next(chunks)
+    for line_no, sid, text in _table_rows(chunks):
         if sid in sentences:
             raise CorpusFormatError(path, line_no, f"duplicate sentence_id {sid!r}")
         words = tuple(text.split())
@@ -160,27 +209,67 @@ def save_sentences(sentences: dict[str, tuple[str, ...]], path) -> None:
                 ((sid, " ".join(words)) for sid, words in sentences.items()))
 
 
+def _int_or_none(text: str) -> int | None:
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def _add_scanpath_rows(path, groups, valid, line_nos, readers, sids, texts) -> None:
+    """Check a chunk of scanpath rows column by column and add their
+    fixations to `groups`; raise CorpusFormatError at the first bad row.
+
+    The checks run one after the other: known sentences, integer fixations
+    (parsed by `int`, each distinct text once), fixations within 1..M
+    (`valid` maps a sentence to its word indices; a run of rows with one key
+    at a time, as the rows are grouped). Each looks only at the rows before
+    the first bad row the checks before it found, so the error raised is
+    that of the first bad row, as a row-by-row read would give it: its line
+    number, and the first check it fails.
+    """
+    n, error = len(sids), None  # the rows before the first bad row found so far
+    unknown = set(sids).difference(valid)
+    if unknown:
+        n = next(k for k, sid in enumerate(sids) if sid in unknown)
+        error = CorpusFormatError(path, line_nos[n], f"unknown sentence_id {sids[n]!r}")
+    value_of = {text: _int_or_none(text) for text in set(texts[:n])}
+    if None in value_of.values():
+        n = next(k for k in range(n) if value_of[texts[k]] is None)
+        error = CorpusFormatError(
+            path, line_nos[n], f"fixation_word_index {texts[n]!r} is not an integer"
+        )
+    values = list(map(value_of.__getitem__, texts[:n]))
+    # the rows of one scanpath usually follow each other
+    lo = 0
+    for key, run in groupby(zip(readers[:n], sids[:n])):
+        hi = lo + len(list(run))
+        indices = valid[key[1]]
+        if not indices.issuperset(values[lo:hi]):
+            k = next(k for k in range(lo, hi) if values[k] not in indices)
+            raise CorpusFormatError(path, line_nos[k], f"fixation_word_index {values[k]} "
+                                    f"out of range 1..{len(indices)}")
+        groups.setdefault(key, []).extend(values[lo:hi])
+        lo = hi
+    if error is not None:
+        raise error
+
+
 def load_corpus(scanpath_path, sentence_path) -> Corpus:
-    """Load and validate a scanpath corpus against its sentence file."""
+    """Load and validate a scanpath corpus against its sentence file.
+
+    The scanpath file is read once, a chunk of rows at a time, each chunk as
+    columns (reader ids, sentence ids, fixation texts) checked column by
+    column (see _add_scanpath_rows). A file with several bad rows is
+    reported at the first: its line number, and the first check it fails.
+    """
     sentences = load_sentences(sentence_path)
+    valid = {sid: frozenset(range(1, len(words) + 1)) for sid, words in sentences.items()}
     groups: dict[tuple[str, str], list[int]] = {}
-    rows = _read_rows(scanpath_path, SCANPATH_HEADER)
-    next(rows)
-    for line_no, (reader_id, sid, fix) in rows:
-        if sid not in sentences:
-            raise CorpusFormatError(scanpath_path, line_no, f"unknown sentence_id {sid!r}")
-        try:
-            f = int(fix)
-        except ValueError:
-            raise CorpusFormatError(
-                scanpath_path, line_no, f"fixation_word_index {fix!r} is not an integer"
-            ) from None
-        m = len(sentences[sid])
-        if not 1 <= f <= m:
-            raise CorpusFormatError(
-                scanpath_path, line_no, f"fixation_word_index {f} out of range 1..{m}"
-            )
-        groups.setdefault((reader_id, sid), []).append(f)
+    chunks = _read_table(scanpath_path, SCANPATH_HEADER)
+    next(chunks)
+    for line_nos, columns in chunks:
+        _add_scanpath_rows(scanpath_path, groups, valid, line_nos, *columns)
     records = [
         ScanpathRecord(reader_id=r, sentence_id=s, fixations=tuple(fx))
         for (r, s), fx in groups.items()
@@ -205,12 +294,12 @@ def load_predictors(path, sentences=None) -> dict[tuple[str, int], dict[str, str
     other sentences are kept (a corpus-wide file is fine) and counted in
     one warning.
     """
-    rows = _read_rows(path, ["sentence_id", "word_index"], more="<predictor...>")
-    extra = next(rows)[2:]
+    chunks = _read_table(path, ["sentence_id", "word_index"], more="<predictor...>")
+    extra = next(chunks)[2:]
     table: dict[tuple[str, int], dict[str, str]] = {}
     first_line: dict[tuple[str, int], int] = {}
     unlisted = 0
-    for line_no, row in rows:
+    for line_no, *row in _table_rows(chunks):
         sid = row[0]
         try:
             widx = int(row[1])

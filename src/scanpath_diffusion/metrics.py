@@ -44,9 +44,10 @@ import math
 from itertools import chain
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import stdtr
 
 from .errors import ValidationError
+from .measures import first_non_integer
 
 __all__ = ["levenshtein", "levenshtein_many", "nld", "pearson"]
 
@@ -143,7 +144,7 @@ def _levenshtein_block(pats: list, texts: list, budget: int) -> np.ndarray:
 
 
 def levenshtein_many(pairs) -> list[int]:
-    """Unit-cost edit distance of every (a, b) pair of index sequences.
+    """Unit-cost edit distance of every (a, b) pair of integer sequences.
 
     One bit-vector kernel over blocks of pairs (see the module docstring);
     distances come back as Python ints, in the order of the pairs. The
@@ -158,6 +159,9 @@ def levenshtein_many(pairs) -> list[int]:
             a, b = b, a
         pats.append(a)
         texts.append(b)
+    bad = first_non_integer(pats + texts)
+    if bad is not None:
+        raise ValidationError(f"index {bad[1]!r} is not an integer")
     order = np.argsort([-len(t) for t in texts], kind="stable").tolist()
     pats = [pats[k] for k in order]
     texts = [texts[k] for k in order]
@@ -220,5 +224,7 @@ def pearson(xs, ys) -> tuple[float, float]:
     if abs(r) == 1.0:
         return r, 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(scipy_stats.t.sf(abs(t), df=n - 2))
+    # the t distribution's tail, as scipy.stats.t.sf computes it; scipy.stats
+    # itself is not imported, since it holds about 45 MB in every process
+    p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return r, p

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Corpus, ScanpathRecord, write_table
 from .errors import ValidationError
-from .measures import SUMMARY_MEASURES, ReadingMeasures, reading_measures
+from .measures import SUMMARY_MEASURES, ReadingMeasures, reading_measures_many
 from .metrics import levenshtein_many, pearson
 
 __all__ = [
@@ -58,9 +59,10 @@ def pair_records(true: Corpus, pred: Corpus) -> list[tuple[ScanpathRecord, Scanp
 
 
 def record_measures(corpus: Corpus) -> list[ReadingMeasures]:
-    """The reading measures of every record, in record order."""
-    return [reading_measures(rec.fixations, len(corpus.sentences[rec.sentence_id]))
-            for rec in corpus.records]
+    """The reading measures of every record, in record order (one kernel
+    call)."""
+    return reading_measures_many((rec.fixations, len(corpus.sentences[rec.sentence_id]))
+                                 for rec in corpus.records)
 
 
 def _check_measures(corpus: Corpus, measures) -> list[ReadingMeasures]:
@@ -121,8 +123,8 @@ def evaluation_report(true: Corpus, pred: Corpus,
 
     true_scalars = [scalars(rm) for rm in true_measures]
     pred_unique = {(p.reader_id, p.sentence_id): p for _, p in pairs}
-    pred_scalars = [scalars(reading_measures(p.fixations, len(true.sentences[p.sentence_id])))
-                    for p in pred_unique.values()]
+    pred_scalars = [scalars(rm) for rm in reading_measures_many(
+        (p.fixations, len(true.sentences[p.sentence_id])) for p in pred_unique.values())]
 
     measure_rows = []
     for name in SUMMARY_MEASURES:
@@ -181,7 +183,10 @@ def export_word_measures(corpus: Corpus, path,
     `measures` (default: computed here) are the corpus's `record_measures`.
 
     Predictor columns whose names collide with the computed base columns
-    are dropped from the join.
+    are dropped from the join. The rows are written from flat columns, one
+    entry per word of every record, in one `writerows`: the word and
+    predictor columns are built once per sentence, the measure columns are
+    the records' word arrays end to end.
     """
     measures = _check_measures(corpus, measures)
     extra_names: list[str] = []
@@ -192,14 +197,40 @@ def export_word_measures(corpus: Corpus, path,
                 if name not in seen and name not in WORD_EXPORT_BASE:
                     seen.add(name)
                     extra_names.append(name)
+    sids = [rec.sentence_id for rec in corpus.records]
+    counts = [len(corpus.sentences[sid]) for sid in sids]
+    if [rm.sr.size for rm in measures] != counts:
+        raise ValidationError("the measures' word counts differ from the records' sentences")
 
-    def rows():
-        for rec, rm in zip(corpus.records, measures):
-            words = corpus.sentences[rec.sentence_id]
-            counts_by_word = zip(rm.sr.tolist(), rm.ffc.tolist(), rm.tfc.tolist(), rm.fpr.tolist())
-            for w, (word, counts) in enumerate(zip(words, counts_by_word), start=1):
-                joined = (predictors or {}).get((rec.sentence_id, w), {})
-                yield [rec.reader_id, rec.sentence_id, w, word, len(word), *counts,
-                       *(joined.get(name, "") for name in extra_names)]
+    # csv.writer formats an int field with str() each time; the integer
+    # columns go in as that text instead, formatted once per sentence
+    # (word indices and lengths) or once per distinct value (the measures)
+    by_sentence = {}  # word indices, words, word lengths, predictor columns
+    for sid in dict.fromkeys(sids):
+        words = corpus.sentences[sid]
+        joined = [(predictors or {}).get((sid, w), {}) for w in range(1, len(words) + 1)]
+        by_sentence[sid] = ([str(w) for w in range(1, len(words) + 1)], words,
+                            [str(len(word)) for word in words],
+                            *([cols.get(name, "") for cols in joined] for name in extra_names))
+    word_measures = np.zeros((4, sum(counts)), np.int64)
+    for row, name in zip(word_measures, ("sr", "ffc", "tfc", "fpr")):
+        if measures:
+            np.concatenate([getattr(rm, name) for rm in measures], out=row)
+    as_text = np.array([str(v) for v in range(int(word_measures.max(initial=0)) + 1)], object)
 
-    write_table(path, WORD_EXPORT_BASE + extra_names, rows())
+    def per_word(values_of_record):
+        return chain.from_iterable(map(repeat, values_of_record, counts))
+
+    def per_sentence(k):
+        return chain.from_iterable(by_sentence[sid][k] for sid in sids)
+
+    columns = [
+        per_word(rec.reader_id for rec in corpus.records),
+        per_word(sids),
+        per_sentence(0),
+        per_sentence(1),
+        per_sentence(2),
+        *as_text[word_measures].tolist(),
+        *(per_sentence(k) for k in range(3, 3 + len(extra_names))),
+    ]
+    write_table(path, WORD_EXPORT_BASE + extra_names, zip(*columns))

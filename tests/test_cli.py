@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from scanpath_diffusion import (Corpus, ScanpathRecord, Vocabulary,
                                 build_vocab, fitting_sentences, generate,
                                 load_checkpoint, load_corpus, load_sentences,
                                 save_checkpoint, save_corpus, save_sentences,
-                                reading_measures, save_table, sentence_rng,
+                                reading_measures_many, save_table, sentence_rng,
                                 synthetic_corpus, tokenize_sentence)
 import scanpath_diffusion
 from scanpath_diffusion import cli as cli_mod
@@ -30,12 +31,14 @@ def write_vocab(vocab, path):
 
 
 def count_calls(monkeypatch, fn):
-    """A list that gets one entry per call of the package function `fn`,
-    under every name the package's modules bind it to."""
+    """A list that gets the positional arguments of each call of the package
+    function `fn` (an iterator argument read into a list), under every name
+    the package's modules bind it to."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        args = [list(a) if isinstance(a, Iterator) else a for a in args]
+        calls.append(args)
         return fn(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
@@ -528,19 +531,52 @@ def test_evaluate_word_export_with_predictors(trained, tmp_path, capsys):
 
 
 def test_evaluate_computes_each_scanpaths_measures_once(tmp_path, monkeypatch, capsys):
-    # the report and the word export share the true records' measures; a
-    # single-reader prediction file adds one set per sentence
+    # the report and the word export share the true records' measures: one
+    # kernel call takes each true record once, and one more takes each
+    # distinct prediction once (a single-reader file holds one per sentence)
     corpus, _, paths = make_world(tmp_path)
     pred = tmp_path / "pred.csv"
     assert main(["baseline", "trainlabel", "--corpus", str(paths["corpus"]),
                  "--sentences", str(paths["sentences"]), "--out", str(pred),
                  "--seed", "3"]) == 0
-    calls = count_calls(monkeypatch, reading_measures)
+    predicted = {r.sentence_id: r.fixations for r in load_corpus(pred, paths["sentences"]).records}
+    calls = count_calls(monkeypatch, reading_measures_many)
     assert main(["evaluate", "--true", str(paths["corpus"]), "--pred", str(pred),
                  "--sentences", str(paths["sentences"]),
                  "--out-dir", str(tmp_path / "report"),
                  "--word-export", str(tmp_path / "words.csv")]) == 0
-    assert len(calls) == len(corpus.records) + len(corpus.sentences)
+    sentences = corpus.sentences
+    assert [records for records, in calls] == [
+        [(r.fixations, len(sentences[r.sentence_id])) for r in corpus.records],
+        [(predicted[sid], len(sentences[sid]))
+         for sid in dict.fromkeys(r.sentence_id for r in corpus.records)],
+    ]
+
+
+GOLDEN = Path(__file__).parent / "data" / "evaluate"
+
+
+@pytest.mark.parametrize("with_predictors", [False, True])
+def test_evaluate_writes_the_golden_bytes(tmp_path, capsys, with_predictors):
+    # tests/data/evaluate holds a 4-reader, 8-sentence corpus of 1-20 words
+    # (bench/inputs.reader_corpus(11, readers=4, sentences=8, max_len=48,
+    # min_words=1, max_words=20)), its `baseline trainlabel --seed 5`
+    # predictions, a predictor file (every other word, a column named like
+    # a base column, a quoted value, a sentence outside the corpus), and the
+    # report tables and word exports that `evaluate` wrote for them before
+    # scoring ran on columns
+    argv = ["evaluate", "--true", str(GOLDEN / "corpus.csv"), "--pred", str(GOLDEN / "pred.csv"),
+            "--sentences", str(GOLDEN / "sentences.csv"), "--out-dir", str(tmp_path),
+            "--word-export", str(tmp_path / "words.csv")]
+    if with_predictors:
+        argv += ["--predictors", str(GOLDEN / "predictors.csv")]
+    assert main(argv) == 0
+    assert "mean NLD 0.651178 over 32 scanpaths" in capsys.readouterr().out
+    for name in ("nld_per_scanpath", "measure_summary", "reader_correlations",
+                 "nld_measure_correlations"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    words = "words_predictors.csv" if with_predictors else "words.csv"
+    assert (tmp_path / "words.csv").read_bytes() == (GOLDEN / words).read_bytes()
 
 
 def test_evaluate_rejects_bad_predictors_before_writing(trained, tmp_path, capsys):

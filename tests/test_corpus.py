@@ -1,5 +1,6 @@
 """Corpus file formats, validation, and cross-validation splits."""
 
+import csv
 import json
 import logging
 
@@ -108,6 +109,92 @@ def test_corpus_field_count(tmp_path):
                   "reader_id,sentence_id,fixation_word_index\nr1,s1\n")
     with pytest.raises(CorpusFormatError):
         load_corpus(cpath, spath)
+
+
+SCANPATH_HEADER_LINE = "reader_id,sentence_id,fixation_word_index\n"
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("", 1, "missing header"),
+    ("reader,sentence,fixation\nr1,s1,1\n", 1,
+     "expected header ['reader_id', 'sentence_id', 'fixation_word_index'], "
+     "got ['reader', 'sentence', 'fixation']"),
+    (SCANPATH_HEADER_LINE + "r1,s1,1\nr1,s1\n", 3, "expected 3 fields, got 2"),
+    (SCANPATH_HEADER_LINE + "r1,s1,1\nr1,s1,2,x\n", 3, "expected 3 fields, got 4"),
+    (SCANPATH_HEADER_LINE + "r1,s1,1\nr1,s9,1\n", 3, "unknown sentence_id 's9'"),
+    (SCANPATH_HEADER_LINE + "r1,s1,1\nr1,s1,1.0\n", 3,
+     "fixation_word_index '1.0' is not an integer"),
+    (SCANPATH_HEADER_LINE + "r1,s1,1\nr1,s1,\n", 3, "fixation_word_index '' is not an integer"),
+    (SCANPATH_HEADER_LINE + "r1,s1,1\nr1,s1,3\n", 3, "fixation_word_index 3 out of range 1..2"),
+    (SCANPATH_HEADER_LINE + "r1,s1,0\n", 2, "fixation_word_index 0 out of range 1..2"),
+    # the first bad row wins, whatever the checks that find the later ones
+    (SCANPATH_HEADER_LINE + "r1,s1,3\nr1,s9,1\n", 2, "fixation_word_index 3 out of range 1..2"),
+    (SCANPATH_HEADER_LINE + "r1,s1,x\nr1,s1\n", 2, "fixation_word_index 'x' is not an integer"),
+    (SCANPATH_HEADER_LINE + "r1,s1,5\nr1,s1,y\nr1,s9,1\nr1\n", 2,
+     "fixation_word_index 5 out of range 1..2"),
+    (SCANPATH_HEADER_LINE + "r1,s1,1\nr1,s1,y\nr1,s1,5\n", 3,
+     "fixation_word_index 'y' is not an integer"),
+    # within a row, the checks go: field count, sentence, integer, range
+    (SCANPATH_HEADER_LINE + "r1,s9,x\n", 2, "unknown sentence_id 's9'"),
+    # blank lines are skipped but counted
+    (SCANPATH_HEADER_LINE + "r1,s1,1\n\n\nr1,s1,7\n", 5, "fixation_word_index 7 out of range 1..2"),
+    (SCANPATH_HEADER_LINE + "\nr1,s1\n", 3, "expected 3 fields, got 2"),
+])
+def test_corpus_errors_name_the_first_bad_row(tmp_path, text, line_no, message):
+    spath = write(tmp_path / "s.csv", "sentence_id,text\ns1,a b\n")
+    cpath = write(tmp_path / "c.csv", text)
+    with pytest.raises(CorpusFormatError) as err:
+        load_corpus(cpath, spath)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"{cpath}:{line_no}: {message}"
+
+
+def test_corpus_read_error_comes_after_earlier_bad_rows(tmp_path):
+    # a field over csv's size limit stops the read; a bad row before it is
+    # still the error reported, and without one the read error comes out
+    spath = write(tmp_path / "s.csv", "sentence_id,text\ns1,a b\n")
+    huge = "x" * (csv.field_size_limit() + 1)
+    cpath = write(tmp_path / "c.csv", SCANPATH_HEADER_LINE + f"r1,s9,1\nr1,s1,{huge}\n")
+    with pytest.raises(CorpusFormatError, match=r":2: unknown sentence_id 's9'$"):
+        load_corpus(cpath, spath)
+    cpath = write(tmp_path / "c.csv", SCANPATH_HEADER_LINE + f"r1,s1,1\nr1,s1,{huge}\n")
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        load_corpus(cpath, spath)
+
+
+def test_corpus_reads_every_integer_form(tmp_path):
+    spath = write(tmp_path / "s.csv", "sentence_id,text\ns1,a b c d\n")
+    cpath = write(tmp_path / "c.csv", SCANPATH_HEADER_LINE +
+                  "r1,s1, 3\nr1,s1,+3\nr1,s1,03\nr1,s1,2 \nr1,s1,\u0664\n\nr2,s1,1\n")
+    corpus = load_corpus(cpath, spath)
+    assert [(r.reader_id, r.fixations) for r in corpus.records] == [
+        ("r1", (3, 3, 3, 2, 4)), ("r2", (1,))]
+    assert all(type(f) is int for r in corpus.records for f in r.fixations)
+
+
+def test_corpus_groups_interleaved_rows(tmp_path):
+    spath = write(tmp_path / "s.csv", "sentence_id,text\ns1,a b c\ns2,d e\n")
+    cpath = write(tmp_path / "c.csv", SCANPATH_HEADER_LINE +
+                  "r1,s1,1\nr1,s1,2\nr2,s1,3\nr1,s2,2\nr1,s1,3\nr2,s1,1\n"
+                  '"r,3",s2,1\n')
+    corpus = load_corpus(cpath, spath)
+    assert [(r.reader_id, r.sentence_id, r.fixations) for r in corpus.records] == [
+        ("r1", "s1", (1, 2, 3)), ("r2", "s1", (3, 1)), ("r1", "s2", (2,)), ("r,3", "s2", (1,))]
+
+
+def test_sentence_and_predictor_errors_name_the_first_bad_row(tmp_path):
+    path = write(tmp_path / "s.csv", "sentence_id,text\ns1,a\ns1,b\ns2\n")
+    with pytest.raises(CorpusFormatError, match=r":3: duplicate sentence_id 's1'$"):
+        load_sentences(path)
+    path = write(tmp_path / "s.csv", "sentence_id,text\ns1,a\n\ns2\ns1,b\n")
+    with pytest.raises(CorpusFormatError, match=r":4: expected 2 fields, got 1$"):
+        load_sentences(path)
+    path = write(tmp_path / "p.csv", "sentence_id,word_index,f\ns1,1,a\ns1,x,b\ns1\n")
+    with pytest.raises(CorpusFormatError, match=r":3: word_index 'x' is not an integer$"):
+        load_predictors(path)
+    path = write(tmp_path / "p.csv", "sentence_id,word_index,f\ns1,1,a\ns1\ns1,x,b\n")
+    with pytest.raises(CorpusFormatError, match=r":3: expected 3 fields, got 1$"):
+        load_predictors(path)
 
 
 def test_record_validation_at_construction():

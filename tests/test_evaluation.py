@@ -3,6 +3,7 @@ evaluation report, each checked against an independent re-derivation."""
 
 import csv
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -17,10 +18,11 @@ from scanpath_diffusion import (Corpus, HumanBaseline, ScanpathRecord,
                                 human_baseline, levenshtein,
                                 levenshtein_many, nld,
                                 pair_records, pearson, reading_measures,
-                                record_measures, trainlabel_baseline, uniform_baseline,
+                                reading_measures_many, record_measures,
+                                trainlabel_baseline, uniform_baseline,
                                 write_evaluation_report)
 from scanpath_diffusion import baselines, metrics
-from scanpath_diffusion.measures import SUMMARY_MEASURES
+from scanpath_diffusion.measures import SUMMARY_MEASURES, ReadingMeasures
 from scanpath_diffusion.reports import WORD_EXPORT_BASE
 
 
@@ -334,6 +336,205 @@ def test_measures_input_validation():
         reading_measures([0, 1], 3)
     with pytest.raises(ValidationError):
         reading_measures([1, 4], 3)
+
+
+def test_measures_error_messages():
+    for args, message in [
+        (([], 3), "cannot compute measures of an empty scanpath"),
+        (([1], 0), "word count must be >= 1, got 0"),
+        (([0, 1], 3), "fixation index 0 out of range 1..3"),
+        (([1, 4], 3), "fixation index 4 out of range 1..3"),
+        (([1, 2**70], 3), f"fixation index {2**70} out of range 1..3"),
+        (([1.7, 2], 3), "fixation index 1.7 is not an integer"),
+        (([1, 2.0], 3), "fixation index 2.0 is not an integer"),
+        (([np.float64(1.0)], 3), "fixation index np.float64(1.0) is not an integer"),
+        ((["1"], 3), "fixation index '1' is not an integer"),
+        (([None], 3), "fixation index None is not an integer"),
+    ]:
+        with pytest.raises(ValidationError) as err:
+            reading_measures(*args)
+        assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# reading measures: the corpus kernel against the per-scanpath loop it
+# replaced, kept here unchanged as the oracle
+
+def oracle_reading_measures(scanpath, word_count: int) -> ReadingMeasures:
+    path = [int(f) for f in scanpath]
+    m = int(word_count)
+    if m < 1:
+        raise ValidationError(f"word count must be >= 1, got {m}")
+    if not path:
+        raise ValidationError("cannot compute measures of an empty scanpath")
+    for f in path:
+        if not 1 <= f <= m:
+            raise ValidationError(f"fixation index {f} out of range 1..{m}")
+    n = len(path)
+
+    sr = np.zeros(m, dtype=np.int64)
+    tfc = np.zeros(m, dtype=np.int64)
+    ffc = np.zeros(m, dtype=np.int64)
+    fpr = np.zeros(m, dtype=np.int64)
+    first_visit = {}   # word -> (index into path, frontier before that visit)
+    frontier = 0
+    for j, f in enumerate(path):
+        tfc[f - 1] += 1
+        if f not in first_visit:
+            first_visit[f] = (j, frontier)
+        if f > frontier:
+            for w in range(frontier + 1, f):
+                if w not in first_visit:
+                    sr[w - 1] = 1
+            frontier = f
+
+    for f, (j, prior_frontier) in first_visit.items():
+        if prior_frontier > f:
+            continue  # entered after being passed: no first pass
+        run = 0
+        k = j
+        while k < n and path[k] == f:
+            run += 1
+            k += 1
+        ffc[f - 1] = run
+        if k < n and path[k] < f:
+            fpr[f - 1] = 1
+
+    deltas = np.diff(path) if n > 1 else np.array([], dtype=np.int64)
+    prog = deltas[deltas > 0]
+    regr = deltas[deltas < 0]
+    regression_starts = {path[j] for j in range(n - 1) if path[j + 1] < path[j]}
+
+    return ReadingMeasures(
+        sr=sr, ffc=ffc, tfc=tfc, fpr=fpr,
+        regression_rate=len(regression_starts) / m,
+        normalized_fixation_count=n / m,
+        progressive_saccade_len=float(prog.mean()) if prog.size else 0.0,
+        regressive_saccade_len=float(np.abs(regr).mean()) if regr.size else 0.0,
+        skipping_rate=float(sr.sum()) / m,
+        first_pass_count=float(ffc.sum()) / m,
+    )
+
+
+WORD_MEASURES = ("sr", "ffc", "tfc", "fpr")
+
+MEASURE_EDGE_CASES = [
+    ((1,), 1),                 # m = 1, one fixation
+    ((1, 1, 1), 1),            # m = 1, refixations only
+    ((3,), 5),                 # one fixation: words 1-2 skipped, 4-5 never reached
+    ((2, 2, 2, 3, 3), 4),      # refixations extend first passes
+    ((1, 2, 3, 1, 4), 4),      # regression to word 1 ends word 3's first pass
+    ((3, 1, 2), 3),            # words 1 and 2 entered after the frontier passed them
+    ((1, 2, 3, 3), 3),         # a first pass that ends on the last fixation
+    ((1, 3, 3), 5),            # the same, with a skip and two words never reached
+    ((1, 2), 6),               # words the frontier never reaches
+    ((2, 1), 5),               # a regression onto a skipped word
+    ((5, 4, 3, 2, 1), 5),      # all regressions
+    ((1, 4, 2, 3, 4, 1), 6),   # revisits after a skip, regressions to word 1
+]
+
+
+def seeded_scanpaths(seed: int, count: int) -> list[tuple[tuple[int, ...], int]]:
+    """Uniform random paths and reader-like forward passes with skips,
+    refixations and regressions, over 1-14 words."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for _ in range(count):
+        m = int(rng.integers(1, 15))
+        if rng.random() < 0.5:
+            path = rng.integers(1, m + 1, size=int(rng.integers(1, 2 * m + 3))).tolist()
+        else:
+            path, w = [], 1
+            while w <= m:
+                if rng.random() < 0.25:
+                    w += int(rng.integers(1, 3))
+                    continue
+                path += [w] * int(rng.integers(1, 3))
+                if rng.random() < 0.2:
+                    path.append(int(rng.integers(1, w + 1)))
+                w += 1
+            path = path or [1]
+        records.append((tuple(path), m))
+    return records
+
+
+def assert_same_measures(got: ReadingMeasures, want: ReadingMeasures):
+    for name in WORD_MEASURES:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert (a == b).all(), name
+    for name in SUMMARY_MEASURES:
+        assert type(getattr(got, name)) is float
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def test_kernel_matches_per_scanpath_oracle():
+    records = MEASURE_EDGE_CASES + seeded_scanpaths(2024, 3000)
+    got = reading_measures_many(records)
+    assert len(got) == len(records)
+    for (path, m), rm in zip(records, got):
+        assert_same_measures(rm, oracle_reading_measures(path, m))
+
+
+def test_kernel_edge_cases_by_hand():
+    # word 3's first pass runs to the end of the path: no regression after it
+    rm = reading_measures([1, 2, 3, 3], 3)
+    assert rm.ffc.tolist() == [1, 1, 2] and rm.fpr.tolist() == [0, 0, 0]
+    # the frontier never reaches words 3-6: not skipped, no first pass;
+    # word 1 is skipped and its late visit earns no first pass
+    rm = reading_measures([2, 1], 6)
+    assert rm.sr.tolist() == [1, 0, 0, 0, 0, 0]
+    assert rm.ffc.tolist() == [0, 1, 0, 0, 0, 0]
+    assert rm.fpr.tolist() == [0, 1, 0, 0, 0, 0]
+    assert rm.regression_rate == 1 / 6
+
+
+def test_kernel_record_does_not_depend_on_company():
+    records = MEASURE_EDGE_CASES + seeded_scanpaths(7, 400)
+    together = reading_measures_many(records)
+    order = np.random.default_rng(3).permutation(len(records))
+    shuffled = reading_measures_many(records[k] for k in order)
+    for k, rm in zip(order, shuffled):
+        assert_same_measures(rm, together[k])
+    for k in range(0, len(records), 37):
+        assert_same_measures(reading_measures(*records[k]), together[k])
+        assert_same_measures(reading_measures_many(records[k:k + 2])[0], together[k])
+    assert reading_measures_many([]) == []
+
+
+def test_kernel_reports_the_first_bad_record():
+    with pytest.raises(ValidationError, match=r"^fixation index 5 out of range 1\.\.4$"):
+        reading_measures_many([((1, 2), 3), ((1, 5), 4), ((9,), 2)])
+    with pytest.raises(ValidationError, match=r"^fixation index 2\.5 is not an integer$"):
+        reading_measures_many([((1, 9), 3), ((1, 2.5), 4)])
+    with pytest.raises(ValidationError, match="word count must be >= 1, got 0"):
+        reading_measures_many([((1,), 3), ((1,), 0)])
+
+
+@pytest.mark.parametrize("kind", [int, np.int64, np.int32, np.uint8, np.intp])
+def test_integer_fixations_of_every_kind_are_taken(kind):
+    path = [kind(v) for v in (1, 3, 2, 3)]
+    assert_same_measures(reading_measures(path, 4), oracle_reading_measures([1, 3, 2, 3], 4))
+    assert_same_measures(reading_measures(np.array(path), 4),
+                         oracle_reading_measures([1, 3, 2, 3], 4))
+    assert levenshtein_many([(path, [kind(1), kind(2)])]) == [2]
+    corpus = Corpus(sentences={"s": ("a", "b", "c", "d")},
+                    records=[ScanpathRecord("r", "s", tuple(path))])
+    assert record_measures(corpus)[0].tfc.tolist() == [1, 1, 2, 0]
+
+
+@pytest.mark.parametrize("bad", [1.7, 2.0, np.float64(2.0), np.float32(1.0), "2", None])
+def test_non_integer_fixations_are_rejected(bad):
+    # a float once passed all three, read as the word it truncates to
+    text = re.escape(repr(bad))
+    with pytest.raises(ValidationError, match=f"fixation index {text} is not an integer"):
+        reading_measures([1, bad], 3)
+    with pytest.raises(ValidationError,
+                       match=f"fixation index {text} is not an integer for \\('r', 's'\\)"):
+        Corpus(sentences={"s": ("a", "b", "c")},
+               records=[ScanpathRecord("r", "s", (1, 2)), ScanpathRecord("r", "s", (1, bad))])
+    with pytest.raises(ValidationError, match=f"index {text} is not an integer"):
+        levenshtein_many([((1, 2), (1, 2)), ((1, bad), (1, 2))])
 
 
 # ---------------------------------------------------------------------------
@@ -842,6 +1043,10 @@ def test_report_and_export_take_the_records_measures(tmp_path):
         evaluation_report(true, pred, measures[:2])
     with pytest.raises(ValidationError, match="2 measure sets for 3 records"):
         export_word_measures(true, tmp_path / "short.csv", measures=measures[:2])
+    # measures of other sentences would shift every later row's columns
+    swapped = [measures[0], measures[2], measures[1]]
+    with pytest.raises(ValidationError, match="word counts differ from the records' sentences"):
+        export_word_measures(true, tmp_path / "swapped.csv", measures=swapped)
 
 
 def test_export_word_measures_with_predictors(tmp_path):

@@ -9,6 +9,7 @@ runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -335,14 +336,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser's parser, built once per process: it depends on no
+    argument, and each parse_args call fills a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     # progress (train's step lines) is INFO from the package; stdout keeps
     # only each command's result lines
     logging.getLogger(__package__).setLevel(logging.INFO)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

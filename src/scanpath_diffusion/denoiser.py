@@ -42,9 +42,16 @@ Forward and backward are written out by hand in numpy. Every layer
 computes in the dtype of the parameters (float64 for a fresh library
 model, float32 for one that goes to or comes from a checkpoint): forward
 casts z to it, and nothing upcasts. Forward can record a cache that
-backward consumes, returning both parameter gradients and the gradient
+backward uses up, returning both parameter gradients and the gradient
 with respect to the input latents (the training loss needs the latter,
-since the latents are built from trainable tables). The cache keeps each
+since the latents are built from trainable tables).
+
+The cache serves one backward. Backward drops each block's entries as
+soon as that block's gradients are computed, so the cache shrinks while
+the gradients grow, and a second backward on it is refused. Each
+activation is stored once: a layer norm keeps its normalized input and
+inverse deviation, and backward rebuilds the norm's output from them with
+forward's own expression, bit for bit. Likewise the cache keeps each
 GELU's normal CDF Phi(u) in place of its output u*Phi(u): backward
 rebuilds the output with the same product and reuses Phi in the
 derivative, so Phi is evaluated once per step and the results are
@@ -94,7 +101,14 @@ def _layer_norm(x, g, b):
     xhat = x - _row_mean(x)
     inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + LN_EPS)
     xhat *= inv
-    return xhat * g + b, (xhat, inv)
+    cache = (xhat, inv)
+    return _layer_norm_out(cache, g, b), cache
+
+
+def _layer_norm_out(cache, g, b):
+    """A layer norm's output from its cache: forward's expression, which
+    backward uses to rebuild the output bit for bit instead of storing it."""
+    return cache[0] * g + b
 
 
 def _layer_norm_bwd(d_out, g, cache):
@@ -447,9 +461,10 @@ def _forward_shard(params, z, t_vec, pad_mask, read_mask, out, need_cache):
         ffn_out = _linear(u * phi, p[pre + "ffn_w2"], p[pre + "ffn_b2"])
         h = h_pre_ffn + ffn_out
         if need_cache:
+            # a and fin are rebuilt from their layer norms' caches
             blocks.append({
-                "a": a, "ln1": ln1_cache, "q": q, "k": k, "v": v, "att": att,
-                "ctx": ctx, "ln2": ln2_cache, "fin": fin, "u": u, "phi": phi,
+                "ln1": ln1_cache, "q": q, "k": k, "v": v, "att": att,
+                "ctx": ctx, "ln2": ln2_cache, "u": u, "phi": phi,
             })
 
     pred, ln_out_cache = _layer_norm(h, p["ln_out_g"], p["ln_out_b"])
@@ -476,7 +491,15 @@ def backward(params: DenoiserParams, cache, d_out, pool=None):
     to a one-shard pass; the parameter gradients of shards 1.. are added
     into shard 0's, in shard order, so they differ from a one-shard pass
     only in summation order.
+
+    Backward uses the cache up: it takes each shard's blocks out of it
+    and drops a block's activations once that block's gradients are
+    computed, so the cache shrinks while the gradients grow. A cache
+    serves one backward; a second raises ValidationError.
     """
+    if any("blocks" not in shard for _, shard in cache["shards"]):
+        raise ValidationError("this forward cache was used up by an earlier backward; "
+                              "each backward needs the cache of its own forward")
     d_out = np.asarray(d_out, dtype=params.dtype)
     d_z = np.zeros(d_out.shape, dtype=params.dtype)
     grads, *rest = _map(pool, lambda part: _backward_shard(
@@ -505,10 +528,12 @@ def backward(params: DenoiserParams, cache, d_out, pool=None):
 def _backward_shard(params, cache, d_out, d_z):
     """backward's blocks over one shard, its input gradient written into
     its slice d_z. Returns the shard's gradients of every tensor but the
-    time MLP's."""
+    time MLP's. Takes the blocks out of the shard's cache and drops each
+    one's activations once its gradients are computed."""
     p = params.tensors
     grads = {}
     rows, last = cache["rows"], cache["last"]
+    blocks = cache.pop("blocks")
 
     d_h = _pack(d_out, rows[last])
     d_h[cache["unread"]] = 0.0
@@ -517,7 +542,7 @@ def _backward_shard(params, cache, d_out, d_z):
 
     for i in reversed(range(params.n_blocks)):
         pre = f"b{i}."
-        blk = cache["blocks"][i]
+        blk = blocks.pop()  # block i; the one after it is dropped here
         sel = last if i == params.n_blocks - 1 else slice(None)
 
         # feed-forward branch
@@ -525,8 +550,9 @@ def _backward_shard(params, cache, d_out, d_z):
         d_g_act, grads[pre + "ffn_w2"], grads[pre + "ffn_b2"] = _linear_bwd(
             d_h, u * phi, p[pre + "ffn_w2"])
         d_u = d_g_act * _gelu_grad(u, phi)
+        fin = _layer_norm_out(blk["ln2"], p[pre + "ln2_g"], p[pre + "ln2_b"])
         d_fin, grads[pre + "ffn_w1"], grads[pre + "ffn_b1"] = _linear_bwd(
-            d_u, blk["fin"], p[pre + "ffn_w1"])
+            d_u, fin, p[pre + "ffn_w1"])
         d_h_ln2, grads[pre + "ln2_g"], grads[pre + "ln2_b"] = _layer_norm_bwd(
             d_fin, p[pre + "ln2_g"], blk["ln2"])
         d_h = d_h + d_h_ln2
@@ -534,7 +560,7 @@ def _backward_shard(params, cache, d_out, d_z):
         # attention branch
         d_ctx, grads[pre + "wo"], grads[pre + "bo"] = _linear_bwd(
             d_h, blk["ctx"], p[pre + "wo"])
-        a = blk["a"]
+        a = _layer_norm_out(blk["ln1"], p[pre + "ln1_g"], p[pre + "ln1_b"])
         d_q, d_k, d_v = _attention_bwd(_scatter(d_ctx, sel, len(a)), blk["q"], blk["k"],
                                        blk["v"], blk["att"], cache["runs"], params.n_heads)
         d_a = np.zeros_like(a)

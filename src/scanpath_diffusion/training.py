@@ -39,6 +39,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import resource
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -156,7 +157,8 @@ def loss_backward(model: Model, cache, weights, pool=None) -> dict[str, np.ndarr
 
     weights are the per-frame importance weights for the reconstruction
     term; pool runs the denoiser's shards (`denoiser.backward`). Returns
-    gradients keyed like Model.trainable_tensors().
+    gradients keyed like Model.trainable_tensors(). The cache serves one
+    call: its denoiser part is used up (`denoiser.backward`).
     """
     batch: Batch = cache["batch"]
     bsz = batch.size
@@ -307,6 +309,28 @@ def shard_threads(n_shards: int) -> int:
     return max(1, min(cpus // blas, n_shards))
 
 
+def _train_step(model, frame_batch, t_arr, weights, rng, sampler, optimizer, clip_norm,
+                pool):
+    """One step of `train`: the loss and its gradients, the sampler fed,
+    the gradients clipped and, when the loss and their norm are finite,
+    the update. Returns ((l_vlb, l_emb, l_round, total, grad_norm), whether
+    it updated).
+
+    The step's arrays, the loss cache and the gradients, are locals here
+    and die when it returns, before the next step's forward.
+    """
+    breakdown, cache = loss_forward(model, frame_batch, t_arr, rng, need_cache=True, pool=pool)
+    grads = loss_backward(model, cache, weights, pool=pool)
+    for t_i, mse_i in zip(t_arr.tolist(), breakdown.per_sample_mse.tolist()):
+        sampler.update(int(t_i), mse_i)
+    grad_norm = clip_global_norm(grads, clip_norm)
+    updated = math.isfinite(breakdown.total) and math.isfinite(grad_norm)
+    if updated:
+        optimizer.step(grads)
+    return (breakdown.l_vlb, breakdown.l_emb, breakdown.l_round, breakdown.total,
+            grad_norm), updated
+
+
 @dataclass
 class TrainResult:
     steps_done: int
@@ -325,6 +349,12 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     A non-finite loss or gradient aborts the loop before the update, so
     the in-memory model (and any checkpoint on disk) stays at the last
     good step. Metrics rows are flushed as they are produced.
+
+    Training holds one step's arrays at a time: each step runs in
+    `_train_step`, whose forward cache (used up by backward, block by
+    block) and gradients die when it returns, so the next step's forward
+    starts with none of them alive. The last log line gives the process's
+    peak resident memory.
 
     The denoiser runs a batch's shards on a thread pool of `shard_threads`
     threads that lives only as long as this call; the shards depend on the
@@ -352,29 +382,25 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
             frame_batch = trim_batch(stack_instances([instances[int(i)] for i in picks]))
             sharded_steps += len(dn.frame_shards(frame_batch.pad_mask, model.den.dim)) > 1
             t_arr, weights = sampler.sample(rng, size=batch)
-            breakdown, cache = loss_forward(model, frame_batch, t_arr, rng,
-                                            need_cache=True, pool=pool)
-            grads = loss_backward(model, cache, weights, pool=pool)
-            for t_i, mse_i in zip(t_arr.tolist(), breakdown.per_sample_mse.tolist()):
-                sampler.update(int(t_i), mse_i)
-            grad_norm = clip_global_norm(grads, clip_norm)
-            row = dict(zip(METRICS_HEADER, (
-                step, float(np.mean(t_arr)), breakdown.l_vlb, breakdown.l_emb,
-                breakdown.l_round, breakdown.total, grad_norm)))
+            losses, updated = _train_step(model, frame_batch, t_arr, weights, rng, sampler,
+                                          optimizer, clip_norm, pool)
+            row = dict(zip(METRICS_HEADER, (step, float(np.mean(t_arr)), *losses)))
             rows.append(row)
             if write_rows is not None:
                 write_rows([row.values()])
-            if not (math.isfinite(breakdown.total) and math.isfinite(grad_norm)):
+            if not updated:
                 aborted = True
                 break
-            optimizer.step(grads)
             if log_every and step % log_every == 0:
                 log.info("step %d/%d total=%.5f grad_norm=%.3f",
-                         step, steps, breakdown.total, grad_norm)
+                         step, steps, row["total"], row["grad_norm"])
             if ckpt_path and ckpt_interval and step % ckpt_interval == 0 and step < steps:
                 save_checkpoint(model, ckpt_path)
     log.info("batches of %d frames: up to %d shards on %d threads; the shard gate split "
              "%d of %d steps", batch, n_shards, threads, sharded_steps, len(rows))
     if ckpt_path and not aborted:
         save_checkpoint(model, ckpt_path)
+    # ru_maxrss counts KiB on Linux
+    log.info("peak resident memory of this process: %d KiB",
+             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     return TrainResult(steps_done=len(rows), aborted=aborted, rows=rows)

@@ -848,6 +848,45 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()  # argparse noise
 
 
+def test_successive_calls_share_one_parser_and_no_values(tmp_path, monkeypatch, capsys):
+    """main builds its parser once per process; each call parses into a
+    fresh namespace, so no value or default of one command reaches the
+    next, and --help and usage errors keep their exit codes."""
+    builds = []
+    build_parser = cli_mod.build_parser
+    monkeypatch.setattr(cli_mod, "build_parser", lambda: builds.append(1) or build_parser())
+    cli_mod._parser.cache_clear()
+    seen = []
+    settings = cli_mod._settings
+    monkeypatch.setattr(cli_mod, "_settings",
+                        lambda args: seen.append(vars(args).copy()) or settings(args))
+    missing = str(tmp_path / "none.csv")
+
+    assert main(["schedule-dump", "--kind", "linear", "--t-max", "4", "--s", "0.01",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert main(["evaluate", "--true", missing, "--pred", missing,
+                 "--sentences", missing]) == 1
+    assert main(["schedule-dump", "--t-max", "6"]) == 0
+    assert main(["--help"]) == 0
+    assert main(["schedule-dump", "--help"]) == 0
+    assert main(["schedule-dump", "--kind", "cubic"]) == 1
+    assert main([]) == 1
+    capsys.readouterr()
+
+    assert builds == [1]
+    for ns in seen:
+        del ns["func"]
+    assert seen == [
+        {"command": "schedule-dump", "config": None, "config_keys": ("t_max", "s"),
+         "kind": "linear", "t_max": 4, "s": 0.01, "out": str(tmp_path / "s.csv")},
+        {"command": "evaluate", "config": None, "config_keys": (), "true": missing,
+         "pred": missing, "sentences": missing, "out_dir": None, "word_export": None,
+         "predictors": None},
+        {"command": "schedule-dump", "config": None, "config_keys": ("t_max", "s"),
+         "kind": None, "t_max": 6, "s": None, "out": None},
+    ]
+
+
 def test_missing_input_file_exits_one(tmp_path, capsys):
     rc = main(["evaluate", "--true", str(tmp_path / "none.csv"),
                "--pred", str(tmp_path / "none.csv"),

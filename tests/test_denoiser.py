@@ -361,10 +361,9 @@ def test_cached_gelu_cdf_is_bit_identical(monkeypatch, dim, n_blocks, n_heads, s
     d_out = np.where(pad[..., None], rng.standard_normal((3, 7, dim)), 0.0)
 
     out, cache = dn.forward(params, z, t, pad, need_cache=True)
-    grads, d_z = dn.backward(params, cache, d_out)
-
     # forward: every GELU output u * Phi(u) is the one-expression GELU; all
-    # other forward arithmetic is unchanged, so the prediction is too
+    # other forward arithmetic is unchanged, so the prediction is too (read
+    # before backward, which uses the cache up)
     (_, shard), = cache["shards"]
     pre = [cache["t_hid"]] + [blk["u"] for blk in shard["blocks"]]
     phis = [cache["t_phi"]] + [blk["phi"] for blk in shard["blocks"]]
@@ -372,10 +371,14 @@ def test_cached_gelu_cdf_is_bit_identical(monkeypatch, dim, n_blocks, n_heads, s
         assert np.array_equal(u * phi, _gelu_reference(u))
         assert np.array_equal(dn._gelu(u), _gelu_reference(u))
     assert np.array_equal(dn.forward(params, z, t, pad)[0], out)
+    grads, d_z = dn.backward(params, cache, d_out)
 
-    # backward: the reference evaluates erf again from the pre-activation
+    # backward: the reference evaluates erf again from the pre-activation, on
+    # the cache of a fresh forward (forward is deterministic)
     monkeypatch.setattr(dn, "_gelu_grad", lambda x, phi: _gelu_grad_reference(x))
-    ref_grads, ref_d_z = dn.backward(params, cache, d_out)
+    ref_out, ref_cache = dn.forward(params, z, t, pad, need_cache=True)
+    assert np.array_equal(ref_out, out)
+    ref_grads, ref_d_z = dn.backward(params, ref_cache, d_out)
     assert np.array_equal(d_z, ref_d_z)
     assert set(grads) == set(ref_grads)
     for name, g in ref_grads.items():
@@ -793,8 +796,10 @@ def test_shards_match_one_shard_pass(monkeypatch, bsz, with_read, threads):
 
 def _forward_backward(params, z, t, pad, d_out, read=None):
     out, cache = dn.forward(params, z, t, pad, need_cache=True, read_mask=read)
+    (_, shard), = cache["shards"]
+    blocks = list(shard["blocks"])  # backward takes them out of the cache
     grads, d_z = dn.backward(params, cache, d_out)
-    return out, d_z, grads, cache
+    return out, d_z, grads, blocks
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -815,7 +820,7 @@ def test_batch_width_changes_no_bit(dtype, with_read, t):
     d_out = rng.standard_normal(z.shape)
     cut = lens.max()
 
-    out, d_z, grads, cache = _forward_backward(params, z, t, pad, d_out, read)
+    out, d_z, grads, blocks = _forward_backward(params, z, t, pad, d_out, read)
     out_cut, d_z_cut, grads_cut, _ = _forward_backward(
         params, z[:, :cut], t, pad[:, :cut], d_out[:, :cut],
         None if read is None else read[:, :cut])
@@ -826,8 +831,8 @@ def test_batch_width_changes_no_bit(dtype, with_read, t):
     for name, g in grads_cut.items():
         assert np.array_equal(grads[name], g), name
     # the cache holds packed rows and one (g, H, n, n) weight per run
-    (_, shard), = cache["shards"]
-    for blk in shard["blocks"]:
+    assert len(blocks) == 2
+    for blk in blocks:
         assert [att.shape for att in blk["att"]] == [(2, 4, 3, 3), (1, 4, 5, 5), (3, 4, 7, 7)]
         assert blk["q"].shape == blk["k"].shape == blk["v"].shape == (lens.sum(), 16)
 

@@ -108,13 +108,17 @@ def test_gradients_come_back_in_manifest_order(tiny_vocab, small_corpus):
     gradient dicts is part of what makes a run reproducible bit for bit."""
     model = make_model(v_bert=len(tiny_vocab))
     batch = make_batch(model, tiny_vocab, small_corpus)
-    _, cache = loss_forward(model, batch, np.array([0, 1, 4, 9]),
-                            np.random.default_rng(3), need_cache=True)
+
+    def fresh_cache():  # a cache serves one backward; forward is deterministic
+        return loss_forward(model, batch, np.array([0, 1, 4, 9]),
+                            np.random.default_rng(3), need_cache=True)[1]
+
+    cache = fresh_cache()
     den_grads, _ = dn.backward(model.den, cache["den_cache"],
                                np.ones_like(cache["z0_hat"]))
     cfg = model.config
     assert list(den_grads) == list(dn.denoiser_shapes(cfg.dim, cfg.n_blocks))
-    grads = loss_backward(model, cache, np.ones(batch.size))
+    grads = loss_backward(model, fresh_cache(), np.ones(batch.size))
     assert list(grads) == list(model.trainable_tensors())
 
 

@@ -14,17 +14,19 @@ runs beside it:
            reads (`denoiser.forward`'s read_mask). A read prediction
            matches the all-rows pass only when x[sel] @ w equals
            (x @ w)[sel] for a gathered subset sel of the rows.
-  shards   Training splits a large batch into shards of frames
-           (`denoiser.frame_shards`) that run on two threads at once. A
-           shard's predictions and input gradient match the one-shard
-           pass only when its rows get the bits of the stacked product,
-           forward and backward, and when a product gets the same bits
-           while another runs in a second thread.
+  shards   Training splits a batch into shards of frames
+           (`training.frame_shards`), each a whole loss forward and
+           backward, run in turn or in forked worker processes. A shard's
+           predictions and input gradient match the one-shard pass only
+           when its rows get the bits of the stacked product, forward and
+           backward. The check that a product gets the same bits while
+           another runs in a second thread stays, for any product two
+           threads of one process run at once.
 
 This script checks all three at the denoiser's three per-token product
 shapes, in float32 and float64, at the desk (dim 64, L 32) and paper
 (dim 256, L 128) model sizes; run it with BLAS on the one thread that
-training's shard threads each use:
+each of training's shard processes uses:
 
   OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 python demos/blas_row_stability.py
 
@@ -32,12 +34,17 @@ Every per-token product has at least 6 rows: a frame gives 6 (one
 sentence piece, four markers, one scanpath slot), and a read set of fewer
 rows runs the last block on every real row instead. So a block difference
 below 6 rows is never reached, and subsets are drawn from 6 rows up. The
-backward blocks are reached only where the shard gate can split a batch
-(a shard of full frames carries at least MIN_SHARD_WORK); narrow
-products give blocks of a dozen or more rows other bits, but the gate
-never splits at the desk size. A reached difference breaks an identity,
-and the script exits 1. The other products run one frame at a time by
-construction: the time code is one row whatever the batch, the sentence
+backward blocks are reached only in a split batch, and there only from
+MIN_SHARD_WORK / dim rows up: the gate splits a batch only when its
+smallest shard's read rows, its smallest backward product, times dim
+reach MIN_SHARD_WORK. Narrow products give blocks of a dozen or more
+rows other bits (up to 18 at dim 64), below the 32 rows the gate asks
+for at that width. Blocks the size of half a shard and a whole shard of
+full frames are probed too. A reached difference breaks an identity,
+and the script exits 1. The time MLP's products, (d, 4d) and (4d, d)
+over one row per frame, are blocks as well: a shard holds at least 6
+frames, so they fall under the forward check. The other products run one
+frame at a time by construction: the sentence
 projection is a per-frame matmul of one shape, attention runs the frames
 of one real length as one stacked (g, H, n, n) matmul over their packed
 rows, which numpy computes as one product per frame and head, of that
@@ -54,8 +61,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 MIN_ROWS = 6  # denoiser.MIN_PRODUCT_ROWS
-SHARD_FRAMES = 8  # denoiser.SHARD_FRAMES
-MIN_SHARD_WORK = 96 * 256 * 256  # denoiser.MIN_SHARD_WORK
+SHARD_FRAMES = 8  # training.SHARD_FRAMES
+MIN_SHARD_WORK = 2048  # training.MIN_SHARD_WORK
 OFFSETS = (0, 5, 37)
 SIZES = {"desk": (64, 32), "paper": (256, 128)}  # dim, frame length
 SUBSET_FRAMES = 8
@@ -63,10 +70,10 @@ SUBSETS = 30
 ROUNDS = 20  # products each of two threads runs at once
 
 
-def differing_blocks(x: np.ndarray, m_op: np.ndarray, max_rows: int) -> list[int]:
+def differing_blocks(x: np.ndarray, m_op: np.ndarray, sizes) -> list[int]:
     """Block sizes m whose rows in a stacked x @ m_op differ from x[s:s+m] @ m_op."""
     full = x @ m_op
-    return [m for m in range(1, max_rows + 1)
+    return [m for m in sizes
             if any(not np.array_equal(x[s:s + m] @ m_op, full[s:s + m]) for s in OFFSETS)]
 
 
@@ -110,7 +117,7 @@ def main() -> int:
     for size, (d, max_len) in SIZES.items():
         h = 4 * d
         shard_rows = SHARD_FRAMES * max_len
-        gate_splits = shard_rows * d * d >= MIN_SHARD_WORK
+        sizes = [*range(1, max_len + 1), shard_rows // 2, shard_rows]
         products = [("attention projection", (d, d)), ("feed forward in", (d, h)),
                     ("feed forward out", (h, d))]
         for dtype in (np.float32, np.float64):
@@ -119,9 +126,11 @@ def main() -> int:
                 for side, m_op in (("fwd", w), ("bwd", w.T)):
                     x = rng.standard_normal(
                         (max(OFFSETS) + 2 * shard_rows, m_op.shape[0])).astype(dtype)
-                    bad = differing_blocks(x, m_op, max_len)
-                    # blocks forward reaches always, backward only in a split batch
-                    reached = [m for m in bad if m >= MIN_ROWS and (side == "fwd" or gate_splits)]
+                    bad = differing_blocks(x, m_op, sizes)
+                    # blocks forward reaches always, backward only in a split
+                    # batch, from MIN_SHARD_WORK / d rows up
+                    reached = [m for m in bad
+                               if m >= MIN_ROWS and (side == "fwd" or m * d >= MIN_SHARD_WORK)]
                     found = [f"blocks differ at rows {bad or '-'}"]
                     subsets = 0
                     if side == "fwd":

@@ -32,17 +32,32 @@ gradient computes in, so a float32 model draws the same stream.
 The noise schedule, t_max and beta_zero come from the model alone
 (Model.schedule, Model.beta_zero), so every caller of the loss trains the
 model its config describes.
+
+The training process draws each step's batch, t, weights and both noise
+tensors, then cuts the batch into shards, contiguous runs of frames that
+depend on the batch alone (`frame_shards`). A shard computes its frames'
+whole loss forward and backward, every parameter gradient included, at
+the batch's width and scale, so each frame's prediction, input gradient
+and losses are bit-identical to a one-shard pass, and the shards'
+gradients, summed in shard order, differ from it only in summation
+order. Shard 0 runs in the training process and the others in workers
+forked once per `train` call (`_Shards`); the process count changes no
+bit of a run.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import mmap
+import multiprocessing
 import os
 import resource
-from concurrent.futures import ThreadPoolExecutor
+import signal
+import sys
+import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,7 +72,7 @@ from .schedules import TimestepSampler, q_sample
 __all__ = [
     "loss_forward", "loss_backward",
     "AdamW", "clip_global_norm", "check_train_settings", "train", "TrainResult",
-    "METRICS_HEADER", "shard_threads",
+    "METRICS_HEADER", "draw_noise", "frame_shards", "shard_processes", "ShardError",
 ]
 
 log = logging.getLogger(__name__)
@@ -74,16 +89,43 @@ class LossBreakdown:
     per_sample_mse: np.ndarray    # (B,)
     per_sample_round: np.ndarray  # (B,)
 
+    @classmethod
+    def of(cls, model: Model, t_arr, per_sample_mse, per_sample_round) -> "LossBreakdown":
+        """The batch means of per-frame losses: the reconstruction term
+        split at the rows whose target is the noise-free embedding."""
+        emb_rows = (t_arr == 0) | (model.config.emb_target_low_t & (t_arr == 1))
+        vlb_rows = ~emb_rows
+        l_vlb = float(per_sample_mse[vlb_rows].mean()) if vlb_rows.any() else 0.0
+        l_emb = float(per_sample_mse[emb_rows].mean()) if emb_rows.any() else 0.0
+        l_round = float(per_sample_round.mean())
+        return cls(l_vlb=l_vlb, l_emb=l_emb, l_round=l_round, total=l_vlb + l_emb + l_round,
+                   per_sample_mse=per_sample_mse, per_sample_round=per_sample_round)
 
-def loss_forward(model: Model, batch: Batch, t_arr, rng: np.random.Generator,
-                 need_cache: bool = False, pool=None):
+
+def draw_noise(model: Model, batch: Batch, rng: np.random.Generator):
+    """A step's two noise tensors, the clean latent's and q_sample's, in that
+    order: each drawn per full (B, max_len, dim) frame in float64, cut to
+    the batch width and cast to the model's dtype."""
+    bsz, width = batch.x_idx.shape
+    full_frame = (bsz, model.config.max_len, model.config.dim)
+    dtype = np.result_type(*model.emb.tensors().values())  # the embedding's
+    eps0 = rng.standard_normal(full_frame)[:, :width].astype(dtype)
+    eps = rng.standard_normal(full_frame)[:, :width].astype(dtype)
+    return eps0, eps
+
+
+def loss_forward(model: Model, batch: Batch, t_arr, rng: np.random.Generator | None = None,
+                 need_cache: bool = False, *, noise=None, batch_size: int | None = None):
     """Forward pass of the full training loss for one batch.
 
     t_arr holds one step index in 0..t_max per frame. The schedule and
     beta_zero are the model's (model.schedule(), model.beta_zero()). The
     batch may be narrower than the model's frame (see trim_batch), never
-    wider. Returns (LossBreakdown, cache); the cache feeds loss_backward.
-    pool runs the denoiser's shards (`denoiser.forward`).
+    wider. The noise is drawn from rng (`draw_noise`), or given as noise,
+    the (eps0, eps) pair `draw_noise` returns. batch_size, default the
+    batch's own, is the frame count loss_backward divides by: a shard of a
+    batch passes the whole batch's. Returns (LossBreakdown, cache); the
+    cache feeds loss_backward.
     """
     t_arr = np.asarray(t_arr, dtype=np.int64)
     bsz, width = batch.x_idx.shape
@@ -95,18 +137,16 @@ def loss_forward(model: Model, batch: Batch, t_arr, rng: np.random.Generator,
         raise ValidationError(f"expected t of shape ({bsz},), got {t_arr.shape}")
     if np.any(t_arr < 0) or np.any(t_arr > sched.t_max):
         raise ValidationError("sampled t outside 0..t_max")
+    eps0, eps = draw_noise(model, batch, rng) if noise is None else noise
 
     emb_idx, emb_ctx = embed_parts(model.emb, batch.x_idx, batch.x_bert, batch.x_pos)
     emb_total = emb_idx + emb_ctx
     dtype = emb_total.dtype
-    full_frame = (bsz, max_len, emb_total.shape[-1])
-    eps0 = rng.standard_normal(full_frame)[:, :width].astype(dtype)
     z0_idx = emb_idx + math.sqrt(model.beta_zero()) * eps0
     z0 = z0_idx + emb_ctx
 
     # noise the scanpath side of rows with t >= 1 (t = 0 rows pass through);
     # backward needs the multiplier on the clean component, d z_t / d z0
-    eps = rng.standard_normal(full_frame)[:, :width].astype(dtype)
     noised = batch.target_mask & (t_arr >= 1)[:, None]
     t_jump = np.maximum(t_arr, 1)
     z_t = q_sample(z0_idx, t_jump, eps, sched, noised) + emb_ctx
@@ -114,8 +154,7 @@ def loss_forward(model: Model, batch: Batch, t_arr, rng: np.random.Generator,
     coef = np.where(noised[..., None], sqrt_ab, 1.0).astype(dtype)
 
     z0_hat, den_cache = dn.forward(model.den, z_t, t_arr, batch.pad_mask,
-                                   need_cache=need_cache, read_mask=batch.target_mask,
-                                   pool=pool)
+                                   need_cache=need_cache, read_mask=batch.target_mask)
 
     emb_rows = (t_arr == 0) | (model.config.emb_target_low_t & (t_arr == 1))
     target = np.where(emb_rows[:, None, None], emb_total, z0)
@@ -133,36 +172,29 @@ def loss_forward(model: Model, batch: Batch, t_arr, rng: np.random.Generator,
     nll = np.where(batch.target_mask, log_z - true_logit, 0.0)
     per_sample_round = nll.sum(axis=1) / n_tgt
 
-    vlb_rows = ~emb_rows
-    l_vlb = float(per_sample_mse[vlb_rows].mean()) if vlb_rows.any() else 0.0
-    l_emb = float(per_sample_mse[emb_rows].mean()) if emb_rows.any() else 0.0
-    l_round = float(per_sample_round.mean())
-    breakdown = LossBreakdown(
-        l_vlb=l_vlb, l_emb=l_emb, l_round=l_round,
-        total=l_vlb + l_emb + l_round,
-        per_sample_mse=per_sample_mse, per_sample_round=per_sample_round,
-    )
+    breakdown = LossBreakdown.of(model, t_arr, per_sample_mse, per_sample_round)
     if not need_cache:
         return breakdown, None
     cache = {
-        "batch": batch, "coef": coef, "n_tgt": n_tgt,
+        "batch": batch, "batch_size": batch_size or bsz, "coef": coef, "n_tgt": n_tgt,
         "z0_hat": z0_hat, "target": target, "logits_shifted": logits,
         "log_z": log_z, "den_cache": den_cache,
     }
     return breakdown, cache
 
 
-def loss_backward(model: Model, cache, weights, pool=None) -> dict[str, np.ndarray]:
-    """Gradients of mean_i [w_i * mse_i + round_i] over the batch.
+def loss_backward(model: Model, cache, weights, out=None) -> dict[str, np.ndarray]:
+    """Gradients of sum_i [w_i * mse_i + round_i] / batch_size over the
+    batch's frames (batch_size as loss_forward was given it).
 
     weights are the per-frame importance weights for the reconstruction
-    term; pool runs the denoiser's shards (`denoiser.backward`). Returns
-    gradients keyed like Model.trainable_tensors(). The cache serves one
+    term. Returns gradients keyed like Model.trainable_tensors(); out, when
+    given, is the GradSlot they are assigned into. The cache serves one
     call: its denoiser part is used up (`denoiser.backward`).
     """
     batch: Batch = cache["batch"]
-    bsz = batch.size
-    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (bsz,))
+    bsz = cache["batch_size"]
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (batch.size,))
     z0_hat = cache["z0_hat"]
     dim = z0_hat.shape[-1]
     n_tgt = cache["n_tgt"]
@@ -192,17 +224,19 @@ def loss_backward(model: Model, cache, weights, pool=None) -> dict[str, np.ndarr
         d_logits.reshape(-1, d_logits.shape[-1]).T @ z0_hat.reshape(-1, dim)
     )
 
-    den_grads, d_zt = dn.backward(model.den, cache["den_cache"], d_z0_hat, pool=pool)
+    grads = {} if out is None else out
+    den_grads, d_zt = dn.backward(model.den, cache["den_cache"], d_z0_hat,
+                                  out=None if out is None else out.part("den."))
 
     # z_t = coef * (emb_idx + noise) + emb_ctx (+ drawn noise); the target
     # is emb_idx + emb_ctx (+ noise for the clean-latent rows)
     d_emb_idx = d_zt * cache["coef"] + d_target
     d_emb_ctx = d_zt + d_target
 
-    grads: dict[str, np.ndarray] = {}
     g_e_idx = np.zeros_like(model.emb.e_idx)
     np.add.at(g_e_idx, batch.x_idx.ravel(), d_emb_idx.reshape(-1, dim))
-    grads["emb.e_idx"] = g_e_idx + g_e_idx_logits
+    g_e_idx += g_e_idx_logits
+    grads["emb.e_idx"] = g_e_idx
 
     g_e_pos = np.zeros_like(model.emb.e_pos)
     np.add.at(g_e_pos, batch.x_pos.ravel(), d_emb_ctx.reshape(-1, dim))
@@ -213,8 +247,8 @@ def loss_backward(model: Model, cache, weights, pool=None) -> dict[str, np.ndarr
     grads["emb.w_proj"] = bert_rows.reshape(-1, bert_rows.shape[-1]).T @ d_ctx_flat
     grads["emb.b_proj"] = d_ctx_flat.sum(axis=0)
 
-    for name, g in den_grads.items():
-        grads[f"den.{name}"] = g
+    if out is None:
+        grads.update((f"den.{name}", g) for name, g in den_grads.items())
     return grads
 
 
@@ -249,8 +283,8 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m = {k: np.zeros_like(v) for k, v in tensors.items()}
-        self._v = {k: np.zeros_like(v) for k, v in tensors.items()}
+        self._m = {k: np.zeros(v.shape, v.dtype) for k, v in tensors.items()}
+        self._v = {k: np.zeros(v.shape, v.dtype) for k, v in tensors.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
@@ -289,18 +323,61 @@ def check_train_settings(*, steps: int, batch: int, lr: float, weight_decay: flo
         raise ValidationError(f"ckpt_interval must be >= 0, got {ckpt_interval}")
 
 
+# the most frames in one shard of a batch (see frame_shards)
+SHARD_FRAMES = 8
+# the least work, read rows x dim, the smallest shard of a split batch
+# carries. Two shard processes beat one down to the smallest shards measured
+# at dims 16 to 256 (README, "Performance"), so the floor is the BLAS's: a
+# backward product d @ w.T gives a block of up to 75 rows (dim 16), 18 (dim
+# 64) or 4 (dim 256) other bits than the same rows stacked, about 1200 / dim
+# (`demos/blas_row_stability.py`), and a shard's smallest product is its read
+# rows. 2048 clears that with room, splits every desk batch (dim 64, 16
+# frames, about 80 read rows a shard) and no batch of tier-1's small models.
+MIN_SHARD_WORK = 2048
+
+
+def frame_shards(pad_mask, read_mask, dim: int) -> list[slice]:
+    """The runs of frames of a batch that training computes one by one.
+
+    A batch of B frames is cut into ceil(B / SHARD_FRAMES) contiguous
+    shards, but into no more than leave each MIN_PRODUCT_ROWS frames (a
+    shard's time MLP is a product of one row per frame). Each cut falls at
+    the frame boundary that best balances the real rows on either side of
+    it. The batch splits only when its smallest shard carries at least
+    MIN_SHARD_WORK, its read rows times dim; otherwise it is one shard. The
+    cut depends on the batch alone, never on how many processes run it.
+    """
+    bsz = len(pad_mask)
+    n = max(1, min(-(-bsz // SHARD_FRAMES), bsz // dn.MIN_PRODUCT_ROWS))
+    before = np.concatenate([[0], np.cumsum(pad_mask.sum(axis=1))])  # rows before frame j
+    bounds = [0]
+    for k in range(1, n):
+        ends = np.arange(bounds[-1] + dn.MIN_PRODUCT_ROWS,
+                         bsz - (n - k) * dn.MIN_PRODUCT_ROWS + 1)
+        bounds.append(int(ends[np.argmin(np.abs(n * before[ends] - k * before[-1]))]))
+    bounds.append(bsz)
+    shards = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    read = read_mask.sum(axis=1)
+    if n > 1 and min(int(read[s].sum()) for s in shards) * dim < MIN_SHARD_WORK:
+        return [slice(0, bsz)]
+    return shards
+
+
 # the variables that set a BLAS call's thread count, in the order they are read
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def shard_threads(n_shards: int) -> int:
-    """Threads to run a batch's denoiser shards on: the usable CPUs divided
-    by the threads each BLAS call takes, at most one per shard, at least 1.
+def shard_processes(n_shards: int) -> int:
+    """Processes to run a batch's shards on, the training process counted:
+    the usable CPUs divided by the threads each BLAS call takes, at most
+    one per shard, at least 1, and 1 where fork is unavailable.
 
     BLAS with no thread count set is taken to use every CPU already, which
-    leaves one thread: shard threads on top of a threaded BLAS slow
-    training down (README, "Performance").
+    leaves one process: shards beside a threaded BLAS slow training down
+    (README, "Performance").
     """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
     counts = [int(v) for v in (os.environ.get(var, "").strip() for var in BLAS_THREAD_VARS)
@@ -309,26 +386,208 @@ def shard_threads(n_shards: int) -> int:
     return max(1, min(cpus // blas, n_shards))
 
 
-def _train_step(model, frame_batch, t_arr, weights, rng, sampler, optimizer, clip_norm,
-                pool):
-    """One step of `train`: the loss and its gradients, the sampler fed,
-    the gradients clipped and, when the loss and their norm are finite,
-    the update. Returns ((l_vlb, l_emb, l_round, total, grad_norm), whether
-    it updated).
+class GradSlot(dict):
+    """Gradients by name, each an array set aside for it: assigning a
+    gradient copies it into that array, so the computed one lives only
+    until it is copied."""
 
-    The step's arrays, the loss cache and the gradients, are locals here
-    and die when it returns, before the next step's forward.
+    def __setitem__(self, name, g):
+        np.copyto(dict.__getitem__(self, name), g)
+
+    def part(self, prefix: str) -> "GradSlot":
+        """The slot's arrays whose names start with prefix, keyed without it."""
+        return GradSlot((k[len(prefix):], v) for k, v in self.items() if k.startswith(prefix))
+
+
+def _shared_copies(tensors: dict[str, np.ndarray], copies: int):
+    """copies sets of zeroed arrays shaped like tensors, one dtype for all,
+    laid out one set after another in one anonymous shared mapping, which
+    processes forked later see as their parent does. Returns the sets and
+    a (copies, n) view of the whole mapping, a set per row."""
+    dtype = np.result_type(*tensors.values())
+    align = 64 // dtype.itemsize  # each array starts on a cache line
+    offsets, size = {}, 0
+    for name, arr in tensors.items():
+        offsets[name] = size
+        size += -(-arr.size // align) * align
+    flat = np.ndarray((copies, size), dtype, mmap.mmap(-1, max(1, copies * size * dtype.itemsize)))
+    return [{name: flat[c, offsets[name]:offsets[name] + arr.size].reshape(arr.shape)
+             for name, arr in tensors.items()} for c in range(copies)], flat
+
+
+def _set_tensors(model: Model, tensors: dict[str, np.ndarray]) -> None:
+    """Point the model's tensors, by Model.all_tensors() name, at tensors."""
+    for name, arr in tensors.items():
+        part, _, leaf = name.partition(".")
+        if part == "emb":
+            setattr(model.emb, leaf, arr)
+        else:
+            model.den.tensors[leaf] = arr
+
+
+def _frames(batch: Batch, at: slice) -> Batch:
+    return Batch(**{f.name: getattr(batch, f.name)[at] for f in fields(Batch)})
+
+
+def _shard_step(model, slot, frames, t_arr, weights, noise, batch_size):
+    """One shard's part of a training step: its frames' loss forward and
+    backward at the batch's scale, every gradient written into its slot.
+    Returns its frames' per-frame (reconstruction, rounding) losses."""
+    breakdown, cache = loss_forward(model, frames, t_arr, need_cache=True, noise=noise,
+                                    batch_size=batch_size)
+    loss_backward(model, cache, weights, out=slot)
+    return breakdown.per_sample_mse, breakdown.per_sample_round
+
+
+def _shard_worker(conn, inherited, model, slots) -> None:
+    """A forked worker's loop: run the shards each message lists, reply
+    with their losses, until the training process closes the connection.
+    A failure is sent back as (False, (shard, message)) and ends the loop.
+    inherited are the training process's ends of the workers' pipes, which
+    the fork copied: closed here, so the training process's close (or exit)
+    is this worker's EOF."""
+    for end in inherited:
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the training process handles ^C
+    while True:
+        try:
+            jobs = conn.recv()
+        except EOFError:
+            return
+        shard = None
+        try:
+            reply = True, []
+            for shard, *job in jobs:
+                reply[1].append(_shard_step(model, slots[shard], *job))
+        except Exception as exc:  # noqa: BLE001 - reported to the training process
+            reply = False, (shard, f"{type(exc).__name__}: {exc}")
+        try:
+            conn.send(reply)
+        except OSError:  # the training process stopped listening
+            return
+        if not reply[0]:
+            return
+
+
+class ShardError(RuntimeError):
+    """A training shard failed in a worker process."""
+
+
+class _Shards:
+    """The shards of `train`'s steps, and the processes that run them.
+
+    For its lifetime the model's trainable tensors live in one shared
+    mapping, and every shard of a step has a gradient slot in a second
+    one. Shard i of a step runs in process i % processes: 0 is this one,
+    the others are workers forked at the first split step, each of which
+    sees the optimizer's in-place updates. The slots are summed in shard
+    order into slot 0. On exit the model gets its own arrays back, holding
+    the trained values, and every worker is joined.
     """
-    breakdown, cache = loss_forward(model, frame_batch, t_arr, rng, need_cache=True, pool=pool)
-    grads = loss_backward(model, cache, weights, pool=pool)
-    for t_i, mse_i in zip(t_arr.tolist(), breakdown.per_sample_mse.tolist()):
+
+    def __init__(self, model: Model, n_slots: int, processes: int):
+        self.model = model
+        self.processes = processes
+        self.own = model.trainable_tensors()
+        (shared,), _ = _shared_copies(self.own, 1)
+        slots, self.flat = _shared_copies(self.own, n_slots)
+        self.slots = [GradSlot(slot) for slot in slots]
+        self.workers: list = []  # (process, connection)
+        for name, arr in self.own.items():
+            shared[name][...] = arr
+        _set_tensors(model, shared)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for _, conn in self.workers:
+            conn.close()  # a worker reads EOF and returns
+        for proc, _ in self.workers:
+            proc.join()
+        shared = self.model.trainable_tensors()
+        for name, arr in self.own.items():
+            arr[...] = shared[name]
+        _set_tensors(self.model, self.own)
+
+    def _start(self) -> None:
+        sys.stdout.flush()  # a buffered line would be written again by the worker
+        sys.stderr.flush()
+        ctx = multiprocessing.get_context("fork")
+        for _ in range(1, self.processes):
+            conn, child = ctx.Pipe()
+            ends = [conn, *(end for _, end in self.workers)]
+            proc = ctx.Process(target=_shard_worker, args=(child, ends, self.model, self.slots),
+                               daemon=True)
+            proc.start()
+            child.close()  # the worker's end is the worker's alone: its exit is our EOF
+            self.workers.append((proc, conn))
+
+    def run(self, batch: Batch, cut: list[slice], t_arr, weights, noise):
+        """Every shard of a step; returns the batch's per-frame losses, and
+        leaves the summed gradients in slot 0."""
+        jobs = [(i, _frames(batch, at), t_arr[at], weights[at],
+                 tuple(eps[at] for eps in noise), batch.size) for i, at in enumerate(cut)]
+        if len(cut) > 1 and self.processes > 1 and not self.workers:
+            self._start()
+        sent = [(proc, conn, jobs[p::self.processes])
+                for p, (proc, conn) in enumerate(self.workers, 1) if jobs[p::self.processes]]
+        for proc, conn, theirs in sent:
+            try:
+                conn.send(theirs)
+            except OSError:
+                raise self._exited(proc, theirs) from None
+        losses = {i: _shard_step(self.model, self.slots[i], *job)
+                  for i, *job in jobs[::self.processes]}
+        for proc, conn, theirs in sent:
+            losses.update(zip((i for i, *_ in theirs), self._receive(proc, conn, theirs)))
+        total = self.flat[0]
+        for i in range(1, len(cut)):
+            total += self.flat[i]
+        return tuple(np.concatenate([losses[i][k] for i in range(len(cut))]) for k in (0, 1))
+
+    @staticmethod
+    def _exited(proc, jobs) -> ShardError:
+        proc.join()
+        return ShardError(f"the worker process running training shard {jobs[0][0]} "
+                          f"exited unexpectedly (exit code {proc.exitcode})")
+
+    @staticmethod
+    def _receive(proc, conn, jobs):
+        try:
+            ok, reply = conn.recv()
+        except (EOFError, OSError):
+            raise _Shards._exited(proc, jobs) from None
+        if not ok:
+            shard, message = reply
+            raise ShardError(f"training shard {shard} failed in its worker process: {message}")
+        return reply
+
+
+def _train_step(model, frame_batch, t_arr, weights, rng, sampler, optimizer, clip_norm,
+                shards):
+    """One step of `train`: the noise drawn, the batch cut into shards and
+    run (its gradients summed in shard order), the sampler fed, the
+    gradients clipped and, when the loss and their norm are finite, the
+    update. Returns ((l_vlb, l_emb, l_round, total, grad_norm), whether it
+    updated, how many shards it ran).
+
+    A shard's arrays, its loss cache and its gradients, are locals of
+    `_shard_step` and die when it returns, before the next shard's forward.
+    """
+    noise = draw_noise(model, frame_batch, rng)
+    cut = frame_shards(frame_batch.pad_mask, frame_batch.target_mask, model.den.dim)
+    per_mse, per_round = shards.run(frame_batch, cut, t_arr, weights, noise)
+    breakdown = LossBreakdown.of(model, t_arr, per_mse, per_round)
+    for t_i, mse_i in zip(t_arr.tolist(), per_mse.tolist()):
         sampler.update(int(t_i), mse_i)
+    grads = shards.slots[0]
     grad_norm = clip_global_norm(grads, clip_norm)
     updated = math.isfinite(breakdown.total) and math.isfinite(grad_norm)
     if updated:
         optimizer.step(grads)
     return (breakdown.l_vlb, breakdown.l_emb, breakdown.l_round, breakdown.total,
-            grad_norm), updated
+            grad_norm), updated, len(cut)
 
 
 @dataclass
@@ -350,15 +609,18 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     the in-memory model (and any checkpoint on disk) stays at the last
     good step. Metrics rows are flushed as they are produced.
 
-    Training holds one step's arrays at a time: each step runs in
-    `_train_step`, whose forward cache (used up by backward, block by
-    block) and gradients die when it returns, so the next step's forward
-    starts with none of them alive. The last log line gives the process's
-    peak resident memory.
+    Each step cuts its batch into shards (`frame_shards`) and runs them on
+    `shard_processes` processes, this one and workers forked at the first
+    split step (`_Shards`); the cut depends on the batch alone, so the
+    process count changes no bit of the run. A shard that fails in a
+    worker, or a worker that exits, raises ShardError naming the shard, and
+    every worker is joined before this returns or raises. Workers write
+    no file and no log.
 
-    The denoiser runs a batch's shards on a thread pool of `shard_threads`
-    threads that lives only as long as this call; the shards depend on the
-    batch alone, so the thread count changes no bit of the run.
+    Training holds one shard's arrays at a time per process: its forward
+    cache (used up by backward, block by block) and its gradients, which
+    are copied into the shard's slot as they are computed. The last log
+    line gives this process's peak resident memory.
     """
     check_train_settings(steps=steps, batch=batch, lr=lr, weight_decay=weight_decay,
                          clip_norm=clip_norm, sampler_history=sampler_history,
@@ -367,23 +629,23 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
         raise ValidationError("cannot train on an empty instance list")
     rng = np.random.default_rng(seed)
     sampler = TimestepSampler(model.config.t_max, history=sampler_history)
-    optimizer = AdamW(model.trainable_tensors(), lr=lr, weight_decay=weight_decay)
 
     rows: list[dict] = []
     aborted = False
-    n_shards = math.ceil(batch / dn.SHARD_FRAMES)
-    threads = shard_threads(n_shards)
-    sharded_steps = 0
+    n_shards = max(1, min(-(-batch // SHARD_FRAMES), batch // dn.MIN_PRODUCT_ROWS))
+    processes = shard_processes(n_shards)
+    split_steps = 0
+    started = time.perf_counter()
     metrics = table_writer(metrics_path, METRICS_HEADER) if metrics_path else nullcontext()
-    shard_pool = ThreadPoolExecutor(threads) if threads > 1 else nullcontext()
-    with metrics as write_rows, shard_pool as pool:
+    with _Shards(model, n_shards, processes) as shards, metrics as write_rows:
+        optimizer = AdamW(model.trainable_tensors(), lr=lr, weight_decay=weight_decay)
         for step in range(1, steps + 1):
             picks = rng.integers(0, len(instances), size=batch)
             frame_batch = trim_batch(stack_instances([instances[int(i)] for i in picks]))
-            sharded_steps += len(dn.frame_shards(frame_batch.pad_mask, model.den.dim)) > 1
             t_arr, weights = sampler.sample(rng, size=batch)
-            losses, updated = _train_step(model, frame_batch, t_arr, weights, rng, sampler,
-                                          optimizer, clip_norm, pool)
+            losses, updated, ran = _train_step(model, frame_batch, t_arr, weights, rng,
+                                               sampler, optimizer, clip_norm, shards)
+            split_steps += ran > 1
             row = dict(zip(METRICS_HEADER, (step, float(np.mean(t_arr)), *losses)))
             rows.append(row)
             if write_rows is not None:
@@ -396,8 +658,10 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
                          step, steps, row["total"], row["grad_norm"])
             if ckpt_path and ckpt_interval and step % ckpt_interval == 0 and step < steps:
                 save_checkpoint(model, ckpt_path)
-    log.info("batches of %d frames: up to %d shards on %d threads; the shard gate split "
-             "%d of %d steps", batch, n_shards, threads, sharded_steps, len(rows))
+        workers = len(shards.workers)
+    log.info("batches of %d frames: up to %d shards, %d worker processes; the shard gate "
+             "split %d of %d steps; %.1f ms per step", batch, n_shards, workers, split_steps,
+             len(rows), 1e3 * (time.perf_counter() - started) / max(1, len(rows)))
     if ckpt_path and not aborted:
         save_checkpoint(model, ckpt_path)
     # ru_maxrss counts KiB on Linux

@@ -3,7 +3,9 @@
 import csv
 import json
 import logging
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -21,7 +23,6 @@ from scanpath_diffusion import (Corpus, ScanpathRecord, Vocabulary,
                                 synthetic_corpus, tokenize_sentence)
 import scanpath_diffusion
 from scanpath_diffusion import cli as cli_mod
-from scanpath_diffusion import denoiser as dn
 from scanpath_diffusion import training
 from scanpath_diffusion.cli import main
 
@@ -302,24 +303,57 @@ def train_args(paths, out_dir, flags=TRAIN_FLAGS):
             "--vocab", str(paths["vocab"]), "--out-dir", str(out_dir), *flags]
 
 
-def test_train_thread_count_does_not_change_output(tmp_path, monkeypatch, caplog):
-    """The shards depend on the batch alone: a sharded run on one thread and
-    on two writes the same bytes, and the log says the gate split it."""
+def test_train_worker_count_does_not_change_output(tmp_path, monkeypatch, caplog):
+    """The shards depend on the batch alone: a split run on one process and
+    on two (one worker) writes the same bytes, and the log says the gate
+    split it."""
     _, _, paths = make_world(tmp_path)
-    monkeypatch.setattr(dn, "MIN_SHARD_WORK", 0)
-    for threads in (1, 2):
-        monkeypatch.setattr(training, "shard_threads", lambda n_shards, k=threads: k)
+    monkeypatch.setattr(training, "MIN_SHARD_WORK", 0)
+    for processes in (1, 2):
+        monkeypatch.setattr(training, "shard_processes", lambda n_shards, k=processes: k)
         with caplog.at_level(logging.INFO, logger="scanpath_diffusion.training"):
-            assert main(train_args(paths, tmp_path / f"run{threads}", SHARD_FLAGS)) == 0
-        assert (f"batches of 12 frames: up to 2 shards on {threads} threads; the shard "
-                f"gate split 2 of 2 steps") in caplog.text
+            assert main(train_args(paths, tmp_path / f"run{processes}", SHARD_FLAGS)) == 0
+        assert re.search(f"batches of 12 frames: up to 2 shards, {processes - 1} worker "
+                         r"processes; the shard gate split 2 of 2 steps; \d+\.\d ms per step",
+                         caplog.text)
     for name in ("config.txt", "metrics.csv", "checkpoint.bin"):
         assert (tmp_path / "run1" / name).read_bytes() == (tmp_path / "run2" / name).read_bytes()
 
 
+def test_train_with_a_failing_shard_exits_two(tmp_path, monkeypatch, capsys):
+    """A shard that raises in its worker: exit 2 with the shard named, no
+    worker left, and the checkpoint of the last good step, step 2, as a
+    2-step run writes it."""
+    _, _, paths = make_world(tmp_path)
+    monkeypatch.setattr(training, "MIN_SHARD_WORK", 0)
+    monkeypatch.setattr(training, "shard_processes", lambda n_shards: 2)
+    flags = [*SHARD_FLAGS[:SHARD_FLAGS.index("--steps")], "--steps", "2",
+             *SHARD_FLAGS[SHARD_FLAGS.index("--steps") + 2:]]
+    assert main(train_args(paths, tmp_path / "good", flags)) == 0
+    shard_step, main_pid, calls = training._shard_step, os.getpid(), []
+
+    def failing(*args):
+        if os.getpid() != main_pid:
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError("bad shard")
+        return shard_step(*args)
+
+    monkeypatch.setattr(training, "_shard_step", failing)
+    flags[flags.index("--steps") + 1] = "4"
+    (tmp_path / "ckpt.txt").write_text("ckpt_interval=2\n")
+    assert main(train_args(paths, tmp_path / "run",
+                           [*flags, "--config", str(tmp_path / "ckpt.txt")])) == 2
+    assert "training shard 1 failed in its worker process: ValueError: bad shard" in \
+        capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert (tmp_path / "run" / "checkpoint.bin").read_bytes() == \
+        (tmp_path / "good" / "checkpoint.bin").read_bytes()
+
+
 def test_sharded_train_leaves_no_thread_before_a_forking_generate(tmp_path, monkeypatch):
-    """train's shard threads end with it, so the process generate forks its
-    workers from, right after, has none."""
+    """train's shard workers end with it, and it starts no thread, so the
+    process generate forks its workers from, right after, has neither."""
     corpus = synthetic_corpus(n_sentences=10, min_words=3, max_words=5, seed=11)
     vocab = build_vocab(corpus.sentences.values())
     paths = {"sentences": tmp_path / "sentences.csv", "corpus": tmp_path / "corpus.csv",
@@ -327,11 +361,12 @@ def test_sharded_train_leaves_no_thread_before_a_forking_generate(tmp_path, monk
     save_sentences(corpus.sentences, paths["sentences"])
     save_corpus(corpus, paths["corpus"])
     write_vocab(vocab, paths["vocab"])
-    monkeypatch.setattr(dn, "MIN_SHARD_WORK", 0)
-    monkeypatch.setattr(training, "shard_threads", lambda n_shards: 2)
+    monkeypatch.setattr(training, "MIN_SHARD_WORK", 0)
+    monkeypatch.setattr(training, "shard_processes", lambda n_shards: 2)
 
     before = threading.active_count()
     assert main(train_args(paths, tmp_path / "run", SHARD_FLAGS)) == 0
+    assert multiprocessing.active_children() == []
     assert threading.active_count() == before
     out = tmp_path / "pred.csv"
     assert main(["generate", "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),

@@ -2,8 +2,6 @@
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -364,9 +362,8 @@ def test_cached_gelu_cdf_is_bit_identical(monkeypatch, dim, n_blocks, n_heads, s
     # forward: every GELU output u * Phi(u) is the one-expression GELU; all
     # other forward arithmetic is unchanged, so the prediction is too (read
     # before backward, which uses the cache up)
-    (_, shard), = cache["shards"]
-    pre = [cache["t_hid"]] + [blk["u"] for blk in shard["blocks"]]
-    phis = [cache["t_phi"]] + [blk["phi"] for blk in shard["blocks"]]
+    pre = [cache["t_hid"]] + [blk["u"] for blk in cache["blocks"]]
+    phis = [cache["t_phi"]] + [blk["phi"] for blk in cache["blocks"]]
     for u, phi in zip(pre, phis):
         assert np.array_equal(u * phi, _gelu_reference(u))
         assert np.array_equal(dn._gelu(u), _gelu_reference(u))
@@ -712,92 +709,11 @@ def test_forward_rejects_read_mask_outside_real_slots():
 
 
 # ---------------------------------------------------------------------------
-# frame shards
-
-def test_frame_shards_cut_by_batch_size_alone(monkeypatch):
-    """ceil(B / SHARD_FRAMES) shards of np.array_split's sizes once the gate
-    opens; below the gate, and at every desk-size batch, one shard."""
-    # the gate at dim 256: 2 shards of 16 full frames need 2 x 96 real rows
-    assert dn.MIN_SHARD_WORK == 96 * 256 ** 2
-    pad = np.ones((16, 12), dtype=bool)
-    assert dn.frame_shards(pad, 256) == [slice(0, 8), slice(8, 16)]
-    pad[0, 0] = False
-    assert dn.frame_shards(pad, 256) == [slice(0, 16)]
-    # the desk size (dim 64, L 32): even full frames stay one shard
-    assert dn.frame_shards(np.ones((16, 32), dtype=bool), 64) == [slice(0, 16)]
-
-    monkeypatch.setattr(dn, "MIN_SHARD_WORK", 0)
-    for bsz in (1, 8, 9, 16, 17, 24, 31):
-        sizes = [s.stop - s.start for s in dn.frame_shards(np.ones((bsz, 3), dtype=bool), 8)]
-        assert sizes == [len(part) for part in
-                         np.array_split(np.arange(bsz), -(-bsz // dn.SHARD_FRAMES))]
-
-
-@pytest.mark.parametrize("threads", [None, 2], ids=["in-turn", "two-threads"])
-@pytest.mark.parametrize("with_read", [False, True], ids=["all-rows", "read-mask"])
-@pytest.mark.parametrize("bsz", [9, 17, 24])
-def test_shards_match_one_shard_pass(monkeypatch, bsz, with_read, threads):
-    """Uneven shards, some with fewer read rows than MIN_PRODUCT_ROWS:
-    predictions and d_z are bit-identical to one shard, padding is exact
-    zeros, and the parameter gradients move only by summation order.
-    At the paper width, the only one the gate splits at these frame sizes:
-    narrower backward products d @ w.T give a block of up to 9 (dim 128)
-    or 18 (dim 64) rows other bits than the same rows stacked
-    (`demos/blas_row_stability.py`), and a forced split of such small
-    frames would reach them. The
-    key biases' gradient is zero in exact arithmetic (a shift shared by
-    every key leaves the softmax as it is), so both passes leave only
-    rounding residue there, checked against the largest gradient entry."""
-    rng = np.random.default_rng(60 + bsz)
-    dim = 256
-    params = _random_params(dim, 2, 8, np.float64, rng)
-    seq = 14
-    lens = rng.integers(6, seq + 1, size=bsz)
-    pad = np.arange(seq)[None, :] < lens[:, None]
-    read = None
-    if with_read:
-        n_read = rng.integers(3, 6, size=bsz)
-        # the last shard's frames read one row or none
-        n_read[-(bsz // 3):] = np.arange(bsz // 3) % 2
-        read = pad & (np.arange(seq)[None, :] >= (lens - n_read)[:, None])
-    t = rng.integers(0, 10, size=bsz)
-    z = rng.standard_normal((bsz, seq, dim))
-    d_out = rng.standard_normal(z.shape)
-
-    monkeypatch.setattr(dn, "MIN_SHARD_WORK", math.inf)
-    ref, ref_cache = dn.forward(params, z, t, pad, need_cache=True, read_mask=read)
-    ref_grads, ref_d_z = dn.backward(params, ref_cache, d_out)
-    assert len(ref_cache["shards"]) == 1
-
-    monkeypatch.setattr(dn, "MIN_SHARD_WORK", 0)
-    with ThreadPoolExecutor(threads) if threads else nullcontext() as pool:
-        out, cache = dn.forward(params, z, t, pad, need_cache=True, read_mask=read, pool=pool)
-        grads, d_z = dn.backward(params, cache, d_out, pool=pool)
-    shards = [s for s, _ in cache["shards"]]
-    assert len(shards) == -(-bsz // dn.SHARD_FRAMES)
-    if with_read:
-        assert min(read[s].sum() for s in shards) < dn.MIN_PRODUCT_ROWS
-
-    assert np.array_equal(out, ref)
-    assert np.array_equal(d_z, ref_d_z)
-    assert np.all(out[~pad] == 0.0) and np.all(d_z[~pad] == 0.0)
-    assert list(grads) == list(ref_grads)
-    scale = max(np.abs(g).max() for g in ref_grads.values())
-    for name, g in ref_grads.items():
-        if name.endswith(".bk"):
-            assert np.abs(grads[name]).max() <= 1e-12 * scale, name
-            assert np.abs(g).max() <= 1e-12 * scale, name
-        else:
-            assert np.allclose(grads[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max()), name
-
-
-# ---------------------------------------------------------------------------
 # attention on real slots only
 
 def _forward_backward(params, z, t, pad, d_out, read=None):
     out, cache = dn.forward(params, z, t, pad, need_cache=True, read_mask=read)
-    (_, shard), = cache["shards"]
-    blocks = list(shard["blocks"])  # backward takes them out of the cache
+    blocks = list(cache["blocks"])  # backward takes them out of the cache
     grads, d_z = dn.backward(params, cache, d_out)
     return out, d_z, grads, blocks
 

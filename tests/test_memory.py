@@ -6,13 +6,13 @@ import logging
 import math
 import re
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from scanpath_diffusion import ValidationError, build_vocab, init_model, train
+from scanpath_diffusion import (ValidationError, build_vocab, init_model, stack_instances,
+                                train, trim_batch)
 from scanpath_diffusion import denoiser as dn
 from scanpath_diffusion import training
 
@@ -89,38 +89,48 @@ def test_each_step_forward_starts_with_no_array_of_the_step_before(monkeypatch, 
 
 
 @pytest.mark.parametrize("shards", [1, 2])
-def test_backward_uses_the_cache_up(monkeypatch, shards):
-    """Backward takes every block's activations out of the cache, drops
-    them block by block (the traced memory falls from one block's
-    attention backward to the next), and refuses a second backward on the
-    used-up cache."""
-    params, rng = random_denoiser(8, 4, 2, 80 + shards)
-    pad = np.arange(20)[None, :] < rng.integers(12, 21, size=9)[:, None]
-    z = rng.standard_normal(pad.shape + (8,))
-    d_out = rng.standard_normal(z.shape)
-    monkeypatch.setattr(dn, "MIN_SHARD_WORK", 0 if shards > 1 else math.inf)
-    attention_bwd = dn._attention_bwd
-    at_block = []
+def test_backward_uses_the_cache_up(monkeypatch, small_corpus, shards):
+    """Each shard's backward takes every block's activations out of its
+    cache and drops them block by block (the traced memory falls from one
+    block's attention backward to the next), the shards of a step in turn
+    in one process; and a second backward on a used-up cache is refused."""
+    vocab = build_vocab(small_corpus.sentences.values())
+    model = init_model(tiny_config(dim=8, n_blocks=4, v_bert=len(vocab)),
+                       np.random.default_rng(80 + shards))
+    for arr in model.trainable_tensors().values():
+        arr[...] = np.random.default_rng(81).normal(0, 0.5, size=arr.shape)
+    instances = encode_corpus(small_corpus, vocab, model.config.max_len)
+    batch = trim_batch(stack_instances(instances[:12]))
+    rng = np.random.default_rng(82)
+    t, weights = rng.integers(0, 11, size=12), np.ones(12)
+    noise = training.draw_noise(model, batch, rng)
+    monkeypatch.setattr(training, "MIN_SHARD_WORK", 0 if shards > 1 else math.inf)
+    cut = training.frame_shards(batch.pad_mask, batch.target_mask, 8)
+    assert len(cut) == shards
+    attention_bwd, backward = dn._attention_bwd, dn.backward
+    at_block, used_up = [], []
 
     def measured(*args):
         at_block.append(traced_now())
         return attention_bwd(*args)
 
-    monkeypatch.setattr(dn, "_attention_bwd", measured)
-    # one thread: the shards run in turn
-    with ThreadPoolExecutor(1) as pool, traced():
-        _, cache = dn.forward(params, z, np.arange(9), pad, need_cache=True, pool=pool)
-        assert len(cache["shards"]) == shards
-        blocks = array_bytes([shard["blocks"] for _, shard in cache["shards"]])
-        total = array_bytes(cache)
-        dn.backward(params, cache, d_out, pool=pool)
-        assert array_bytes(cache) == total - blocks
-        assert len(at_block) == 4 * shards
-        for shard in range(shards):
-            falls = np.diff(at_block[4 * shard:4 * shard + 4])
-            assert np.all(falls < 0), falls
+    def checked(params, cache, d_out, **kwargs):
+        blocks, total = array_bytes(cache["blocks"]), array_bytes(cache)
+        out = backward(params, cache, d_out, **kwargs)
+        used_up.append(array_bytes(cache) == total - blocks)
         with pytest.raises(ValidationError, match="used up by an earlier backward"):
-            dn.backward(params, cache, d_out, pool=pool)
+            backward(params, cache, d_out)
+        return out
+
+    monkeypatch.setattr(dn, "_attention_bwd", measured)
+    monkeypatch.setattr(dn, "backward", checked)
+    with traced(), training._Shards(model, shards, 1) as runner:
+        runner.run(batch, cut, t, weights, noise)
+    assert used_up == [True] * shards
+    assert len(at_block) == 4 * shards
+    for shard in range(shards):
+        falls = np.diff(at_block[4 * shard:4 * shard + 4])
+        assert np.all(falls < 0), falls
 
 
 def test_block_cache_stores_each_activation_once():
@@ -130,6 +140,5 @@ def test_block_cache_stores_each_activation_once():
     pad = np.arange(6)[None, :] < np.array([6, 4, 5])[:, None]
     _, cache = dn.forward(params, rng.standard_normal(pad.shape + (8,)), 3, pad,
                           need_cache=True)
-    (_, shard), = cache["shards"]
-    for blk in shard["blocks"]:
+    for blk in cache["blocks"]:
         assert set(blk) == {"ln1", "q", "k", "v", "att", "ctx", "ln2", "u", "phi"}

@@ -2,6 +2,8 @@
 
 import csv
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -532,19 +534,231 @@ def test_train_input_validation(tiny_vocab, small_corpus):
         train(model, instances, steps=1, batch=1, lr=1e-3, seed=0, clip_norm=-1)
 
 
-def test_shard_threads_divides_the_cpus_by_blas_threads(monkeypatch):
-    """Usable CPUs over the BLAS thread count, at most one per shard; BLAS
-    with no count set is taken to use every CPU, which leaves one."""
+def test_shard_processes_divides_the_cpus_by_blas_threads(monkeypatch):
+    """Usable CPUs over the BLAS thread count, at most one per shard, the
+    training process counted; BLAS with no count set is taken to use every
+    CPU, which leaves one, and so does a platform without fork."""
     monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     for var in training.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    assert training.shard_threads(3) == 1
+    assert training.shard_processes(3) == 1
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    assert training.shard_threads(3) == 3
-    assert training.shard_threads(8) == 4
+    assert training.shard_processes(3) == 3
+    assert training.shard_processes(8) == 4
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # read before OMP_NUM_THREADS
-    assert training.shard_threads(3) == 2
+    assert training.shard_processes(3) == 2
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
-    assert training.shard_threads(3) == 1
+    assert training.shard_processes(3) == 1
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "many")  # unreadable: the next variable
-    assert training.shard_threads(3) == 3
+    assert training.shard_processes(3) == 3
+    monkeypatch.setattr(training.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert training.shard_processes(3) == 1
+
+
+# ---------------------------------------------------------------------------
+# frame shards
+
+def frames(lens, read=None):
+    """pad and read masks of frames of the given real lengths; each frame
+    reads its last read[i] slots (default: half of them)."""
+    lens = np.asarray(lens)
+    read = lens // 2 if read is None else np.asarray(read)
+    cols = np.arange(lens.max())[None, :]
+    return cols < lens[:, None], (cols < lens[:, None]) & (cols >= (lens - read)[:, None])
+
+
+def sizes(cut):
+    return [s.stop - s.start for s in cut]
+
+
+def test_frame_shards_cut_by_batch_size_alone(monkeypatch):
+    """ceil(B / SHARD_FRAMES) shards once the gate opens, but none of fewer
+    than MIN_PRODUCT_ROWS frames; below the gate one shard. The desk size
+    (dim 64, batch 16) splits, tier-1's small models (dim <= 16) do not."""
+    assert training.MIN_SHARD_WORK == 2048
+    pad, read = frames([12] * 16, [6] * 16)
+    assert training.frame_shards(pad, read, 64) == [slice(0, 8), slice(8, 16)]
+    # 48 read rows a shard: enough at dim 64, too few at dim 16
+    assert training.frame_shards(pad, read, 32) == [slice(0, 16)]
+    assert training.frame_shards(pad, read, 16) == [slice(0, 16)]
+    # a desk batch of short frames: 16 frames of 6 slots, 3 read each
+    pad, read = frames([6] * 16, [3] * 16)
+    assert training.frame_shards(pad, read, 64) == [slice(0, 16)]
+
+    monkeypatch.setattr(training, "MIN_SHARD_WORK", 0)
+    for bsz, want in ((1, [1]), (8, [8]), (9, [9]), (11, [11]), (12, [6, 6]), (16, [8, 8]),
+                      (17, [8, 9]), (24, [8, 8, 8]), (31, [8, 7, 8, 8])):
+        pad, read = frames([4] * bsz, [2] * bsz)
+        assert sizes(training.frame_shards(pad, read, 8)) == want, bsz
+
+
+def test_frame_shards_balance_real_rows():
+    """Each cut falls at the frame boundary that best balances the real
+    rows, keeping MIN_PRODUCT_ROWS frames a shard; the gate reads the
+    smallest shard's read rows."""
+    # 16 frames: 4 long ones first, then 12 short ones
+    lens = [30] * 4 + [10] * 12
+    pad, read = frames(lens)
+    cut = training.frame_shards(pad, read, 64)
+    assert sizes(cut) == [6, 10]  # 140 and 100 rows; equal counts would give 200 and 80
+    assert [int(pad[s].sum()) for s in cut] == [140, 100]
+    # the best balance would put 4 frames in shard 0: kept at 6
+    lens = [32] * 4 + [6] * 12
+    pad, read = frames(lens, [16] * 4 + [4] * 12)
+    assert sizes(training.frame_shards(pad, read, 64)) == [6, 10]
+    # three shards of 24 frames, rows piled at the end
+    lens = [6] * 16 + [30] * 8
+    pad, read = frames(lens)
+    cut = training.frame_shards(pad, read, 64)
+    assert sizes(cut) == [12, 6, 6]
+    assert [int(pad[s].sum()) for s in cut] == [72, 84, 180]
+    # a smallest shard with 31 read rows at dim 64 is under the gate (2048)
+    lens = [10] * 16
+    pad, read = frames(lens, [4] * 15 + [3])
+    assert training.frame_shards(pad, read, 64) == [slice(0, 16)]
+    pad, read = frames(lens, [4] * 16)
+    assert len(training.frame_shards(pad, read, 64)) == 2
+
+
+def desk_case(seed, dim=64, n_blocks=4, bsz=16):
+    """A float32 model of the desk size (dim 64, 4 blocks, L 32) by
+    default, with random weights, and a batch of bsz frames of desk-fit's
+    sentence lengths."""
+    corpus = synthetic_corpus(n_sentences=16, min_words=5, max_words=10, seed=seed)
+    vocab = build_vocab(corpus.sentences.values())
+    config = tiny_config(max_len=32, dim=dim, d_bert=64, n_blocks=n_blocks, n_heads=4,
+                         v_idx=32, v_bert=len(vocab), t_max=200)
+    model = at_checkpoint_precision(init_model(config, np.random.default_rng(seed)))
+    rng = np.random.default_rng(seed + 1)
+    for arr in model.trainable_tensors().values():
+        arr += rng.normal(0, 0.05, size=arr.shape).astype(arr.dtype)
+    instances = encode_corpus(corpus, vocab, 32)
+    batch = trim_batch(stack_instances([instances[int(i)] for i in rng.permutation(32)[:bsz]]))
+    t = rng.integers(0, 201, size=bsz)
+    weights = rng.uniform(0.5, 2.0, size=bsz)
+    return model, batch, t, weights, training.draw_noise(model, batch, rng)
+
+
+def run_shards(model, batch, t, weights, noise, processes):
+    """The step's shards through the training runner: the per-frame losses
+    and a copy of the summed gradients."""
+    cut = training.frame_shards(batch.pad_mask, batch.target_mask, model.den.dim)
+    with training._Shards(model, len(cut), processes) as shards:
+        losses = shards.run(batch, cut, t, weights, noise)
+        grads = {name: g.copy() for name, g in shards.slots[0].items()}
+    return losses, grads, cut
+
+
+@pytest.mark.parametrize("bsz", [16, 24])
+@pytest.mark.parametrize("dim, n_blocks", [(64, 4), (256, 2)], ids=["desk", "paper-width"])
+def test_shards_match_one_shard_pass(monkeypatch, dim, n_blocks, bsz):
+    """Batches the gate splits into 2 and 3 shards: each frame's
+    prediction, d_z and per-frame losses are bit-identical to the
+    one-shard pass, and the summed parameter gradients move only by
+    summation order."""
+    model, batch, t, weights, noise = desk_case(3, dim, n_blocks, bsz)
+    preds, d_zs = [], []
+    forward, backward = dn.forward, dn.backward
+
+    def recording_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        preds.append(out[0])
+        return out
+
+    def recording_backward(*args, **kwargs):
+        out = backward(*args, **kwargs)
+        d_zs.append(out[1])
+        return out
+
+    monkeypatch.setattr(dn, "forward", recording_forward)
+    monkeypatch.setattr(dn, "backward", recording_backward)
+    ref, cache = loss_forward(model, batch, t, need_cache=True, noise=noise)
+    ref_grads = loss_backward(model, cache, weights)
+    (ref_pred,), (ref_d_z,) = preds, d_zs
+    preds.clear()
+    d_zs.clear()
+
+    (mse, rnd), grads, cut = run_shards(model, batch, t, weights, noise, processes=1)
+    assert len(cut) == bsz // 8
+    assert min(batch.target_mask[s].sum() for s in cut) * dim >= training.MIN_SHARD_WORK
+    assert np.array_equal(mse, ref.per_sample_mse)
+    assert np.array_equal(rnd, ref.per_sample_round)
+    assert np.array_equal(np.concatenate(preds), ref_pred)
+    assert np.array_equal(np.concatenate(d_zs), ref_d_z)
+    assert list(grads) == list(ref_grads) == list(model.trainable_tensors())
+    scale = max(np.abs(g).max() for g in ref_grads.values())
+    for name, g in ref_grads.items():
+        assert np.allclose(grads[name], g, rtol=1e-4, atol=1e-6 * scale), name
+
+
+def test_shard_process_count_changes_no_bit():
+    """The shards of a step run in one process or two: the same per-frame
+    losses and summed gradients, bit for bit, the model's own arrays back
+    with the values it had, and no worker left."""
+    model, batch, t, weights, noise = desk_case(4)
+    own = model.trainable_tensors()
+    before = {name: arr.copy() for name, arr in own.items()}
+    runs = [run_shards(model, batch, t, weights, noise, processes) for processes in (1, 2)]
+    (losses1, grads1, cut), (losses2, grads2, _) = runs
+    assert len(cut) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(losses1, losses2))
+    assert all(np.array_equal(grads1[name], grads2[name]) for name in grads1)
+    assert all(model.trainable_tensors()[name] is arr for name, arr in own.items())
+    assert all(np.array_equal(arr, before[name]) for name, arr in own.items())
+    assert multiprocessing.active_children() == []
+
+
+def failing_shard_step(monkeypatch, fail):
+    """Patch training's shard step, before any fork, to call fail() on its
+    third call in a worker process (step 3 of a 2-shard run)."""
+    shard_step = training._shard_step
+    main_pid = os.getpid()
+    calls = []
+
+    def patched(*args):
+        if os.getpid() != main_pid:
+            calls.append(1)
+            if len(calls) == 3:
+                fail()
+        return shard_step(*args)
+
+    monkeypatch.setattr(training, "_shard_step", patched)
+
+
+def split_run(monkeypatch, small_corpus):
+    """A tiny model, its instances, and the gate opened on two processes:
+    batches of 12 frames run as two shards, shard 1 in a worker."""
+    vocab = build_vocab(small_corpus.sentences.values())
+    model = make_model(v_bert=len(vocab))
+    monkeypatch.setattr(training, "MIN_SHARD_WORK", 0)
+    monkeypatch.setattr(training, "shard_processes", lambda n_shards: 2)
+    return model, encode_corpus(small_corpus, vocab, model.config.max_len)
+
+
+def test_a_failing_shard_raises_naming_it(monkeypatch, small_corpus):
+    """An exception in a worker's shard makes train raise with the shard
+    named; the model keeps the last good step and no worker is left."""
+    def fail():
+        raise ArithmeticError("shard went wrong")
+
+    model, instances = split_run(monkeypatch, small_corpus)
+    ref = make_model(v_bert=model.config.v_bert)
+    train(ref, instances, steps=2, batch=12, lr=1e-3, seed=0)
+    failing_shard_step(monkeypatch, fail)
+    with pytest.raises(training.ShardError,
+                       match="training shard 1 failed in its worker process: "
+                             "ArithmeticError: shard went wrong"):
+        train(model, instances, steps=5, batch=12, lr=1e-3, seed=0)
+    assert multiprocessing.active_children() == []
+    for name, arr in ref.all_tensors().items():
+        assert np.array_equal(model.all_tensors()[name], arr), name
+
+
+def test_a_worker_that_exits_is_an_error_not_a_hang(monkeypatch, small_corpus):
+    model, instances = split_run(monkeypatch, small_corpus)
+    failing_shard_step(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(training.ShardError,
+                       match=r"worker process running training shard 1 exited unexpectedly "
+                             r"\(exit code 3\)"):
+        train(model, instances, steps=5, batch=12, lr=1e-3, seed=0)
+    assert multiprocessing.active_children() == []

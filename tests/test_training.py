@@ -649,13 +649,13 @@ def run_shards(model, batch, t, weights, noise, processes):
     return losses, grads, cut
 
 
-@pytest.mark.parametrize("bsz", [16, 24])
+@pytest.mark.parametrize("bsz", [16, 17, 24, 31])
 @pytest.mark.parametrize("dim, n_blocks", [(64, 4), (256, 2)], ids=["desk", "paper-width"])
 def test_shards_match_one_shard_pass(monkeypatch, dim, n_blocks, bsz):
-    """Batches the gate splits into 2 and 3 shards: each frame's
-    prediction, d_z and per-frame losses are bit-identical to the
-    one-shard pass, and the summed parameter gradients move only by
-    summation order."""
+    """Batches the gate splits into 2, 3 and 4 shards, of equal and of
+    uneven frame counts: each frame's prediction, d_z and per-frame losses
+    are bit-identical to the one-shard pass, and the summed parameter
+    gradients move only by summation order."""
     model, batch, t, weights, noise = desk_case(3, dim, n_blocks, bsz)
     preds, d_zs = [], []
     forward, backward = dn.forward, dn.backward
@@ -679,7 +679,7 @@ def test_shards_match_one_shard_pass(monkeypatch, dim, n_blocks, bsz):
     d_zs.clear()
 
     (mse, rnd), grads, cut = run_shards(model, batch, t, weights, noise, processes=1)
-    assert len(cut) == bsz // 8
+    assert len(cut) == {16: 2, 17: 2, 24: 3, 31: 4}[bsz]
     assert min(batch.target_mask[s].sum() for s in cut) * dim >= training.MIN_SHARD_WORK
     assert np.array_equal(mse, ref.per_sample_mse)
     assert np.array_equal(rnd, ref.per_sample_round)

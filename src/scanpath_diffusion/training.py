@@ -56,6 +56,8 @@ import resource
 import signal
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
@@ -336,19 +338,25 @@ SHARD_FRAMES = 8
 MIN_SHARD_WORK = 2048
 
 
+def _shard_count(bsz: int) -> int:
+    """The most shards a batch of bsz frames is cut into: ceil(bsz /
+    SHARD_FRAMES), but no more than leave each MIN_PRODUCT_ROWS frames (a
+    shard's time MLP is a product of one row per frame)."""
+    return max(1, min(-(-bsz // SHARD_FRAMES), bsz // dn.MIN_PRODUCT_ROWS))
+
+
 def frame_shards(pad_mask, read_mask, dim: int) -> list[slice]:
     """The runs of frames of a batch that training computes one by one.
 
-    A batch of B frames is cut into ceil(B / SHARD_FRAMES) contiguous
-    shards, but into no more than leave each MIN_PRODUCT_ROWS frames (a
-    shard's time MLP is a product of one row per frame). Each cut falls at
-    the frame boundary that best balances the real rows on either side of
-    it. The batch splits only when its smallest shard carries at least
-    MIN_SHARD_WORK, its read rows times dim; otherwise it is one shard. The
-    cut depends on the batch alone, never on how many processes run it.
+    A batch of B frames is cut into _shard_count(B) contiguous shards, each
+    cut at the frame boundary that best balances the real rows on either
+    side of it. The batch splits only when its smallest shard carries at
+    least MIN_SHARD_WORK, its read rows times dim; otherwise it is one
+    shard. The cut depends on the batch alone, never on how many processes
+    run it.
     """
     bsz = len(pad_mask)
-    n = max(1, min(-(-bsz // SHARD_FRAMES), bsz // dn.MIN_PRODUCT_ROWS))
+    n = _shard_count(bsz)
     before = np.concatenate([[0], np.cumsum(pad_mask.sum(axis=1))])  # rows before frame j
     bounds = [0]
     for k in range(1, n):
@@ -439,34 +447,21 @@ def _shard_step(model, slot, frames, t_arr, weights, noise, batch_size):
     return breakdown.per_sample_mse, breakdown.per_sample_round
 
 
-def _shard_worker(conn, inherited, model, slots) -> None:
-    """A forked worker's loop: run the shards each message lists, reply
-    with their losses, until the training process closes the connection.
-    A failure is sent back as (False, (shard, message)) and ends the loop.
-    inherited are the training process's ends of the workers' pipes, which
-    the fork copied: closed here, so the training process's close (or exit)
-    is this worker's EOF."""
-    for end in inherited:
-        end.close()
+# (model, gradient slots) of the `train` call this process is a shard
+# worker of, set by the pool's initializer; the fork hands them over as they
+# are, shared mappings included
+_worker = None
+
+
+def _start_worker(model, slots) -> None:
+    global _worker
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the training process handles ^C
-    while True:
-        try:
-            jobs = conn.recv()
-        except EOFError:
-            return
-        shard = None
-        try:
-            reply = True, []
-            for shard, *job in jobs:
-                reply[1].append(_shard_step(model, slots[shard], *job))
-        except Exception as exc:  # noqa: BLE001 - reported to the training process
-            reply = False, (shard, f"{type(exc).__name__}: {exc}")
-        try:
-            conn.send(reply)
-        except OSError:  # the training process stopped listening
-            return
-        if not reply[0]:
-            return
+    _worker = model, slots
+
+
+def _worker_shard(shard, *job):
+    model, slots = _worker
+    return _shard_step(model, slots[shard], *job)
 
 
 class ShardError(RuntimeError):
@@ -478,11 +473,12 @@ class _Shards:
 
     For its lifetime the model's trainable tensors live in one shared
     mapping, and every shard of a step has a gradient slot in a second
-    one. Shard i of a step runs in process i % processes: 0 is this one,
-    the others are workers forked at the first split step, each of which
-    sees the optimizer's in-place updates. The slots are summed in shard
-    order into slot 0. On exit the model gets its own arrays back, holding
-    the trained values, and every worker is joined.
+    one. Of a step's shards, those whose index is a multiple of processes
+    run in this process, the others on a pool of processes - 1 workers
+    forked at the first split step, each of which sees the optimizer's
+    in-place updates. The slots are summed in shard order into slot 0. On
+    exit the model gets its own arrays back, holding the trained values,
+    and every worker is joined.
     """
 
     def __init__(self, model: Model, n_slots: int, processes: int):
@@ -492,7 +488,7 @@ class _Shards:
         (shared,), _ = _shared_copies(self.own, 1)
         slots, self.flat = _shared_copies(self.own, n_slots)
         self.slots = [GradSlot(slot) for slot in slots]
-        self.workers: list = []  # (process, connection)
+        self.pool = None
         for name, arr in self.own.items():
             shared[name][...] = arr
         _set_tensors(model, shared)
@@ -501,67 +497,42 @@ class _Shards:
         return self
 
     def __exit__(self, *exc):
-        for _, conn in self.workers:
-            conn.close()  # a worker reads EOF and returns
-        for proc, _ in self.workers:
-            proc.join()
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
         shared = self.model.trainable_tensors()
         for name, arr in self.own.items():
             arr[...] = shared[name]
         _set_tensors(self.model, self.own)
-
-    def _start(self) -> None:
-        sys.stdout.flush()  # a buffered line would be written again by the worker
-        sys.stderr.flush()
-        ctx = multiprocessing.get_context("fork")
-        for _ in range(1, self.processes):
-            conn, child = ctx.Pipe()
-            ends = [conn, *(end for _, end in self.workers)]
-            proc = ctx.Process(target=_shard_worker, args=(child, ends, self.model, self.slots),
-                               daemon=True)
-            proc.start()
-            child.close()  # the worker's end is the worker's alone: its exit is our EOF
-            self.workers.append((proc, conn))
 
     def run(self, batch: Batch, cut: list[slice], t_arr, weights, noise):
         """Every shard of a step; returns the batch's per-frame losses, and
         leaves the summed gradients in slot 0."""
         jobs = [(i, _frames(batch, at), t_arr[at], weights[at],
                  tuple(eps[at] for eps in noise), batch.size) for i, at in enumerate(cut)]
-        if len(cut) > 1 and self.processes > 1 and not self.workers:
-            self._start()
-        sent = [(proc, conn, jobs[p::self.processes])
-                for p, (proc, conn) in enumerate(self.workers, 1) if jobs[p::self.processes]]
-        for proc, conn, theirs in sent:
-            try:
-                conn.send(theirs)
-            except OSError:
-                raise self._exited(proc, theirs) from None
+        if len(cut) > 1 and self.processes > 1 and self.pool is None:
+            sys.stdout.flush()  # a buffered line would be written again by a worker
+            sys.stderr.flush()
+            self.pool = ProcessPoolExecutor(self.processes - 1,
+                                            mp_context=multiprocessing.get_context("fork"),
+                                            initializer=_start_worker,
+                                            initargs=(self.model, self.slots))
+        theirs = {i: self.pool.submit(_worker_shard, i, *job)
+                  for i, *job in jobs if i % self.processes}
         losses = {i: _shard_step(self.model, self.slots[i], *job)
                   for i, *job in jobs[::self.processes]}
-        for proc, conn, theirs in sent:
-            losses.update(zip((i for i, *_ in theirs), self._receive(proc, conn, theirs)))
+        for i, future in theirs.items():
+            try:
+                losses[i] = future.result()
+            except BrokenProcessPool as exc:
+                raise ShardError(f"the worker process running training shard {i} "
+                                 "exited unexpectedly") from exc
+            except Exception as exc:
+                raise ShardError(f"training shard {i} failed in its worker process: "
+                                 f"{type(exc).__name__}: {exc}") from exc
         total = self.flat[0]
         for i in range(1, len(cut)):
             total += self.flat[i]
         return tuple(np.concatenate([losses[i][k] for i in range(len(cut))]) for k in (0, 1))
-
-    @staticmethod
-    def _exited(proc, jobs) -> ShardError:
-        proc.join()
-        return ShardError(f"the worker process running training shard {jobs[0][0]} "
-                          f"exited unexpectedly (exit code {proc.exitcode})")
-
-    @staticmethod
-    def _receive(proc, conn, jobs):
-        try:
-            ok, reply = conn.recv()
-        except (EOFError, OSError):
-            raise _Shards._exited(proc, jobs) from None
-        if not ok:
-            shard, message = reply
-            raise ShardError(f"training shard {shard} failed in its worker process: {message}")
-        return reply
 
 
 def _train_step(model, frame_batch, t_arr, weights, rng, sampler, optimizer, clip_norm,
@@ -632,7 +603,7 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
 
     rows: list[dict] = []
     aborted = False
-    n_shards = max(1, min(-(-batch // SHARD_FRAMES), batch // dn.MIN_PRODUCT_ROWS))
+    n_shards = _shard_count(batch)
     processes = shard_processes(n_shards)
     split_steps = 0
     started = time.perf_counter()
@@ -658,7 +629,7 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
                          step, steps, row["total"], row["grad_norm"])
             if ckpt_path and ckpt_interval and step % ckpt_interval == 0 and step < steps:
                 save_checkpoint(model, ckpt_path)
-        workers = len(shards.workers)
+        workers = 0 if shards.pool is None else processes - 1
     log.info("batches of %d frames: up to %d shards, %d worker processes; the shard gate "
              "split %d of %d steps; %.1f ms per step", batch, n_shards, workers, split_steps,
              len(rows), 1e3 * (time.perf_counter() - started) / max(1, len(rows)))

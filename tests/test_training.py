@@ -620,15 +620,17 @@ def test_frame_shards_balance_real_rows():
     assert len(training.frame_shards(pad, read, 64)) == 2
 
 
-def desk_case(seed, dim=64, n_blocks=4, bsz=16):
-    """A float32 model of the desk size (dim 64, 4 blocks, L 32) by
-    default, with random weights, and a batch of bsz frames of desk-fit's
-    sentence lengths."""
+def desk_case(seed, dim=64, n_blocks=4, bsz=16, float64=False):
+    """A float32 model (float64 if asked) of the desk size (dim 64, 4
+    blocks, L 32) by default, with random weights, and a batch of bsz
+    frames of desk-fit's sentence lengths."""
     corpus = synthetic_corpus(n_sentences=16, min_words=5, max_words=10, seed=seed)
     vocab = build_vocab(corpus.sentences.values())
     config = tiny_config(max_len=32, dim=dim, d_bert=64, n_blocks=n_blocks, n_heads=4,
                          v_idx=32, v_bert=len(vocab), t_max=200)
-    model = at_checkpoint_precision(init_model(config, np.random.default_rng(seed)))
+    model = init_model(config, np.random.default_rng(seed))
+    if not float64:
+        model = at_checkpoint_precision(model)
     rng = np.random.default_rng(seed + 1)
     for arr in model.trainable_tensors().values():
         arr += rng.normal(0, 0.05, size=arr.shape).astype(arr.dtype)
@@ -649,14 +651,19 @@ def run_shards(model, batch, t, weights, noise, processes):
     return losses, grads, cut
 
 
+@pytest.mark.parametrize("float64", [False, True], ids=["float32", "float64"])
 @pytest.mark.parametrize("bsz", [16, 17, 24, 31])
 @pytest.mark.parametrize("dim, n_blocks", [(64, 4), (256, 2)], ids=["desk", "paper-width"])
-def test_shards_match_one_shard_pass(monkeypatch, dim, n_blocks, bsz):
+def test_shards_match_one_shard_pass(monkeypatch, dim, n_blocks, bsz, float64):
     """Batches the gate splits into 2, 3 and 4 shards, of equal and of
     uneven frame counts: each frame's prediction, d_z and per-frame losses
     are bit-identical to the one-shard pass, and the summed parameter
-    gradients move only by summation order."""
-    model, batch, t, weights, noise = desk_case(3, dim, n_blocks, bsz)
+    gradients move only by summation order, to a relative 1e-12 in
+    float64 (1e-4 in float32). The key biases' gradient is zero in exact
+    arithmetic (a shift shared by every key leaves the softmax as it is),
+    so both passes leave only rounding residue there, checked against the
+    largest gradient entry."""
+    model, batch, t, weights, noise = desk_case(3, dim, n_blocks, bsz, float64)
     preds, d_zs = [], []
     forward, backward = dn.forward, dn.backward
 
@@ -687,8 +694,16 @@ def test_shards_match_one_shard_pass(monkeypatch, dim, n_blocks, bsz):
     assert np.array_equal(np.concatenate(d_zs), ref_d_z)
     assert list(grads) == list(ref_grads) == list(model.trainable_tensors())
     scale = max(np.abs(g).max() for g in ref_grads.values())
+    if not float64:
+        for name, g in ref_grads.items():
+            assert np.allclose(grads[name], g, rtol=1e-4, atol=1e-6 * scale), name
+        return
     for name, g in ref_grads.items():
-        assert np.allclose(grads[name], g, rtol=1e-4, atol=1e-6 * scale), name
+        if name.endswith(".bk"):
+            assert np.abs(grads[name]).max() <= 1e-12 * scale, name
+            assert np.abs(g).max() <= 1e-12 * scale, name
+        else:
+            assert np.allclose(grads[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max()), name
 
 
 def test_shard_process_count_changes_no_bit():
@@ -758,7 +773,6 @@ def test_a_worker_that_exits_is_an_error_not_a_hang(monkeypatch, small_corpus):
     model, instances = split_run(monkeypatch, small_corpus)
     failing_shard_step(monkeypatch, lambda: os._exit(3))
     with pytest.raises(training.ShardError,
-                       match=r"worker process running training shard 1 exited unexpectedly "
-                             r"\(exit code 3\)"):
+                       match="worker process running training shard 1 exited unexpectedly"):
         train(model, instances, steps=5, batch=12, lr=1e-3, seed=0)
     assert multiprocessing.active_children() == []

@@ -51,9 +51,9 @@ scanpath-diffusion generate \
   --sentences "$work/sentences.csv" --vocab "$work/vocab.txt" \
   --out "$work/pred.csv" --seed 9
 
-# ---- the same samples from a 2-process pool (18 fitting sentences, 3 ------
-# ---- chunks of at most 8 shared by 2 workers): the worker count changes ---
-# ---- no byte --------------------------------------------------------------
+# ---- the same samples on 2 processes (18 fitting sentences, 3 chunks of ---
+# ---- at most 8: chunks 0 and 2 in the command's process, chunk 1 in one ---
+# ---- forked worker): the worker count changes no byte ---------------------
 scanpath-diffusion generate \
   --checkpoint "$work/run/checkpoint.bin" \
   --sentences "$work/sentences.csv" --vocab "$work/vocab.txt" \

@@ -4,6 +4,11 @@ Subcommands: prepare, train, generate, evaluate, baseline, schedule-dump,
 trace. Every subcommand accepts --config (flat key=value file) plus flag
 overrides; flags win. Exit codes: 0 success, 1 bad input or usage, 2
 runtime failure.
+
+train and generate run their jobs, training shards and generation chunks,
+through the one forked runner (`workers.Forked`): `generate --workers N`
+samples its chunks on N processes, this one counted, and the N - 1 forked
+ones inherit the loaded model and vocabulary rather than read them again.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import argparse
 import functools
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +37,7 @@ from .schedules import KINDS, build_schedule, dump_schedule
 from .splits import MODES, load_split_plan, make_splits, save_split_plan
 from .tokenization import Vocabulary
 from .training import LOOP_SETTINGS, check_train_settings, train as run_training
+from .workers import Forked
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,22 +139,12 @@ def _cmd_train(args) -> int:
 # "Performance")
 GENERATE_CHUNK = 8
 
-# (model, vocab, seed, mean_only) of this process's latest generate run: set
-# once per run in the CLI process and once in every pool worker
-_generation = None
 
-
-def _start_generation(checkpoint, vocab_path, seed, mean_only):
-    global _generation
-    _generation = (load_checkpoint(checkpoint), Vocabulary.from_file(vocab_path),
-                   seed, mean_only)
-    return _generation
-
-
-def _generate_chunk(jobs):
-    """The results of a chunk of (index, tokenized sentence) jobs of the
-    current run, sampled in one lockstep chain."""
-    model, vocab, seed, mean_only = _generation
+def _generate_chunk(state, jobs):
+    """The results of a chunk of (index, tokenized sentence) jobs, sampled
+    in one lockstep chain from state, a run's (model, vocab, seed,
+    mean_only)."""
+    model, vocab, seed, mean_only = state
     return generate_batch(model, [tok for _, tok in jobs], vocab,
                           rngs=[sentence_rng(seed, index) for index, _ in jobs],
                           mean_only=mean_only)
@@ -159,8 +154,7 @@ def _cmd_generate(args) -> int:
     st = _settings(args)
     if st["workers"] < 1:
         raise ValidationError(f"workers must be >= 1, got {st['workers']}")
-    setup = (args.checkpoint, args.vocab, st["seed"], st["mean_only"])
-    model, vocab, _, _ = _start_generation(*setup)
+    model, vocab = load_checkpoint(args.checkpoint), Vocabulary.from_file(args.vocab)
     sentences = load_sentences(args.sentences)
     usable = fitting_sentences(sentences, vocab, model.config.max_len)
     if not usable:
@@ -169,14 +163,11 @@ def _cmd_generate(args) -> int:
 
     jobs = list(enumerate(usable.values()))
     chunks = [jobs[lo:lo + GENERATE_CHUNK] for lo in range(0, len(jobs), GENERATE_CHUNK)]
-    workers = min(st["workers"], len(chunks))  # a worker without a chunk is not started
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_start_generation,
-                                 initargs=setup) as pool:
-            per_chunk = list(pool.map(_generate_chunk, chunks))
-    else:
-        per_chunk = list(map(_generate_chunk, chunks))
+    # this process counts among the workers, and a worker without a chunk
+    # is not started; the forked ones inherit the loaded model
+    with Forked(_generate_chunk, (model, vocab, st["seed"], st["mean_only"]),
+                min(st["workers"], len(chunks)), "generation chunk") as runner:
+        per_chunk = runner.map([(chunk,) for chunk in chunks])
     results = [res for chunk in per_chunk for res in chunk]
 
     out = Corpus(

@@ -190,10 +190,10 @@ def nld(a, b) -> float:
     For many pairs, divide the levenshtein_many distances by the longer
     lengths instead of calling this per pair.
     """
-    la, lb = len(list(a)), len(list(b))
-    if la == 0 and lb == 0:
+    a, b = tuple(a), tuple(b)  # an iterator is read once
+    if not a and not b:
         raise ValidationError("nld undefined for two empty sequences")
-    return levenshtein(a, b) / max(la, lb)
+    return levenshtein(a, b) / max(len(a), len(b))
 
 
 def pearson(xs, ys) -> tuple[float, float]:

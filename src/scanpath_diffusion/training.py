@@ -40,9 +40,9 @@ whole loss forward and backward, every parameter gradient included, at
 the batch's width and scale, so each frame's prediction, input gradient
 and losses are bit-identical to a one-shard pass, and the shards'
 gradients, summed in shard order, differ from it only in summation
-order. Shard 0 runs in the training process and the others in workers
-forked once per `train` call (`_Shards`); the process count changes no
-bit of a run.
+order. The shards run through the one forked runner, `workers.Forked`:
+shard 0 in the training process, the others in workers forked once per
+`train` call (`_Shards`); the process count changes no bit of a run.
 """
 
 from __future__ import annotations
@@ -50,14 +50,9 @@ from __future__ import annotations
 import logging
 import math
 import mmap
-import multiprocessing
 import os
 import resource
-import signal
-import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
@@ -70,6 +65,7 @@ from .encoding import Batch, stack_instances, trim_batch
 from .errors import ValidationError
 from .model import Model, save_checkpoint
 from .schedules import TimestepSampler, q_sample
+from .workers import Forked, WorkerError
 
 __all__ = [
     "loss_forward", "loss_backward",
@@ -378,14 +374,13 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 def shard_processes(n_shards: int) -> int:
     """Processes to run a batch's shards on, the training process counted:
     the usable CPUs divided by the threads each BLAS call takes, at most
-    one per shard, at least 1, and 1 where fork is unavailable.
+    one per shard, at least 1. Where fork is unavailable the runner
+    (`workers.Forked`) runs them all in the training process.
 
     BLAS with no thread count set is taken to use every CPU already, which
     leaves one process: shards beside a threaded BLAS slow training down
     (README, "Performance").
     """
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
     counts = [int(v) for v in (os.environ.get(var, "").strip() for var in BLAS_THREAD_VARS)
@@ -437,35 +432,20 @@ def _frames(batch: Batch, at: slice) -> Batch:
     return Batch(**{f.name: getattr(batch, f.name)[at] for f in fields(Batch)})
 
 
-def _shard_step(model, slot, frames, t_arr, weights, noise, batch_size):
-    """One shard's part of a training step: its frames' loss forward and
-    backward at the batch's scale, every gradient written into its slot.
+def _shard_step(state, shard, frames, t_arr, weights, noise, batch_size):
+    """Shard number shard's part of a training step, state the (model,
+    gradient slots) of `_Shards`: its frames' loss forward and backward at
+    the batch's scale, every gradient written into the shard's slot.
     Returns its frames' per-frame (reconstruction, rounding) losses."""
+    model, slots = state
     breakdown, cache = loss_forward(model, frames, t_arr, need_cache=True, noise=noise,
                                     batch_size=batch_size)
-    loss_backward(model, cache, weights, out=slot)
+    loss_backward(model, cache, weights, out=slots[shard])
     return breakdown.per_sample_mse, breakdown.per_sample_round
 
 
-# (model, gradient slots) of the `train` call this process is a shard
-# worker of, set by the pool's initializer; the fork hands them over as they
-# are, shared mappings included
-_worker = None
-
-
-def _start_worker(model, slots) -> None:
-    global _worker
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the training process handles ^C
-    _worker = model, slots
-
-
-def _worker_shard(shard, *job):
-    model, slots = _worker
-    return _shard_step(model, slots[shard], *job)
-
-
-class ShardError(RuntimeError):
-    """A training shard failed in a worker process."""
+# a training shard that failed in a worker process, or whose worker exited
+ShardError = WorkerError
 
 
 class _Shards:
@@ -473,22 +453,21 @@ class _Shards:
 
     For its lifetime the model's trainable tensors live in one shared
     mapping, and every shard of a step has a gradient slot in a second
-    one. Of a step's shards, those whose index is a multiple of processes
-    run in this process, the others on a pool of processes - 1 workers
-    forked at the first split step, each of which sees the optimizer's
-    in-place updates. The slots are summed in shard order into slot 0. On
-    exit the model gets its own arrays back, holding the trained values,
-    and every worker is joined.
+    one. The shards run through a `workers.Forked` runner whose state is
+    (model, slots): its workers are forked at the first split step and
+    see the optimizer's in-place updates through the shared mapping. The
+    slots are summed in shard order into slot 0. On exit the model gets
+    its own arrays back, holding the trained values, and every worker is
+    joined.
     """
 
     def __init__(self, model: Model, n_slots: int, processes: int):
         self.model = model
-        self.processes = processes
         self.own = model.trainable_tensors()
         (shared,), _ = _shared_copies(self.own, 1)
         slots, self.flat = _shared_copies(self.own, n_slots)
         self.slots = [GradSlot(slot) for slot in slots]
-        self.pool = None
+        self.runner = Forked(_shard_step, (model, self.slots), processes, "training shard")
         for name, arr in self.own.items():
             shared[name][...] = arr
         _set_tensors(model, shared)
@@ -497,8 +476,7 @@ class _Shards:
         return self
 
     def __exit__(self, *exc):
-        if self.pool is not None:
-            self.pool.shutdown(cancel_futures=True)
+        self.runner.__exit__(*exc)
         shared = self.model.trainable_tensors()
         for name, arr in self.own.items():
             arr[...] = shared[name]
@@ -507,32 +485,13 @@ class _Shards:
     def run(self, batch: Batch, cut: list[slice], t_arr, weights, noise):
         """Every shard of a step; returns the batch's per-frame losses, and
         leaves the summed gradients in slot 0."""
-        jobs = [(i, _frames(batch, at), t_arr[at], weights[at],
-                 tuple(eps[at] for eps in noise), batch.size) for i, at in enumerate(cut)]
-        if len(cut) > 1 and self.processes > 1 and self.pool is None:
-            sys.stdout.flush()  # a buffered line would be written again by a worker
-            sys.stderr.flush()
-            self.pool = ProcessPoolExecutor(self.processes - 1,
-                                            mp_context=multiprocessing.get_context("fork"),
-                                            initializer=_start_worker,
-                                            initargs=(self.model, self.slots))
-        theirs = {i: self.pool.submit(_worker_shard, i, *job)
-                  for i, *job in jobs if i % self.processes}
-        losses = {i: _shard_step(self.model, self.slots[i], *job)
-                  for i, *job in jobs[::self.processes]}
-        for i, future in theirs.items():
-            try:
-                losses[i] = future.result()
-            except BrokenProcessPool as exc:
-                raise ShardError(f"the worker process running training shard {i} "
-                                 "exited unexpectedly") from exc
-            except Exception as exc:
-                raise ShardError(f"training shard {i} failed in its worker process: "
-                                 f"{type(exc).__name__}: {exc}") from exc
+        losses = self.runner.map([(i, _frames(batch, at), t_arr[at], weights[at],
+                                   tuple(eps[at] for eps in noise), batch.size)
+                                  for i, at in enumerate(cut)])
         total = self.flat[0]
         for i in range(1, len(cut)):
             total += self.flat[i]
-        return tuple(np.concatenate([losses[i][k] for i in range(len(cut))]) for k in (0, 1))
+        return tuple(np.concatenate([shard[k] for shard in losses]) for k in (0, 1))
 
 
 def _train_step(model, frame_batch, t_arr, weights, rng, sampler, optimizer, clip_norm,
@@ -629,7 +588,7 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
                          step, steps, row["total"], row["grad_norm"])
             if ckpt_path and ckpt_interval and step % ckpt_interval == 0 and step < steps:
                 save_checkpoint(model, ckpt_path)
-        workers = 0 if shards.pool is None else processes - 1
+        workers = shards.runner.workers
     log.info("batches of %d frames: up to %d shards, %d worker processes; the shard gate "
              "split %d of %d steps; %.1f ms per step", batch, n_shards, workers, split_steps,
              len(rows), 1e3 * (time.perf_counter() - started) / max(1, len(rows)))

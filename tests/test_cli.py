@@ -24,6 +24,7 @@ from scanpath_diffusion import (Corpus, ScanpathRecord, Vocabulary,
 import scanpath_diffusion
 from scanpath_diffusion import cli as cli_mod
 from scanpath_diffusion import training
+from scanpath_diffusion import workers as workers_mod
 from scanpath_diffusion.cli import main
 
 
@@ -487,11 +488,109 @@ def test_generate_starts_no_pool_for_one_chunk(trained, tmp_path, monkeypatch):
     """The 4 fixture sentences are one chunk: --workers 2 runs it in process."""
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started for a single chunk")
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(workers_mod, "ProcessPoolExecutor", no_pool)
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
     assert main(gen_args(trained, one)) == 0
     assert main(gen_args(trained, two, ["--workers", "2"])) == 0
     assert one.read_bytes() == two.read_bytes()
+
+
+def test_generate_worker_counts_one_to_three_write_the_same_bytes(trained, tmp_path,
+                                                                   monkeypatch):
+    """Chunks of one sentence, 4 of them: --workers 1, 2 and 3 (no, one and
+    two forked workers) write the same bytes, and leave no worker."""
+    monkeypatch.setattr(cli_mod, "GENERATE_CHUNK", 1)
+    outs = [tmp_path / f"w{workers}.csv" for workers in (1, 2, 3)]
+    for workers, out in zip((1, 2, 3), outs):
+        assert main(gen_args(trained, out, ["--workers", str(workers)])) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_generate_on_two_processes_forks_one_worker(trained, tmp_path, monkeypatch):
+    """Two chunks on --workers 2: the pool gets one worker, and chunk 0 runs
+    in this process, on the model this process loaded."""
+    monkeypatch.setattr(cli_mod, "GENERATE_CHUNK", 3)
+    pool_class, chunk, main_pid = workers_mod.ProcessPoolExecutor, cli_mod._generate_chunk, \
+        os.getpid()
+    pools, here = [], []
+
+    def recording_pool(max_workers, **kwargs):
+        pools.append(max_workers)
+        return pool_class(max_workers, **kwargs)
+
+    def recording_chunk(state, jobs):
+        if os.getpid() == main_pid:
+            here.append(jobs[0][0])  # the chunk's first sentence index
+        return chunk(state, jobs)
+
+    monkeypatch.setattr(workers_mod, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(cli_mod, "_generate_chunk", recording_chunk)
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert main(gen_args(trained, one)) == 0
+    assert (pools, here) == ([], [0, 3])
+    here.clear()
+    assert main(gen_args(trained, two, ["--workers", "2"])) == 0
+    assert (pools, here) == ([1], [0])
+    assert one.read_bytes() == two.read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def bad_chunk():
+    raise ValueError("bad chunk")
+
+
+@pytest.mark.parametrize("fail, message", [
+    (bad_chunk, "generation chunk 1 failed in its worker process: ValueError: bad chunk"),
+    (lambda: os._exit(3), "the worker process running generation chunk 1 exited unexpectedly"),
+], ids=["raises", "exits"])
+def test_generate_with_a_failing_chunk_exits_two(trained, tmp_path, monkeypatch, capsys,
+                                                 fail, message):
+    """A chunk that fails in its worker, or whose worker exits: exit 2 with
+    the chunk named, no worker left and no output written."""
+    monkeypatch.setattr(cli_mod, "GENERATE_CHUNK", 3)  # 2 chunks, chunk 1 in the worker
+    chunk, main_pid = cli_mod._generate_chunk, os.getpid()
+
+    def failing(state, jobs):
+        if os.getpid() != main_pid:
+            fail()
+        return chunk(state, jobs)
+
+    monkeypatch.setattr(cli_mod, "_generate_chunk", failing)  # before the fork
+    out = tmp_path / "pred.csv"
+    assert main(gen_args(trained, out, ["--workers", "2"])) == 2
+    assert message in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
+def test_without_fork_generate_and_train_start_no_process(trained, tmp_path, monkeypatch,
+                                                          caplog):
+    """Where fork is unavailable, generate --workers 2 over two chunks and a
+    split train on two processes run every job in this process and write
+    the bytes of one process."""
+    _, _, paths = make_world(tmp_path)
+    monkeypatch.setattr(cli_mod, "GENERATE_CHUNK", 3)
+    monkeypatch.setattr(training, "MIN_SHARD_WORK", 0)
+    monkeypatch.setattr(training, "shard_processes", lambda n_shards: 1)
+    assert main(gen_args(trained, tmp_path / "one.csv")) == 0
+    assert main(train_args(paths, tmp_path / "run1", SHARD_FLAGS)) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started without fork")
+    monkeypatch.setattr(workers_mod, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(workers_mod.multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    monkeypatch.setattr(training, "shard_processes", lambda n_shards: 2)
+    assert main(gen_args(trained, tmp_path / "two.csv", ["--workers", "2"])) == 0
+    with caplog.at_level(logging.INFO, logger="scanpath_diffusion.training"):
+        assert main(train_args(paths, tmp_path / "run2", SHARD_FLAGS)) == 0
+    assert "up to 2 shards, 0 worker processes; the shard gate split 2 of 2 steps" in \
+        caplog.text
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+    for name in ("config.txt", "metrics.csv", "checkpoint.bin"):
+        assert (tmp_path / "run1" / name).read_bytes() == (tmp_path / "run2" / name).read_bytes()
+    assert multiprocessing.active_children() == []
 
 
 def test_generate_with_no_fitting_sentence_exits_one_before_writing(trained, tmp_path,

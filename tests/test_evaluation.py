@@ -68,6 +68,8 @@ def test_nld_hand_cases():
     assert nld([1, 2, 3, 2], [1, 2, 3]) == pytest.approx(0.25)
     assert nld([1, 2, 3], [4, 5, 6]) == 1.0
     assert nld([7], [7]) == 0.0
+    assert nld(iter([1, 2]), iter([1, 3])) == 0.5  # one-shot iterables are read once
+    assert nld((x for x in [1, 2]), [1, 3]) == 0.5
     with pytest.raises(ValidationError):
         nld([], [])
 

@@ -537,7 +537,7 @@ def test_train_input_validation(tiny_vocab, small_corpus):
 def test_shard_processes_divides_the_cpus_by_blas_threads(monkeypatch):
     """Usable CPUs over the BLAS thread count, at most one per shard, the
     training process counted; BLAS with no count set is taken to use every
-    CPU, which leaves one, and so does a platform without fork."""
+    CPU, which leaves one."""
     monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     for var in training.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
@@ -551,8 +551,6 @@ def test_shard_processes_divides_the_cpus_by_blas_threads(monkeypatch):
     assert training.shard_processes(3) == 1
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "many")  # unreadable: the next variable
     assert training.shard_processes(3) == 3
-    monkeypatch.setattr(training.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert training.shard_processes(3) == 1
 
 
 # ---------------------------------------------------------------------------

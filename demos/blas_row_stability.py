@@ -3,8 +3,7 @@
 The denoiser runs every per-token layer as one (N, K) @ (K, N_out)
 product over packed rows, x @ w forward and d @ w.T for the input
 gradient backward, and three of its promises hold only if the BLAS gives
-a row the same bits whichever other rows share its product, and whatever
-runs beside it:
+a row the same bits whichever other rows share its product:
 
   blocks   `generate_batch` packs the rows of several frames into one
            product. A frame's rows match those of its one-sentence chain
@@ -19,16 +18,15 @@ runs beside it:
            backward, run in turn or in forked worker processes. A shard's
            predictions and input gradient match the one-shard pass only
            when its rows get the bits of the stacked product, forward and
-           backward. The check that a product gets the same bits while
-           another runs in a second thread stays, for any product two
-           threads of one process run at once.
+           backward.
 
 This script checks all three at the denoiser's three per-token product
 shapes, in float32 and float64, at the desk (dim 64, L 32) and paper
-(dim 256, L 128) model sizes; run it with BLAS on the one thread that
-each of training's shard processes uses:
+(dim 256, L 128) model sizes, with the package's own row and shard
+constants; run it with BLAS on the one thread that each of training's
+shard processes uses, the package installed or on PYTHONPATH:
 
-  OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 python demos/blas_row_stability.py
+  OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src python demos/blas_row_stability.py
 
 Every per-token product has at least 6 rows: a frame gives 6 (one
 sentence piece, four markers, one scanpath slot), and a read set of fewer
@@ -55,19 +53,16 @@ stacked row blocks do differ.
 """
 
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-MIN_ROWS = 6  # denoiser.MIN_PRODUCT_ROWS
-SHARD_FRAMES = 8  # training.SHARD_FRAMES
-MIN_SHARD_WORK = 2048  # training.MIN_SHARD_WORK
+from scanpath_diffusion.denoiser import MIN_PRODUCT_ROWS
+from scanpath_diffusion.training import MIN_SHARD_WORK, SHARD_FRAMES
+
 OFFSETS = (0, 5, 37)
 SIZES = {"desk": (64, 32), "paper": (256, 128)}  # dim, frame length
 SUBSET_FRAMES = 8
 SUBSETS = 30
-ROUNDS = 20  # products each of two threads runs at once
 
 
 def differing_blocks(x: np.ndarray, m_op: np.ndarray, sizes) -> list[int]:
@@ -84,31 +79,11 @@ def differing_subsets(w: np.ndarray, n_rows: int, rng: np.random.Generator) -> i
     full = x @ w
     bad = 0
     for _ in range(SUBSETS):
-        # sizes log-uniform over MIN_ROWS..n_rows, so small read sets are drawn too
-        size = int(MIN_ROWS * (n_rows / MIN_ROWS) ** rng.random())
+        # sizes log-uniform over MIN_PRODUCT_ROWS..n_rows, so small read sets are drawn too
+        size = int(MIN_PRODUCT_ROWS * (n_rows / MIN_PRODUCT_ROWS) ** rng.random())
         sel = np.sort(rng.choice(n_rows, size=size, replace=False))
         bad += not np.array_equal(x[sel] @ w, full[sel])
     return bad
-
-
-def differing_concurrent(x: np.ndarray, m_op: np.ndarray) -> int:
-    """Two threads each run x's half of the rows @ m_op ROUNDS times, both
-    at once; how many results differ from the same product run alone."""
-    halves = np.array_split(x, 2)
-    alone = [half @ m_op for half in halves]
-    start = threading.Barrier(2)
-
-    def run(half):
-        got = []
-        for _ in range(ROUNDS):
-            start.wait()
-            got.append(half @ m_op)
-        return got
-
-    with ThreadPoolExecutor(2) as pool:
-        results = list(pool.map(run, halves))
-    return sum(not np.array_equal(out, want)
-               for got, want in zip(results, alone) for out in got)
 
 
 def main() -> int:
@@ -129,17 +104,15 @@ def main() -> int:
                     bad = differing_blocks(x, m_op, sizes)
                     # blocks forward reaches always, backward only in a split
                     # batch, from MIN_SHARD_WORK / d rows up
-                    reached = [m for m in bad
-                               if m >= MIN_ROWS and (side == "fwd" or m * d >= MIN_SHARD_WORK)]
+                    reached = [m for m in bad if m >= MIN_PRODUCT_ROWS
+                               and (side == "fwd" or m * d >= MIN_SHARD_WORK)]
                     found = [f"blocks differ at rows {bad or '-'}"]
                     subsets = 0
                     if side == "fwd":
                         subsets = differing_subsets(w, SUBSET_FRAMES * max_len, rng)
                         found.append(f"{subsets}/{SUBSETS} subsets differ")
-                    concurrent = differing_concurrent(x[:2 * shard_rows], m_op)
-                    found.append(f"{concurrent}/{2 * ROUNDS} two-thread products differ")
-                    broken |= bool(reached or subsets or concurrent)
-                    verdict = "BREAKS bit identity" if reached or subsets or concurrent else "ok"
+                    broken |= bool(reached or subsets)
+                    verdict = "BREAKS bit identity" if reached or subsets else "ok"
                     print(f"{size:5s} {np.dtype(dtype).name:8s} {side} {name:21s} {shape}: "
                           f"{', '.join(found)}: {verdict}")
     return 1 if broken else 0

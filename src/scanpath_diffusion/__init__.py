@@ -17,7 +17,7 @@ from .denoiser import DenoiserParams, init_denoiser
 from .embedding import (EmbeddingParams, embed, embed_parts, init_embedding,
                         load_table, round_argmax, round_logits, save_table)
 from .encoding import (Batch, EncodedInstance, decode_fixations,
-                       encode_instance, stack_instances, trim_batch)
+                       encode_instance, stack_instances)
 from .errors import ConfigError, CorpusFormatError, ValidationError
 from .inference import (GenerationResult, dump_latent_trace,
                         fitting_sentences, generate, generate_batch,
@@ -62,5 +62,5 @@ __all__ = [
     "save_split_plan", "save_table", "sentence_rng", "stack_instances",
     "synthetic_corpus", "tensor_shapes", "tokenize_sentence", "tokenize_word",
     "train", "trainlabel_baseline",
-    "trim_batch", "uniform_baseline", "write_evaluation_report",
+    "uniform_baseline", "write_evaluation_report",
 ]

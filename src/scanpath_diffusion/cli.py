@@ -105,9 +105,8 @@ def _cmd_train(args) -> int:
     if not instances:
         raise ValidationError("no encodable training scanpaths")
 
-    e_bert = None
-    if args.frozen_table:
-        e_bert = load_table(args.frozen_table)
+    e_bert = load_table(args.frozen_table) if args.frozen_table else None
+    if e_bert is not None and args.d_bert is None:  # init_model rejects a --d-bert unlike it
         st["d_bert"] = e_bert.shape[1]
     config = ModelConfig.from_settings(st, v_bert=len(vocab))
     rng = np.random.default_rng(st["seed"])

@@ -18,12 +18,9 @@ they are disjoint and union to pad_mask, so a stacked Batch carries only
 target_mask and pad_mask. For generation the scanpath side is built from
 placeholder zeros over a caller-sized budget.
 
-Real slots always form a prefix of the frame, so a stacked batch can be cut
-after its last column that holds a real slot in any frame (trim_batch):
-only all-padding trailing columns go. The denoiser computes no padding
-slot, not even as an attention key, so its predictions and gradients are
-bit-identical at either width; padding never enters a loss either, and
-only the loss's own sums over a frame's columns move, by summation order.
+Real slots always form a prefix of the frame, and a batch stacks whole
+frames. The denoiser computes no padding slot, not even as an attention
+key, and padding never enters a loss.
 """
 
 from __future__ import annotations
@@ -154,7 +151,7 @@ def decode_fixations(target_idx_values, word_count: int) -> tuple[list[int], int
 
 @dataclass(frozen=True)
 class Batch:
-    """Stacked frames, all of one width."""
+    """Whole frames stacked, (B, max_len) each field."""
 
     x_idx: np.ndarray
     x_bert: np.ndarray
@@ -176,8 +173,3 @@ def stack_instances(instances) -> Batch:
     return Batch(**{f.name: np.stack([getattr(inst, f.name) for inst in instances])
                     for f in fields(Batch)})
 
-
-def trim_batch(batch: Batch) -> Batch:
-    """Drop the trailing columns that are padding in every frame."""
-    width = int(np.flatnonzero(batch.pad_mask.any(axis=0))[-1]) + 1
-    return Batch(**{f.name: getattr(batch, f.name)[:, :width] for f in fields(Batch)})

@@ -21,13 +21,10 @@ over t and is left unweighted. Gradients flow through every trainable
 tensor, including through the loss target (the clean latent is built from
 the same tables the denoiser consumes).
 
-The training loop cuts each batch after its longest real frame
-(encoding.trim_batch). Both noise tensors are still drawn per full frame,
-(B, max_len, dim), and then cut to the batch width, so the trim moves
-neither the random stream nor any later draw: a trimmed step matches the
-untrimmed one up to summation order. Likewise both are drawn in float64
-and then cast to the model's dtype, which every term of the loss and its
-gradient computes in, so a float32 model draws the same stream.
+Every batch is made of whole frames, (B, max_len). Both noise tensors are
+drawn over the whole frame in float64 and then cast to the model's dtype,
+which every term of the loss and its gradient computes in, so a float32
+model draws the same stream.
 
 The noise schedule, t_max and beta_zero come from the model alone
 (Model.schedule, Model.beta_zero), so every caller of the loss trains the
@@ -61,7 +58,7 @@ import numpy as np
 from . import denoiser as dn
 from .corpus import table_writer
 from .embedding import embed_parts, round_logits
-from .encoding import Batch, stack_instances, trim_batch
+from .encoding import Batch, stack_instances
 from .errors import ValidationError
 from .model import Model, save_checkpoint
 from .schedules import TimestepSampler, q_sample
@@ -102,14 +99,11 @@ class LossBreakdown:
 
 def draw_noise(model: Model, batch: Batch, rng: np.random.Generator):
     """A step's two noise tensors, the clean latent's and q_sample's, in that
-    order: each drawn per full (B, max_len, dim) frame in float64, cut to
-    the batch width and cast to the model's dtype."""
-    bsz, width = batch.x_idx.shape
-    full_frame = (bsz, model.config.max_len, model.config.dim)
+    order: each drawn as (B, max_len, dim) in float64 and cast to the
+    model's dtype."""
+    shape = (batch.size, model.config.max_len, model.config.dim)
     dtype = np.result_type(*model.emb.tensors().values())  # the embedding's
-    eps0 = rng.standard_normal(full_frame)[:, :width].astype(dtype)
-    eps = rng.standard_normal(full_frame)[:, :width].astype(dtype)
-    return eps0, eps
+    return tuple(rng.standard_normal(shape).astype(dtype) for _ in range(2))
 
 
 def loss_forward(model: Model, batch: Batch, t_arr, rng: np.random.Generator | None = None,
@@ -118,19 +112,18 @@ def loss_forward(model: Model, batch: Batch, t_arr, rng: np.random.Generator | N
 
     t_arr holds one step index in 0..t_max per frame. The schedule and
     beta_zero are the model's (model.schedule(), model.beta_zero()). The
-    batch may be narrower than the model's frame (see trim_batch), never
-    wider. The noise is drawn from rng (`draw_noise`), or given as noise,
-    the (eps0, eps) pair `draw_noise` returns. batch_size, default the
-    batch's own, is the frame count loss_backward divides by: a shard of a
-    batch passes the whole batch's. Returns (LossBreakdown, cache); the
-    cache feeds loss_backward.
+    batch is made of whole frames, max_len wide. The noise is drawn from
+    rng (`draw_noise`), or given as noise, the (eps0, eps) pair
+    `draw_noise` returns. batch_size, default the batch's own, is the frame
+    count loss_backward divides by: a shard of a batch passes the whole
+    batch's. Returns (LossBreakdown, cache); the cache feeds loss_backward.
     """
     t_arr = np.asarray(t_arr, dtype=np.int64)
     bsz, width = batch.x_idx.shape
     max_len = model.config.max_len
     sched = model.schedule()
-    if width > max_len:
-        raise ValidationError(f"batch width {width} exceeds the model frame of {max_len}")
+    if width != max_len:
+        raise ValidationError(f"batch width {width} is not the model frame of {max_len}")
     if t_arr.shape != (bsz,):
         raise ValidationError(f"expected t of shape ({bsz},), got {t_arr.shape}")
     if np.any(t_arr < 0) or np.any(t_arr > sched.t_max):
@@ -571,7 +564,7 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
         optimizer = AdamW(model.trainable_tensors(), lr=lr, weight_decay=weight_decay)
         for step in range(1, steps + 1):
             picks = rng.integers(0, len(instances), size=batch)
-            frame_batch = trim_batch(stack_instances([instances[int(i)] for i in picks]))
+            frame_batch = stack_instances([instances[int(i)] for i in picks])
             t_arr, weights = sampler.sample(rng, size=batch)
             losses, updated, ran = _train_step(model, frame_batch, t_arr, weights, rng,
                                                sampler, optimizer, clip_norm, shards)

@@ -159,6 +159,36 @@ def test_train_rejects_frozen_table_of_wrong_vocab_size(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def frozen_table_train(tmp_path, width, flags):
+    """Train with a frozen table of the given width and TRAIN_FLAGS without
+    its --d-bert, plus flags; returns the exit code and the run directory."""
+    _, vocab, paths = make_world(tmp_path)
+    save_table(np.ones((len(vocab), width)), tmp_path / "table.bin")
+    i = TRAIN_FLAGS.index("--d-bert")
+    rc = main(["train", "--corpus", str(paths["corpus"]),
+               "--sentences", str(paths["sentences"]),
+               "--vocab", str(paths["vocab"]), "--frozen-table", str(tmp_path / "table.bin"),
+               "--out-dir", str(tmp_path / "run"),
+               *TRAIN_FLAGS[:i], *TRAIN_FLAGS[i + 2:], *flags])
+    return rc, tmp_path / "run"
+
+
+def test_train_takes_d_bert_from_the_frozen_table(tmp_path):
+    rc, run = frozen_table_train(tmp_path, 16, [])
+    assert rc == 0
+    assert "d_bert = 16" in (run / "config.txt").read_text().splitlines()
+    assert load_checkpoint(run / "checkpoint.bin").config.d_bert == 16
+
+
+def test_train_rejects_d_bert_other_than_the_frozen_table(tmp_path, capsys):
+    rc, run = frozen_table_train(tmp_path, 16, ["--d-bert", "768"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.search(r"frozen table shape \(\d+, 16\) does not match the config's "
+                     r"\(v_bert, d_bert\) = \(\d+, 768\)", err), err
+    assert not run.exists()
+
+
 
 def test_train_with_a_nan_weight_aborts(tmp_path, capsys):
     """A NaN in the float32 model runs through every layer, the GELU's CDF

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from scanpath_diffusion import (ValidationError, build_vocab, init_model, stack_instances,
-                                train, trim_batch)
+                                train)
 from scanpath_diffusion import denoiser as dn
 from scanpath_diffusion import training
 
@@ -100,7 +100,7 @@ def test_backward_uses_the_cache_up(monkeypatch, small_corpus, shards):
     for arr in model.trainable_tensors().values():
         arr[...] = np.random.default_rng(81).normal(0, 0.5, size=arr.shape)
     instances = encode_corpus(small_corpus, vocab, model.config.max_len)
-    batch = trim_batch(stack_instances(instances[:12]))
+    batch = stack_instances(instances[:12])
     rng = np.random.default_rng(82)
     t, weights = rng.integers(0, 11, size=12), np.ones(12)
     noise = training.draw_noise(model, batch, rng)

@@ -16,7 +16,7 @@ from scanpath_diffusion import (AdamW, ModelConfig, ValidationError,
 from scanpath_diffusion import denoiser as dn
 from scanpath_diffusion import training
 from scanpath_diffusion.embedding import embed_parts
-from scanpath_diffusion.encoding import stack_instances, trim_batch
+from scanpath_diffusion.encoding import stack_instances
 from scanpath_diffusion.training import (METRICS_HEADER, clip_global_norm,
                                          loss_backward, loss_forward)
 
@@ -75,25 +75,24 @@ def test_loss_forward_deterministic_oracle(tiny_vocab, small_corpus):
 
 @pytest.mark.parametrize("t", [2, 5, "t_max"])
 def test_loss_forward_noised_rows_oracle(tiny_vocab, small_corpus, t):
-    """At t >= 2 with beta_zero > 0, replaying the generator at the full
-    frame gives both noise draws, so the clean latent, its jump to t and
-    every term are recomputable from the tested primitives."""
+    """At t >= 2 with beta_zero > 0, replaying the generator gives both
+    noise draws, so the clean latent, its jump to t and every term are
+    recomputable from the tested primitives."""
     b0 = 0.3
     model = make_model(beta_zero=b0, v_bert=len(tiny_vocab), max_len=32, v_idx=32)
     rng = np.random.default_rng(8)
     for arr in model.trainable_tensors().values():
         arr[...] = rng.normal(0.0, 0.3, size=arr.shape)
-    batch = trim_batch(make_batch(model, tiny_vocab, small_corpus))
-    bsz, width = batch.x_idx.shape
-    assert width < model.config.max_len
+    batch = make_batch(model, tiny_vocab, small_corpus)
+    bsz = batch.size
     sched = model.schedule()
     t_arr = np.full(bsz, sched.t_max if t == "t_max" else t)
     breakdown, _ = loss_forward(model, batch, t_arr, np.random.default_rng(5))
 
     replay = np.random.default_rng(5)
     frame = (bsz, model.config.max_len, model.config.dim)
-    eps0 = replay.standard_normal(frame)[:, :width]
-    eps = replay.standard_normal(frame)[:, :width]
+    eps0 = replay.standard_normal(frame)
+    eps = replay.standard_normal(frame)
     emb_idx, emb_ctx = embed_parts(model.emb, batch.x_idx, batch.x_bert, batch.x_pos)
     z0 = emb_idx + math.sqrt(b0) * eps0
     z_t = q_sample(z0, t_arr, eps, sched, batch.target_mask) + emb_ctx
@@ -160,48 +159,31 @@ def test_loss_forward_validates_t(tiny_vocab, small_corpus):
         loss_forward(model, batch, np.full(batch.size, model.config.t_max + 1), rng)
 
 
-def test_loss_forward_rejects_batch_wider_than_frame(tiny_vocab, small_corpus):
-    """The noise is drawn per model frame, so a wider batch cannot be served."""
+@pytest.mark.parametrize("frame, width", [(24, 28), (28, 24)], ids=["wider", "narrower"])
+def test_loss_forward_rejects_batch_wider_than_frame(tiny_vocab, small_corpus, frame, width):
+    """Batches are whole frames: the noise is drawn per model frame, so a
+    batch of any other width is refused, and the message names both."""
+    model = make_model(v_bert=len(tiny_vocab), max_len=frame, v_idx=frame)
+    other = stack_instances(encode_corpus(small_corpus, tiny_vocab, width)[:4])
+    with pytest.raises(ValidationError, match=f"width {width} is not the model frame of {frame}"):
+        loss_forward(model, other, np.zeros(4, dtype=np.int64), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("to_float32", [False, True], ids=["float64", "float32"])
+def test_draw_noise_replays_the_generator(tiny_vocab, small_corpus, to_float32):
+    """Both noise tensors span the whole frame, (B, max_len, dim): the
+    generator's next two float64 draws, cast to the model's dtype."""
     model = make_model(v_bert=len(tiny_vocab))
-    wide = stack_instances(
-        encode_corpus(small_corpus, tiny_vocab, model.config.max_len + 4)[:4])
-    with pytest.raises(ValidationError, match="exceeds the model frame"):
-        loss_forward(model, wide, np.zeros(4, dtype=np.int64), np.random.default_rng(0))
-
-
-def test_trimmed_batch_matches_full_frame(tiny_vocab, small_corpus):
-    """Cutting all-padding columns changes the loss and every gradient only
-    by summation order, and draws exactly the same random numbers."""
-    model = make_model(v_bert=len(tiny_vocab), max_len=32, v_idx=32)
-    rng = np.random.default_rng(21)
-    # randomise every tensor so the zero-init residual closers hide nothing
-    for arr in model.trainable_tensors().values():
-        arr[...] = rng.normal(0.0, 0.3, size=arr.shape)
-    batch = make_batch(model, tiny_vocab, small_corpus, n=6)
-    trimmed = trim_batch(batch)
-    assert trimmed.x_idx.shape[1] < batch.x_idx.shape[1]
-    t_arr = np.array([0, 1, 2, 5, 9, 10])
-    weights = np.array([0.4, 1.0, 1.7, 0.9, 1.2, 2.1])
-
-    def run(b, k):
-        gen = np.random.default_rng(k)
-        breakdown, cache = loss_forward(model, b, t_arr, gen, need_cache=True)
-        return breakdown, loss_backward(model, cache, weights), gen
-
-    for k in (0, 1, 2):
-        full, g_full, rng_full = run(batch, k)
-        cut, g_cut, rng_cut = run(trimmed, k)
-        for term in ("l_vlb", "l_emb", "l_round", "total"):
-            assert getattr(cut, term) == pytest.approx(getattr(full, term),
-                                                       rel=1e-12), term
-        assert set(g_cut) == set(g_full)
-        # the absolute floor is relative to the largest gradient entry: the
-        # key biases have a true gradient of exactly zero (softmax ignores a
-        # per-query constant), so their entries are roundoff on both sides
-        floor = 1e-12 * max(float(np.abs(g).max()) for g in g_full.values())
-        for name, g in g_full.items():
-            assert np.allclose(g_cut[name], g, rtol=1e-12, atol=floor), name
-        assert rng_cut.bit_generator.state == rng_full.bit_generator.state
+    if to_float32:
+        model = at_checkpoint_precision(model)
+    batch = make_batch(model, tiny_vocab, small_corpus, n=3)
+    rng, replay = np.random.default_rng(31), np.random.default_rng(31)
+    frame = (3, model.config.max_len, model.config.dim)
+    dtype = np.float32 if to_float32 else np.float64
+    for got in training.draw_noise(model, batch, rng):
+        assert got.shape == frame and got.dtype == dtype
+        assert np.array_equal(got, replay.standard_normal(frame).astype(dtype))
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_full_loss_gradients_match_finite_differences(tiny_vocab, small_corpus):
@@ -398,7 +380,7 @@ def test_float32_loss_and_gradients_match_float64():
     instances = [encode_instance(tokenize_sentence(corpus.sentences[r.sentence_id], vocab),
                                  r.fixations, config.max_len, vocab)
                  for r in corpus.records[:16]]
-    batch = trim_batch(stack_instances(instances))
+    batch = stack_instances(instances)
     t_arr = rng.integers(0, config.t_max + 1, size=batch.size)
     weights = rng.uniform(0.5, 2.0, size=batch.size)
 
@@ -633,7 +615,7 @@ def desk_case(seed, dim=64, n_blocks=4, bsz=16, float64=False):
     for arr in model.trainable_tensors().values():
         arr += rng.normal(0, 0.05, size=arr.shape).astype(arr.dtype)
     instances = encode_corpus(corpus, vocab, 32)
-    batch = trim_batch(stack_instances([instances[int(i)] for i in rng.permutation(32)[:bsz]]))
+    batch = stack_instances([instances[int(i)] for i in rng.permutation(32)[:bsz]])
     t = rng.integers(0, 201, size=bsz)
     weights = rng.uniform(0.5, 2.0, size=bsz)
     return model, batch, t, weights, training.draw_noise(model, batch, rng)

@@ -421,7 +421,7 @@ def forward(params: DenoiserParams, z, t, pad_mask, need_cache: bool = False,
                  "ln_in": ln_in_cache, "ln_out": ln_out_cache, "blocks": blocks}
 
 
-def backward(params: DenoiserParams, cache, d_out, out=None):
+def backward(params: DenoiserParams, cache, d_out):
     """Backprop through a cached forward pass.
 
     d_out is (B, L, dim), cast to the parameters' dtype; only its slots
@@ -429,10 +429,7 @@ def backward(params: DenoiserParams, cache, d_out, out=None):
     (grads, d_z): parameter gradients in `denoiser_shapes` order, and the
     (B, L, dim) gradient with respect to the input latents, exact zeros at
     padding. Like forward, every per-token layer runs on the packed rows,
-    and the last block's query side on the read rows alone. out, when
-    given, is the mapping each gradient is assigned into as it is
-    computed (`training.GradSlot` copies it into place); by default a new
-    dict.
+    and the last block's query side on the read rows alone.
 
     Backward uses the cache up: it takes the blocks out of it and drops a
     block's activations once that block's gradients are computed, so the
@@ -443,7 +440,7 @@ def backward(params: DenoiserParams, cache, d_out, out=None):
         raise ValidationError("this forward cache was used up by an earlier backward; "
                               "each backward needs the cache of its own forward")
     p = params.tensors
-    grads = {} if out is None else out
+    grads = {}
     rows, last = cache["rows"], cache["last"]
     blocks = cache.pop("blocks")
 

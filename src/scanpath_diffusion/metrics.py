@@ -166,12 +166,16 @@ def levenshtein_many(pairs) -> list[int]:
     pats = [pats[k] for k in order]
     texts = [texts[k] for k in order]
     dists = np.zeros(len(order), np.int64)
-    for lo in range(0, len(order), _CHUNK):
-        block = pats[lo:lo + _CHUNK]
-        # the match masks take at most 4 words per pair and position of the
-        # block's longest side: the row-by-row DP this kernel replaced held 5
-        budget = 4 * len(block) * max(1, max(map(len, block)))
-        dists[order[lo:lo + _CHUNK]] = _levenshtein_block(block, texts[lo:lo + _CHUNK], budget)
+    try:
+        for lo in range(0, len(order), _CHUNK):
+            block = pats[lo:lo + _CHUNK]
+            # the match masks take at most 4 words per pair and position of the
+            # block's longest side: the row-by-row DP this kernel replaced held 5
+            budget = 4 * len(block) * max(1, max(map(len, block)))
+            dists[order[lo:lo + _CHUNK]] = _levenshtein_block(block, texts[lo:lo + _CHUNK], budget)
+    except OverflowError:
+        big = next(f for f in chain.from_iterable(pats + texts) if not -2**63 <= f < 2**63)
+        raise ValidationError(f"index {big!r} is outside the 64-bit integer range") from None
     return dists.tolist()
 
 
@@ -199,15 +203,16 @@ def nld(a, b) -> float:
 def pearson(xs, ys) -> tuple[float, float]:
     """Correlation with a two-sided p from the exact t-transform (n-2 df).
 
-    Degenerate inputs (n < 3 or zero variance on either side) return
-    (nan, nan) rather than raising; |r| = 1 returns p = 0.
+    Degenerate inputs (n < 3, a value that is not finite, or zero variance
+    on either side) return (nan, nan) rather than raising; |r| = 1
+    returns p = 0.
     """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValidationError(f"paired 1-d samples required, got {x.shape} vs {y.shape}")
     n = x.size
-    if n < 3:
+    if n < 3 or not (np.isfinite(x).all() and np.isfinite(y).all()):
         return math.nan, math.nan
     xc = x - x.mean()
     yc = y - y.mean()

@@ -2,9 +2,12 @@
 
 `tensor_shapes(config)` is the tensor manifest: every model tensor's name
 and shape, in checkpoint order; its denoiser part is the table that
-`init_denoiser` fills. A checkpoint is a container file (see `container`)
-whose header holds the config and the manifest, so a checkpoint plus a
-sentence file is self-sufficient. Loading checks the header's config by
+`init_denoiser` fills. `Model.all_tensors` keys a model's arrays by
+manifest name, and `Model.from_tensors` builds a model over such a
+mapping, the one place the names are split into embedding and denoiser
+tensors. A checkpoint is a container file (see `container`) whose header
+holds the config and the manifest, so a checkpoint plus a sentence file
+is self-sufficient. Loading checks the header's config by
 the rule `init_model` applies (`check_model_config`), then the header's
 manifest against the config's, naming the first entry that differs.
 
@@ -39,6 +42,17 @@ class Model:
     config: ModelConfig
     emb: EmbeddingParams
     den: DenoiserParams
+
+    @classmethod
+    def from_tensors(cls, config: ModelConfig, tensors: dict[str, np.ndarray]) -> "Model":
+        """The model over tensors, {all_tensors() name: array} in manifest
+        order, its arrays shared, not copied."""
+        parts = {"emb": {}, "den": {}}
+        for name, arr in tensors.items():
+            part, _, leaf = name.partition(".")
+            parts[part][leaf] = arr
+        den = DenoiserParams(config.dim, config.n_blocks, config.n_heads, parts["den"])
+        return cls(config=config, emb=EmbeddingParams(**parts["emb"]), den=den)
 
     def all_tensors(self) -> dict[str, np.ndarray]:
         out = {f"emb.{k}": v for k, v in self.emb.tensors().items()}
@@ -98,10 +112,8 @@ def init_model(config: ModelConfig, rng: np.random.Generator,
 
 def at_checkpoint_precision(model: Model) -> Model:
     """A copy of the model with every tensor in the checkpoint's float32."""
-    emb = EmbeddingParams(**{k: v.astype(DTYPE) for k, v in model.emb.tensors().items()})
-    den = DenoiserParams(model.den.dim, model.den.n_blocks, model.den.n_heads,
-                         {k: v.astype(DTYPE) for k, v in model.den.tensors.items()})
-    return Model(config=model.config, emb=emb, den=den)
+    return Model.from_tensors(model.config, {name: arr.astype(DTYPE)
+                                             for name, arr in model.all_tensors().items()})
 
 
 def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -146,10 +158,4 @@ def _checkpoint_layout(header: dict) -> dict[str, tuple[int, ...]]:
 def load_checkpoint(path) -> Model:
     """The stored model, its tensors float32 as the file holds them."""
     header, tensors = read_container(path, "checkpoint", _checkpoint_layout)
-    config = ModelConfig.from_dict(header["config"])
-    parts = {"emb": {}, "den": {}}
-    for name, arr in tensors.items():
-        part, _, leaf = name.partition(".")
-        parts[part][leaf] = arr
-    den = DenoiserParams(config.dim, config.n_blocks, config.n_heads, parts["den"])
-    return Model(config=config, emb=EmbeddingParams(**parts["emb"]), den=den)
+    return Model.from_tensors(ModelConfig.from_dict(header["config"]), tensors)

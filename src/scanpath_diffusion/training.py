@@ -40,6 +40,8 @@ gradients, summed in shard order, differ from it only in summation
 order. The shards run through the one forked runner, `workers.Forked`:
 shard 0 in the training process, the others in workers forked once per
 `train` call (`_Shards`); the process count changes no bit of a run.
+loss_backward returns a shard's gradients, and the shard copies them into
+its own slot of a shared mapping, where the training process sums them.
 """
 
 from __future__ import annotations
@@ -174,14 +176,14 @@ def loss_forward(model: Model, batch: Batch, t_arr, rng: np.random.Generator | N
     return breakdown, cache
 
 
-def loss_backward(model: Model, cache, weights, out=None) -> dict[str, np.ndarray]:
+def loss_backward(model: Model, cache, weights) -> dict[str, np.ndarray]:
     """Gradients of sum_i [w_i * mse_i + round_i] / batch_size over the
     batch's frames (batch_size as loss_forward was given it).
 
     weights are the per-frame importance weights for the reconstruction
-    term. Returns gradients keyed like Model.trainable_tensors(); out, when
-    given, is the GradSlot they are assigned into. The cache serves one
-    call: its denoiser part is used up (`denoiser.backward`).
+    term. Returns gradients keyed like Model.trainable_tensors(), in its
+    order. The cache serves one call: its denoiser part is used up
+    (`denoiser.backward`).
     """
     batch: Batch = cache["batch"]
     bsz = cache["batch_size"]
@@ -215,9 +217,7 @@ def loss_backward(model: Model, cache, weights, out=None) -> dict[str, np.ndarra
         d_logits.reshape(-1, d_logits.shape[-1]).T @ z0_hat.reshape(-1, dim)
     )
 
-    grads = {} if out is None else out
-    den_grads, d_zt = dn.backward(model.den, cache["den_cache"], d_z0_hat,
-                                  out=None if out is None else out.part("den."))
+    den_grads, d_zt = dn.backward(model.den, cache["den_cache"], d_z0_hat)
 
     # z_t = coef * (emb_idx + noise) + emb_ctx (+ drawn noise); the target
     # is emb_idx + emb_ctx (+ noise for the clean-latent rows)
@@ -227,20 +227,16 @@ def loss_backward(model: Model, cache, weights, out=None) -> dict[str, np.ndarra
     g_e_idx = np.zeros_like(model.emb.e_idx)
     np.add.at(g_e_idx, batch.x_idx.ravel(), d_emb_idx.reshape(-1, dim))
     g_e_idx += g_e_idx_logits
-    grads["emb.e_idx"] = g_e_idx
 
     g_e_pos = np.zeros_like(model.emb.e_pos)
     np.add.at(g_e_pos, batch.x_pos.ravel(), d_emb_ctx.reshape(-1, dim))
-    grads["emb.e_pos"] = g_e_pos
 
     bert_rows = model.emb.e_bert[batch.x_bert]
     d_ctx_flat = d_emb_ctx.reshape(-1, dim)
-    grads["emb.w_proj"] = bert_rows.reshape(-1, bert_rows.shape[-1]).T @ d_ctx_flat
-    grads["emb.b_proj"] = d_ctx_flat.sum(axis=0)
-
-    if out is None:
-        grads.update((f"den.{name}", g) for name, g in den_grads.items())
-    return grads
+    return {"emb.e_idx": g_e_idx, "emb.e_pos": g_e_pos,
+            "emb.w_proj": bert_rows.reshape(-1, bert_rows.shape[-1]).T @ d_ctx_flat,
+            "emb.b_proj": d_ctx_flat.sum(axis=0),
+            **{f"den.{name}": g for name, g in den_grads.items()}}
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -382,19 +378,6 @@ def shard_processes(n_shards: int) -> int:
     return max(1, min(cpus // blas, n_shards))
 
 
-class GradSlot(dict):
-    """Gradients by name, each an array set aside for it: assigning a
-    gradient copies it into that array, so the computed one lives only
-    until it is copied."""
-
-    def __setitem__(self, name, g):
-        np.copyto(dict.__getitem__(self, name), g)
-
-    def part(self, prefix: str) -> "GradSlot":
-        """The slot's arrays whose names start with prefix, keyed without it."""
-        return GradSlot((k[len(prefix):], v) for k, v in self.items() if k.startswith(prefix))
-
-
 def _shared_copies(tensors: dict[str, np.ndarray], copies: int):
     """copies sets of zeroed arrays shaped like tensors, one dtype for all,
     laid out one set after another in one anonymous shared mapping, which
@@ -411,16 +394,6 @@ def _shared_copies(tensors: dict[str, np.ndarray], copies: int):
              for name, arr in tensors.items()} for c in range(copies)], flat
 
 
-def _set_tensors(model: Model, tensors: dict[str, np.ndarray]) -> None:
-    """Point the model's tensors, by Model.all_tensors() name, at tensors."""
-    for name, arr in tensors.items():
-        part, _, leaf = name.partition(".")
-        if part == "emb":
-            setattr(model.emb, leaf, arr)
-        else:
-            model.den.tensors[leaf] = arr
-
-
 def _frames(batch: Batch, at: slice) -> Batch:
     return Batch(**{f.name: getattr(batch, f.name)[at] for f in fields(Batch)})
 
@@ -428,12 +401,14 @@ def _frames(batch: Batch, at: slice) -> Batch:
 def _shard_step(state, shard, frames, t_arr, weights, noise, batch_size):
     """Shard number shard's part of a training step, state the (model,
     gradient slots) of `_Shards`: its frames' loss forward and backward at
-    the batch's scale, every gradient written into the shard's slot.
-    Returns its frames' per-frame (reconstruction, rounding) losses."""
+    the batch's scale, the returned gradients copied into the shard's slot
+    by name. Returns its frames' per-frame (reconstruction, rounding)
+    losses."""
     model, slots = state
     breakdown, cache = loss_forward(model, frames, t_arr, need_cache=True, noise=noise,
                                     batch_size=batch_size)
-    loss_backward(model, cache, weights, out=slots[shard])
+    for name, g in loss_backward(model, cache, weights).items():
+        slots[shard][name][...] = g
     return breakdown.per_sample_mse, breakdown.per_sample_round
 
 
@@ -444,36 +419,35 @@ ShardError = WorkerError
 class _Shards:
     """The shards of `train`'s steps, and the processes that run them.
 
-    For its lifetime the model's trainable tensors live in one shared
-    mapping, and every shard of a step has a gradient slot in a second
-    one. The shards run through a `workers.Forked` runner whose state is
-    (model, slots): its workers are forked at the first split step and
-    see the optimizer's in-place updates through the shared mapping. The
-    slots are summed in shard order into slot 0. On exit the model gets
-    its own arrays back, holding the trained values, and every worker is
-    joined.
+    `model` is the model training updates: a copy of the given model's
+    trainable tensors in one shared mapping, its frozen ones shared with
+    the given model. Every shard of a step has a gradient slot in a
+    second mapping. The shards run through a `workers.Forked` runner whose
+    state is (model, slots): its workers are forked at the first split
+    step and see the optimizer's in-place updates through the mapping.
+    The slots are summed in shard order into slot 0. On exit every
+    worker is joined and the trained values are copied into the given
+    model's own arrays, also when joining raises.
     """
 
     def __init__(self, model: Model, n_slots: int, processes: int):
-        self.model = model
         self.own = model.trainable_tensors()
         (shared,), _ = _shared_copies(self.own, 1)
-        slots, self.flat = _shared_copies(self.own, n_slots)
-        self.slots = [GradSlot(slot) for slot in slots]
-        self.runner = Forked(_shard_step, (model, self.slots), processes, "training shard")
+        self.slots, self.flat = _shared_copies(self.own, n_slots)
         for name, arr in self.own.items():
             shared[name][...] = arr
-        _set_tensors(model, shared)
+        self.model = Model.from_tensors(model.config, {**model.all_tensors(), **shared})
+        self.runner = Forked(_shard_step, (self.model, self.slots), processes, "training shard")
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self.runner.__exit__(*exc)
-        shared = self.model.trainable_tensors()
-        for name, arr in self.own.items():
-            arr[...] = shared[name]
-        _set_tensors(self.model, self.own)
+        try:
+            self.runner.__exit__(*exc)
+        finally:
+            for arr, trained in zip(self.own.values(), self.model.trainable_tensors().values()):
+                arr[...] = trained
 
     def run(self, batch: Batch, cut: list[slice], t_arr, weights, noise):
         """Every shard of a step; returns the batch's per-frame losses, and
@@ -481,27 +455,25 @@ class _Shards:
         losses = self.runner.map([(i, _frames(batch, at), t_arr[at], weights[at],
                                    tuple(eps[at] for eps in noise), batch.size)
                                   for i, at in enumerate(cut)])
-        total = self.flat[0]
-        for i in range(1, len(cut)):
-            total += self.flat[i]
+        for row in self.flat[1:len(cut)]:
+            self.flat[0] += row
         return tuple(np.concatenate([shard[k] for shard in losses]) for k in (0, 1))
 
 
-def _train_step(model, frame_batch, t_arr, weights, rng, sampler, optimizer, clip_norm,
-                shards):
-    """One step of `train`: the noise drawn, the batch cut into shards and
-    run (its gradients summed in shard order), the sampler fed, the
-    gradients clipped and, when the loss and their norm are finite, the
-    update. Returns ((l_vlb, l_emb, l_round, total, grad_norm), whether it
-    updated, how many shards it ran).
+def _train_step(shards, frame_batch, t_arr, weights, rng, sampler, optimizer, clip_norm):
+    """One step of `train` on shards.model: the noise drawn, the batch cut
+    into shards and run (its gradients summed in shard order), the sampler
+    fed, the gradients clipped and, when the loss and their norm are
+    finite, the update. Returns ((l_vlb, l_emb, l_round, total,
+    grad_norm), whether it updated, how many shards it ran).
 
     A shard's arrays, its loss cache and its gradients, are locals of
     `_shard_step` and die when it returns, before the next shard's forward.
     """
-    noise = draw_noise(model, frame_batch, rng)
-    cut = frame_shards(frame_batch.pad_mask, frame_batch.target_mask, model.den.dim)
+    noise = draw_noise(shards.model, frame_batch, rng)
+    cut = frame_shards(frame_batch.pad_mask, frame_batch.target_mask, shards.model.den.dim)
     per_mse, per_round = shards.run(frame_batch, cut, t_arr, weights, noise)
-    breakdown = LossBreakdown.of(model, t_arr, per_mse, per_round)
+    breakdown = LossBreakdown.of(shards.model, t_arr, per_mse, per_round)
     for t_i, mse_i in zip(t_arr.tolist(), per_mse.tolist()):
         sampler.update(int(t_i), mse_i)
     grads = shards.slots[0]
@@ -524,7 +496,7 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
           seed: int, weight_decay: float = 0.0, clip_norm: float = 1.0,
           sampler_history: int = 10, metrics_path=None, ckpt_path=None,
           ckpt_interval: int = 0, log_every: int = 0) -> TrainResult:
-    """Run the training loop, mutating the model in place.
+    """Run the training loop, updating the model's arrays in place.
 
     Frames are drawn with replacement; one t per frame comes from the
     loss-aware sampler, which is fed the per-frame reconstruction losses.
@@ -540,10 +512,14 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     every worker is joined before this returns or raises. Workers write
     no file and no log.
 
-    Training holds one shard's arrays at a time per process: its forward
-    cache (used up by backward, block by block) and its gradients, which
-    are copied into the shard's slot as they are computed. The last log
-    line gives this process's peak resident memory.
+    The steps update a model built over shared copies of the trainable
+    tensors (`_Shards`), which the interval checkpoints save too; the
+    given model's arrays stay its own and receive the trained values when
+    the loop ends, also when it raises. Training holds one shard's arrays
+    at a time per process: its forward cache (used up by backward, block
+    by block) and its gradients, which backward returns and the shard
+    copies into its slot. The last log line gives this process's peak
+    resident memory.
     """
     check_train_settings(steps=steps, batch=batch, lr=lr, weight_decay=weight_decay,
                          clip_norm=clip_norm, sampler_history=sampler_history,
@@ -561,13 +537,13 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     started = time.perf_counter()
     metrics = table_writer(metrics_path, METRICS_HEADER) if metrics_path else nullcontext()
     with _Shards(model, n_shards, processes) as shards, metrics as write_rows:
-        optimizer = AdamW(model.trainable_tensors(), lr=lr, weight_decay=weight_decay)
+        optimizer = AdamW(shards.model.trainable_tensors(), lr=lr, weight_decay=weight_decay)
         for step in range(1, steps + 1):
             picks = rng.integers(0, len(instances), size=batch)
             frame_batch = stack_instances([instances[int(i)] for i in picks])
             t_arr, weights = sampler.sample(rng, size=batch)
-            losses, updated, ran = _train_step(model, frame_batch, t_arr, weights, rng,
-                                               sampler, optimizer, clip_norm, shards)
+            losses, updated, ran = _train_step(shards, frame_batch, t_arr, weights, rng, sampler,
+                                               optimizer, clip_norm)
             split_steps += ran > 1
             row = dict(zip(METRICS_HEADER, (step, float(np.mean(t_arr)), *losses)))
             rows.append(row)
@@ -580,7 +556,7 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
                 log.info("step %d/%d total=%.5f grad_norm=%.3f",
                          step, steps, row["total"], row["grad_norm"])
             if ckpt_path and ckpt_interval and step % ckpt_interval == 0 and step < steps:
-                save_checkpoint(model, ckpt_path)
+                save_checkpoint(shards.model, ckpt_path)
         workers = shards.runner.workers
     log.info("batches of %d frames: up to %d shards, %d worker processes; the shard gate "
              "split %d of %d steps; %.1f ms per step", batch, n_shards, workers, split_steps,

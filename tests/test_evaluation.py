@@ -243,6 +243,10 @@ def test_pearson_degenerate_inputs():
     assert math.isnan(r) and math.isnan(p)
     r, p = pearson([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])  # zero variance
     assert math.isnan(r) and math.isnan(p)
+    for bad in (math.nan, math.inf):  # not finite, on either side
+        for r, p in (pearson([1.0, 2.0, bad], [1.0, 2.0, 3.0]),
+                     pearson([1.0, 2.0, 3.0], [1.0, 2.0, bad])):
+            assert math.isnan(r) and math.isnan(p)
 
 
 def test_pearson_shape_mismatch():
@@ -537,6 +541,9 @@ def test_non_integer_fixations_are_rejected(bad):
                records=[ScanpathRecord("r", "s", (1, 2)), ScanpathRecord("r", "s", (1, bad))])
     with pytest.raises(ValidationError, match=f"index {text} is not an integer"):
         levenshtein_many([((1, 2), (1, 2)), ((1, bad), (1, 2))])
+    # an integer numpy cannot hold is named too, not an OverflowError
+    with pytest.raises(ValidationError, match=f"index {2**70} is outside the 64-bit"):
+        levenshtein_many([((1, 2), (1, 2)), ((2**70, 1), (1,))])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from scanpath_diffusion import (ValidationError, at_checkpoint_precision,
+from scanpath_diffusion import (Model, ValidationError, at_checkpoint_precision,
                                 dump_latent_trace, generate, generate_batch,
                                 init_model, load_checkpoint, save_checkpoint,
                                 tensor_shapes, tokenize_sentence)
@@ -285,6 +285,16 @@ def test_trace_rejects_bad_stride(tiny_vocab):
 
 # ---------------------------------------------------------------------------
 # checkpoints
+
+def test_model_from_tensors_shares_the_arrays(tiny_vocab):
+    """Model.from_tensors maps manifest names onto a model without copying
+    or reordering an array."""
+    model = small_model(tiny_vocab)
+    tensors = model.all_tensors()
+    again = Model.from_tensors(model.config, tensors).all_tensors()
+    assert list(again) == list(tensor_shapes(model.config))
+    assert all(again[name] is arr for name, arr in tensors.items())
+
 
 def test_checkpoint_round_trip(tiny_vocab, tmp_path):
     model = small_model(tiny_vocab)

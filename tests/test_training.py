@@ -478,27 +478,56 @@ def test_train_aborts_on_nonfinite_loss(tiny_vocab, small_corpus, tmp_path):
     assert changed > 0  # earlier finite steps did apply
 
 
-def test_train_interval_checkpoints(tiny_vocab, small_corpus, tmp_path):
-    model = make_model(v_bert=len(tiny_vocab))
-    instances = encode_corpus(small_corpus, tiny_vocab, model.config.max_len)
+def test_train_interval_checkpoints(tiny_vocab, small_corpus, tmp_path, monkeypatch):
+    """Saves at steps 2 and 4 and at the end (no interval save at the last
+    step); the save at step 2 holds, byte for byte, the model a 2-step run
+    of the same seed ends with."""
+    instances = encode_corpus(small_corpus, tiny_vocab, tiny_config().max_len)
     ckpt = tmp_path / "ckpt.bin"
-    seen = []
-
-    real_save = train.__globals__["save_checkpoint"]
+    saved = []
+    real_save = training.save_checkpoint
 
     def spy(m, path):
-        seen.append(str(path))
         real_save(m, path)
+        saved.append(path.read_bytes())
 
-    train.__globals__["save_checkpoint"] = spy
-    try:
-        train(model, instances, steps=5, batch=2, lr=1e-3, seed=0,
-              ckpt_path=ckpt, ckpt_interval=2)
-    finally:
-        train.__globals__["save_checkpoint"] = real_save
-    # saves at steps 2 and 4, plus the final save; step 5+interval skip rule
-    assert len(seen) == 3
-    assert ckpt.exists()
+    monkeypatch.setattr(training, "save_checkpoint", spy)
+    train(make_model(v_bert=len(tiny_vocab)), instances, steps=5, batch=2, lr=1e-3, seed=0,
+          ckpt_path=ckpt, ckpt_interval=2)
+    assert len(saved) == 3
+    train(make_model(v_bert=len(tiny_vocab)), instances, steps=2, batch=2, lr=1e-3, seed=0,
+          ckpt_path=ckpt)
+    assert len(saved) == 4
+    assert saved[0] == saved[3]
+
+
+def test_train_keeps_the_callers_arrays(tiny_vocab, small_corpus, monkeypatch):
+    """train updates a model over shared copies of the trainable tensors;
+    the caller's model keeps its own array objects, which end holding the
+    trained values, and its frozen table is shared, never copied."""
+    model = make_model(v_bert=len(tiny_vocab))
+    instances = encode_corpus(small_corpus, tiny_vocab, model.config.max_len)
+    own = model.all_tensors()
+    before = {name: arr.copy() for name, arr in own.items()}
+    optimizers = []
+
+    class Spy(AdamW):
+        def __init__(self, tensors, **kwargs):
+            super().__init__(tensors, **kwargs)
+            optimizers.append(self)
+
+    monkeypatch.setattr(training, "AdamW", Spy)
+    train(model, instances, steps=3, batch=2, lr=1e-3, seed=0)
+    (optimizer,) = optimizers
+    after = model.all_tensors()
+    assert list(after) == list(own)
+    assert all(after[name] is arr for name, arr in own.items())
+    assert list(optimizer.tensors) == list(model.trainable_tensors())
+    for name, trained in optimizer.tensors.items():
+        assert trained is not own[name] and np.array_equal(own[name], trained), name
+    assert any(not np.array_equal(own[name], before[name]) for name in optimizer.tensors)
+    with training._Shards(model, 1, 1) as shards:
+        assert shards.model.emb.e_bert is model.emb.e_bert
 
 
 def test_train_input_validation(tiny_vocab, small_corpus):

@@ -5,8 +5,8 @@ product over packed rows, x @ w forward and d @ w.T for the input
 gradient backward, and three of its promises hold only if the BLAS gives
 a row the same bits whichever other rows share its product:
 
-  blocks   `generate_batch` packs the rows of several frames into one
-           product. A frame's rows match those of its one-sentence chain
+  blocks   `inference.generate` packs the rows of several frames into
+           one product. A frame's rows match those of its one-sentence chain
            only when a block of m rows inside a stacked product gets the
            bits of the block alone.
   subsets  The last block runs its query side on the rows its caller

@@ -10,7 +10,7 @@ import numpy as np
 
 from scanpath_diffusion import (Corpus, ModelConfig, ScanpathRecord,
                                 TrainStats, baseline_corpus, build_vocab,
-                                encode_instance, evaluation_report, generate_batch,
+                                encode_instance, evaluation_report, generate,
                                 init_model, sentence_rng, synthetic_corpus,
                                 tokenize_sentence, train)
 
@@ -43,7 +43,7 @@ instances = [encode_instance(toks[r.sentence_id], r.fixations, max_len, vocab)
 
 t0 = time.perf_counter()
 result = train(model, instances, steps=600, batch=8, lr=1e-3, seed=1)
-print(f"\ntrained {result.steps_done} steps in {time.perf_counter() - t0:.1f}s, "
+print(f"\ntrained {len(result.rows)} steps in {time.perf_counter() - t0:.1f}s, "
       f"final loss {result.rows[-1]['total']:.4f}")
 
 # ---------------------------------------------------------------------------
@@ -54,9 +54,9 @@ print(f"\ntrained {result.steps_done} steps in {time.perf_counter() - t0:.1f}s, 
 
 budget = max(len(r.fixations) for r in corpus.records) + 2
 sids = sorted(corpus.sentences)
-outs = generate_batch(model, [toks[sid] for sid in sids], vocab,
-                      rngs=[sentence_rng(42, i) for i in range(len(sids))],
-                      target_budget=budget)
+outs = generate(model, [toks[sid] for sid in sids], vocab,
+                rngs=[sentence_rng(42, i) for i in range(len(sids))],
+                target_budget=budget)
 records = [ScanpathRecord("model", sid, tuple(out.fixations))
            for sid, out in zip(sids, outs)]
 generated = Corpus(sentences=dict(corpus.sentences), records=records)

@@ -14,14 +14,13 @@ from .corpus import (Corpus, ScanpathRecord, filter_encodable, load_corpus,
                      load_predictors, load_sentences, save_corpus,
                      save_sentences)
 from .denoiser import DenoiserParams, init_denoiser
-from .embedding import (EmbeddingParams, embed, embed_parts, init_embedding,
+from .embedding import (EmbeddingParams, embed_parts, init_embedding,
                         load_table, round_argmax, round_logits, save_table)
 from .encoding import (Batch, EncodedInstance, decode_fixations,
                        encode_instance, stack_instances)
 from .errors import ConfigError, CorpusFormatError, ValidationError
 from .inference import (GenerationResult, dump_latent_trace,
-                        fitting_sentences, generate, generate_batch,
-                        sentence_rng)
+                        fitting_sentences, generate, sentence_rng)
 from .measures import (SUMMARY_MEASURES, ReadingMeasures, reading_measures,
                        reading_measures_many)
 from .metrics import levenshtein, levenshtein_many, nld, pearson
@@ -49,10 +48,10 @@ __all__ = [
     "TokenizedSentence", "TrainResult", "TrainStats", "ValidationError",
     "Vocabulary", "at_checkpoint_precision", "baseline_corpus",
     "build_schedule", "build_vocab",
-    "decode_fixations", "dump_latent_trace", "dump_schedule", "embed",
+    "decode_fixations", "dump_latent_trace", "dump_schedule",
     "embed_parts", "encode_instance", "evaluation_report",
     "export_word_measures", "filter_encodable", "fitting_sentences",
-    "generate", "generate_batch", "human_baseline",
+    "generate", "human_baseline",
     "init_denoiser", "init_embedding", "init_model", "levenshtein",
     "levenshtein_many", "load_checkpoint", "load_corpus", "load_predictors", "load_sentences",
     "load_split_plan", "load_table", "make_splits", "nld",

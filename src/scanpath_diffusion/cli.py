@@ -29,7 +29,7 @@ from .corpus import (Corpus, ScanpathRecord, filter_encodable, load_corpus,
 from .embedding import load_table
 from .encoding import encode_instance
 from .errors import ValidationError
-from .inference import dump_latent_trace, fitting_sentences, generate_batch, sentence_rng
+from .inference import dump_latent_trace, fitting_sentences, generate, sentence_rng
 from .model import at_checkpoint_precision, init_model, load_checkpoint
 from .reports import (evaluation_report, export_word_measures, record_measures,
                       write_evaluation_report)
@@ -127,7 +127,7 @@ def _cmd_train(args) -> int:
         print("training aborted on non-finite loss; last good checkpoint retained",
               file=sys.stderr)
         return 2
-    print(f"trained {result.steps_done} steps on {len(instances)} scanpaths; "
+    print(f"trained {len(result.rows)} steps on {len(instances)} scanpaths; "
           f"artifacts in {out_dir}")
     return 0
 
@@ -144,9 +144,9 @@ def _generate_chunk(state, jobs):
     in one lockstep chain from state, a run's (model, vocab, seed,
     mean_only)."""
     model, vocab, seed, mean_only = state
-    return generate_batch(model, [tok for _, tok in jobs], vocab,
-                          rngs=[sentence_rng(seed, index) for index, _ in jobs],
-                          mean_only=mean_only)
+    return generate(model, [tok for _, tok in jobs], vocab,
+                    rngs=[sentence_rng(seed, index) for index, _ in jobs],
+                    mean_only=mean_only)
 
 
 def _cmd_generate(args) -> int:

@@ -167,11 +167,12 @@ def _gelu_grad(x, phi):
     return phi + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def timestep_embedding(t, dim: int, max_period: float = 10000.0) -> np.ndarray:
-    """Sinusoidal code for (a batch of) step indices, shape (B, dim)."""
+def timestep_embedding(t, dim: int) -> np.ndarray:
+    """Sinusoidal code for (a batch of) step indices, shape (B, dim), at
+    frequencies that fall geometrically from 1 toward 1/10000."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     half = dim // 2
-    freqs = np.exp(-math.log(max_period) * np.arange(half) / half)
+    freqs = np.exp(-math.log(10000.0) * np.arange(half) / half)
     args = t[:, None] * freqs[None, :]
     emb = np.concatenate([np.cos(args), np.sin(args)], axis=1)
     if dim % 2:
@@ -188,10 +189,6 @@ class DenoiserParams:
     n_blocks: int
     n_heads: int
     tensors: dict[str, np.ndarray]
-
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.n_heads
 
     @property
     def dtype(self) -> np.dtype:

@@ -94,12 +94,6 @@ def embed_parts(params: EmbeddingParams, x_idx, x_bert, x_pos):
     return emb_idx, emb_ctx
 
 
-def embed(params: EmbeddingParams, x_idx, x_bert, x_pos) -> np.ndarray:
-    """Full embedding of a frame (or batch of frames): sum of all channels."""
-    emb_idx, emb_ctx = embed_parts(params, x_idx, x_bert, x_pos)
-    return emb_idx + emb_ctx
-
-
 def round_logits(z: np.ndarray, params: EmbeddingParams) -> np.ndarray:
     """Inner-product scores of latents against the index table rows."""
     return np.asarray(z) @ params.e_idx.T

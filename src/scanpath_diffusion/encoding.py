@@ -13,10 +13,10 @@ and is described by three aligned integer sequences plus three masks:
           ids); the scanpath side and padding carry the PAD id
   x_pos   position within each side, restarting at 0 for the scanpath side
 
-condition_mask covers the sentence side, target_mask the scanpath side;
-they are disjoint and union to pad_mask, so a stacked Batch carries only
-target_mask and pad_mask. For generation the scanpath side is built from
-placeholder zeros over a caller-sized budget.
+pad_mask covers the real slots and target_mask the scanpath side; the
+rest of pad_mask, condition_mask, is the sentence side. A stacked Batch
+carries target_mask and pad_mask. For generation the scanpath side is
+built from placeholder zeros over a caller-sized budget.
 
 Real slots always form a prefix of the frame, and a batch stacks whole
 frames. The denoiser computes no padding slot, not even as an attention
@@ -44,11 +44,13 @@ class EncodedInstance:
     x_idx: np.ndarray
     x_bert: np.ndarray
     x_pos: np.ndarray
-    condition_mask: np.ndarray
     target_mask: np.ndarray
     pad_mask: np.ndarray
-    seq_len: int
     word_count: int
+
+    @property
+    def condition_mask(self) -> np.ndarray:
+        return self.pad_mask & ~self.target_mask
 
 
 def encode_instance(
@@ -82,17 +84,15 @@ def encode_instance(
         for f in fix_values:
             if not 1 <= f <= m:
                 raise ValidationError(f"fixation index {f} out of range 1..{m}")
-    seq_len = n + len(fix_values) + 4
     if len(fix_values) > scanpath_room(n, max_len):
         raise ValidationError(
             f"{n} pieces + {len(fix_values)} scanpath slots + 4 markers "
-            f"= {seq_len} exceeds frame of {max_len}"
+            f"= {n + len(fix_values) + 4} exceeds frame of {max_len}"
         )
 
     x_idx = np.zeros(max_len, dtype=np.int64)
     x_bert = np.full(max_len, vocab.pad_id, dtype=np.int64)
     x_pos = np.zeros(max_len, dtype=np.int64)
-    condition = np.zeros(max_len, dtype=bool)
     target = np.zeros(max_len, dtype=bool)
 
     # sentence side: [CLS, pieces..., SEP]
@@ -103,7 +103,6 @@ def encode_instance(
     x_bert[1:n + 1] = tok.piece_ids
     x_bert[n + 1] = vocab.sep_id
     x_pos[:w_len] = np.arange(w_len)
-    condition[:w_len] = True
 
     # scanpath side: [CLS, values..., SEP]
     f_len = len(fix_values) + 2
@@ -113,15 +112,12 @@ def encode_instance(
     x_pos[lo:lo + f_len] = np.arange(f_len)
     target[lo:lo + f_len] = True
 
-    pad_mask = condition | target
     return EncodedInstance(
         x_idx=x_idx,
         x_bert=x_bert,
         x_pos=x_pos,
-        condition_mask=condition,
         target_mask=target,
-        pad_mask=pad_mask,
-        seq_len=seq_len,
+        pad_mask=np.arange(max_len) < lo + f_len,
         word_count=m,
     )
 

@@ -19,10 +19,13 @@ dropping frame markers, and clamping stray out-of-range values.
 Seeding rule: the sentence at position i of `fitting_sentences` (the
 sentences `corpus.filter_encodable` keeps, in sorted id order) draws all its
 noise from `sentence_rng(seed, i)`, whatever the worker count, run order
-or the other sentences its chain runs in lockstep with (`generate_batch`).
+or the other sentences its chain runs in lockstep with.
 
-A lockstep chain gives each sentence the bits of its one-sentence chain,
-so `trace` replays the chain that `generate` ran, provided the BLAS gives
+`generate` is the one sampling function: it runs the chains of a list of
+sentences in lockstep, one denoiser forward per step for them all. A
+lockstep chain gives each sentence the bits of its one-sentence chain, so
+the `trace` command, which runs one sentence, replays the chain the
+`generate` command ran in a chunk, provided the BLAS gives
 a frame's block of rows in a stacked product the bits it gets alone:
 the per-token denoiser layers are such products, and the rest of a
 chain runs one frame at a time. `demos/blas_row_stability.py` checks the
@@ -45,7 +48,7 @@ from .model import Model
 from .schedules import posterior_params
 from .tokenization import TokenizedSentence, Vocabulary
 
-__all__ = ["GenerationResult", "generate", "generate_batch", "dump_latent_trace",
+__all__ = ["GenerationResult", "generate", "dump_latent_trace",
            "TRACE_HEADER", "fitting_sentences", "sentence_rng"]
 
 log = logging.getLogger(__name__)
@@ -76,16 +79,16 @@ class GenerationResult:
     target_budget: int
 
 
-def generate_batch(model: Model, toks: list[TokenizedSentence], vocab: Vocabulary, *,
-                   rngs: list[np.random.Generator], target_budget: int | None = None,
-                   mean_only: bool = False, on_step=None) -> list[GenerationResult]:
+def generate(model: Model, toks: list[TokenizedSentence], vocab: Vocabulary, *,
+             rngs: list[np.random.Generator], target_budget: int | None = None,
+             mean_only: bool = False, on_step=None) -> list[GenerationResult]:
     """Sample one scanpath for each tokenized sentence, all chains in lockstep.
 
     Every reverse step runs one denoiser forward over the stacked frames.
     Sentence i draws all its noise from rngs[i], in the order and shapes
     of a one-sentence chain, and a frame's prediction does not depend on
-    the other frames, so each result is bit-identical to `generate` with
-    the same generator.
+    the other frames, so each result is bit-identical to `generate` of
+    that sentence alone with the same generator.
 
     on_step, if given, is called after every reverse step as
     on_step(step_index, t_after, z, z0_anchored) with step_index counting
@@ -156,19 +159,6 @@ def _decode(final_ids: np.ndarray, word_count: int) -> GenerationResult:
     )
 
 
-def generate(model: Model, tok: TokenizedSentence, vocab: Vocabulary, *,
-             rng: np.random.Generator, target_budget: int | None = None,
-             mean_only: bool = False, on_step=None) -> GenerationResult:
-    """Sample one scanpath for a tokenized sentence: `generate_batch` of one.
-
-    on_step is called as in `generate_batch`, with the sentence's own
-    frame latents z and z0_anchored of shape (L, dim).
-    """
-    frame_step = on_step and (lambda i, t_after, z, z0: on_step(i, t_after, z[0], z0[0]))
-    return generate_batch(model, [tok], vocab, rngs=[rng], target_budget=target_budget,
-                          mean_only=mean_only, on_step=frame_step)[0]
-
-
 def dump_latent_trace(model: Model, tok: TokenizedSentence, vocab: Vocabulary,
                       target, *, rng: np.random.Generator, stride: int = 1,
                       target_budget: int | None = None,
@@ -188,8 +178,8 @@ def dump_latent_trace(model: Model, tok: TokenizedSentence, vocab: Vocabulary,
         def on_step(i, t_after, z, _z0):
             if (i - 1) % stride == 0 or i == t_max:
                 write_rows([t_after, pos, k, value]
-                           for pos, values in enumerate(z.tolist())
+                           for pos, values in enumerate(z[0].tolist())
                            for k, value in enumerate(values))
 
-        return generate(model, tok, vocab, rng=rng, target_budget=target_budget,
-                        mean_only=mean_only, on_step=on_step)
+        return generate(model, [tok], vocab, rngs=[rng], target_budget=target_budget,
+                        mean_only=mean_only, on_step=on_step)[0]

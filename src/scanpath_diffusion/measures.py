@@ -97,10 +97,12 @@ def first_non_integer(paths):
     never a float or a string. `paths` is read twice."""
     # an int total means every value is an int: a float, a numpy integer or
     # any other number turns the total into its own type (or raises), and
-    # only then are the values looked at one by one
+    # only then are the values looked at one by one; numpy integers may
+    # leave int64 on the way, which sends them to that loop all the same
     try:
-        if type(sum(chain.from_iterable(paths))) is int:
-            return None
+        with np.errstate(over="ignore"):
+            if type(sum(chain.from_iterable(paths))) is int:
+                return None
     except TypeError:
         pass
     for k, path in enumerate(paths):

@@ -30,10 +30,6 @@ class Vocabulary:
     ids: dict[str, int]
 
     @property
-    def unk_id(self) -> int:
-        return self.ids[UNK]
-
-    @property
     def pad_id(self) -> int:
         return self.ids[PAD]
 

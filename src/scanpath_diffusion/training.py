@@ -64,17 +64,22 @@ from .encoding import Batch, stack_instances
 from .errors import ValidationError
 from .model import Model, save_checkpoint
 from .schedules import TimestepSampler, q_sample
-from .workers import Forked, WorkerError
+from .workers import Forked
 
 __all__ = [
     "loss_forward", "loss_backward",
     "AdamW", "clip_global_norm", "check_train_settings", "train", "TrainResult",
-    "METRICS_HEADER", "draw_noise", "frame_shards", "shard_processes", "ShardError",
+    "METRICS_HEADER", "draw_noise", "frame_shards", "shard_processes",
 ]
 
 log = logging.getLogger(__name__)
 
 METRICS_HEADER = ["step", "t", "l_vlb", "l_emb", "l_round", "total", "grad_norm"]
+
+
+def _emb_target_rows(model: Model, t_arr) -> np.ndarray:
+    """The frames whose reconstruction target is the noise-free embedding."""
+    return (t_arr == 0) | (model.config.emb_target_low_t & (t_arr == 1))
 
 
 @dataclass
@@ -90,7 +95,7 @@ class LossBreakdown:
     def of(cls, model: Model, t_arr, per_sample_mse, per_sample_round) -> "LossBreakdown":
         """The batch means of per-frame losses: the reconstruction term
         split at the rows whose target is the noise-free embedding."""
-        emb_rows = (t_arr == 0) | (model.config.emb_target_low_t & (t_arr == 1))
+        emb_rows = _emb_target_rows(model, t_arr)
         vlb_rows = ~emb_rows
         l_vlb = float(per_sample_mse[vlb_rows].mean()) if vlb_rows.any() else 0.0
         l_emb = float(per_sample_mse[emb_rows].mean()) if emb_rows.any() else 0.0
@@ -149,8 +154,7 @@ def loss_forward(model: Model, batch: Batch, t_arr, rng: np.random.Generator | N
     z0_hat, den_cache = dn.forward(model.den, z_t, t_arr, batch.pad_mask,
                                    need_cache=need_cache, read_mask=batch.target_mask)
 
-    emb_rows = (t_arr == 0) | (model.config.emb_target_low_t & (t_arr == 1))
-    target = np.where(emb_rows[:, None, None], emb_total, z0)
+    target = np.where(_emb_target_rows(model, t_arr)[:, None, None], emb_total, z0)
 
     tgt = batch.target_mask[..., None]
     n_tgt = batch.target_mask.sum(axis=1)  # >= 3 by construction
@@ -260,34 +264,31 @@ class AdamW:
     lr = 0 is a strict no-op whatever the decay.
     """
 
-    def __init__(self, tensors: dict[str, np.ndarray], lr: float,
-                 weight_decay: float = 0.0, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, tensors: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0):
         self.tensors = tensors
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = {k: np.zeros(v.shape, v.dtype) for k, v in tensors.items()}
         self._v = {k: np.zeros(v.shape, v.dtype) for k, v in tensors.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
-        c1 = 1.0 - self.beta1 ** self.step_count
-        c2 = 1.0 - self.beta2 ** self.step_count
+        c1 = 1.0 - self.BETA1 ** self.step_count
+        c2 = 1.0 - self.BETA2 ** self.step_count
         for name, theta in self.tensors.items():
             g = grads[name]
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
             if self.weight_decay != 0.0:
                 theta *= 1.0 - self.lr * self.weight_decay
-            theta -= self.lr * ((m / c1) / (np.sqrt(v / c2) + self.eps))
+            theta -= self.lr * ((m / c1) / (np.sqrt(v / c2) + self.EPS))
 
 
 # check_train_settings' keywords, the loop settings train takes by the same names
@@ -412,10 +413,6 @@ def _shard_step(state, shard, frames, t_arr, weights, noise, batch_size):
     return breakdown.per_sample_mse, breakdown.per_sample_round
 
 
-# a training shard that failed in a worker process, or whose worker exited
-ShardError = WorkerError
-
-
 class _Shards:
     """The shards of `train`'s steps, and the processes that run them.
 
@@ -487,9 +484,8 @@ def _train_step(shards, frame_batch, t_arr, weights, rng, sampler, optimizer, cl
 
 @dataclass
 class TrainResult:
-    steps_done: int
     aborted: bool
-    rows: list[dict]
+    rows: list[dict]  # one metrics row per step run
 
 
 def train(model: Model, instances, *, steps: int, batch: int, lr: float,
@@ -508,9 +504,9 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     `shard_processes` processes, this one and workers forked at the first
     split step (`_Shards`); the cut depends on the batch alone, so the
     process count changes no bit of the run. A shard that fails in a
-    worker, or a worker that exits, raises ShardError naming the shard, and
-    every worker is joined before this returns or raises. Workers write
-    no file and no log.
+    worker, or a worker that exits, raises `workers.WorkerError` naming the
+    shard, and every worker is joined before this returns or raises.
+    Workers write no file and no log.
 
     The steps update a model built over shared copies of the trainable
     tensors (`_Shards`), which the interval checkpoints save too; the
@@ -566,4 +562,4 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     # ru_maxrss counts KiB on Linux
     log.info("peak resident memory of this process: %d KiB",
              resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-    return TrainResult(steps_done=len(rows), aborted=aborted, rows=rows)
+    return TrainResult(aborted=aborted, rows=rows)

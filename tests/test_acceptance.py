@@ -18,7 +18,7 @@ from scanpath_diffusion import (Corpus, ModelConfig, ScanpathRecord,
                                 TrainStats, at_checkpoint_precision,
                                 baseline_corpus, build_schedule,
                                 build_vocab, encode_instance, evaluation_report,
-                                generate, generate_batch, init_model, levenshtein, nld,
+                                generate, init_model, levenshtein, nld,
                                 posterior_params, q_sample, reading_measures,
                                 save_corpus, save_sentences,
                                 stack_instances, synthetic_corpus,
@@ -230,15 +230,15 @@ def test_criterion_05_anchoring_invariants():
         def on_step(step, t_after, z, z0_anchored):
             seen.append(t_after)
             # condition anchor: sentence slots sit at their exact embedding
-            assert np.array_equal(z[cond], emb_total[cond])
+            assert np.array_equal(z[0][cond], emb_total[cond])
             # rounding anchor: every scanpath slot of the clean prediction
             # is bit-equal to some index-table row (not necessarily the one
             # re-rounding picks: the rounding argmax is inner-product based)
-            hit = (z0_anchored[tgt][:, None, :]
+            hit = (z0_anchored[0][tgt][:, None, :]
                    == model.emb.e_idx[None, :, :]).all(-1).any(-1)
             assert hit.all()
 
-        generate(model, tok, vocab, rng=np.random.default_rng([1234, i]),
+        generate(model, [tok], vocab, rngs=[np.random.default_rng([1234, i])],
                  on_step=on_step)
         assert seen == list(range(199, -1, -1))
 
@@ -274,9 +274,9 @@ def test_criterion_06_memorization():
     # outcome does not depend on generation order or on the lockstep chain
     budget = max(len(r.fixations) for r in corpus.records) + 2
     sids = sorted(corpus.sentences)
-    outs = generate_batch(model, [toks[sid] for sid in sids], vocab,
-                          rngs=[np.random.default_rng([777, i]) for i in range(len(sids))],
-                          target_budget=budget)
+    outs = generate(model, [toks[sid] for sid in sids], vocab,
+                    rngs=[np.random.default_rng([777, i]) for i in range(len(sids))],
+                    target_budget=budget)
     records = [ScanpathRecord("model", sid, tuple(out.fixations))
                for sid, out in zip(sids, outs)]
     generated = Corpus(sentences=dict(corpus.sentences), records=records)

@@ -496,12 +496,29 @@ def test_generate_matches_library_chain_per_sentence(trained, tmp_path, capsys):
     usable = list(fitting_sentences(sentences, vocab, model.config.max_len))
     pred = {r.sentence_id: list(r.fixations) for r in load_corpus(out, paths["sentences"]).records}
     assert set(pred) == set(usable)
-    results = [generate(model, tokenize_sentence(sentences[sid], vocab), vocab,
-                        rng=sentence_rng(9, i)) for i, sid in enumerate(usable)]
+    results = [generate(model, [tokenize_sentence(sentences[sid], vocab)], vocab,
+                        rngs=[sentence_rng(9, i)])[0] for i, sid in enumerate(usable)]
     assert [pred[sid] for sid in usable] == [res.fixations for res in results]
     clamped = sum(res.clamped for res in results)
     open_ = sum(not res.ended for res in results)
     assert f"({clamped} out-of-range indices clamped, {open_} without an end marker)" in line
+
+
+def test_generate_samples_each_chunk_through_inference_generate(trained, tmp_path,
+                                                               monkeypatch, capsys):
+    """`cli generate` runs its chains through the library's one sampling
+    function, one call per chunk of GENERATE_CHUNK sentences."""
+    words = list(trained["corpus"].sentences.values())
+    sentences = {f"s{k}": words[k % len(words)] for k in range(9)}
+    sent_path, out = tmp_path / "sent.csv", tmp_path / "pred.csv"
+    save_sentences(sentences, sent_path)
+    args = gen_args(trained, out, ["--workers", "1"])
+    args[args.index("--sentences") + 1] = str(sent_path)
+    calls = count_calls(monkeypatch, cli_mod.generate)
+    assert main(args) == 0
+    assert "wrote 9 scanpaths" in capsys.readouterr().out
+    chunk = cli_mod.GENERATE_CHUNK  # 8: a full chunk and a ragged one
+    assert [len(toks) for _, toks, _ in calls] == [min(chunk, 9 - lo) for lo in range(0, 9, chunk)]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -959,10 +976,10 @@ def test_trace_replays_generate_chain(trained, tmp_path):
 
     def on_step(i, _t, z, _z0):
         if i == 1:
-            after_step_1.append(z.copy())
+            after_step_1.append(z[0].copy())
 
-    generate(model, tokenize_sentence(sentences[sid], vocab), vocab,
-             rng=sentence_rng(9, index), on_step=on_step)
+    generate(model, [tokenize_sentence(sentences[sid], vocab)], vocab,
+             rngs=[sentence_rng(9, index)], on_step=on_step)
     assert np.array_equal(first, after_step_1[0])
 
 

@@ -44,7 +44,6 @@ def test_init_denoiser_tensor_set():
             "ln_in_g", "ln_in_b", "ln_out_g", "ln_out_b"} <= names
     assert "b0.wq" in names and "b1.ffn_w2" in names
     assert "b2.wq" not in names
-    assert params.head_dim == 4
     # residual branches close with zeros so each block starts as an identity
     assert np.all(params.tensors["b0.wo"] == 0.0)
     assert np.all(params.tensors["b1.ffn_w2"] == 0.0)
@@ -147,7 +146,7 @@ def _loop_attention(z, params, t, pad_row):
     q = [proj(r, p["b0.wq"], p["b0.bq"]) for r in a_rows]
     k = [proj(r, p["b0.wk"], p["b0.bk"]) for r in a_rows]
     v = [proj(r, p["b0.wv"], p["b0.bv"]) for r in a_rows]
-    scale = 1.0 / math.sqrt(dim)  # one head: head_dim = dim
+    scale = 1.0 / math.sqrt(dim)  # one head, dim wide
     out_rows = []
     for i in range(L):
         scores = []
@@ -409,7 +408,7 @@ def _padded_forward(params, z, t, pad_mask):
     z_in = z + t_vec[:, None, :]
     h, ln_in_cache = dn._layer_norm(z_in, p["ln_in_g"], p["ln_in_b"])
 
-    scale = 1.0 / math.sqrt(params.head_dim)
+    scale = 1.0 / math.sqrt(params.dim // params.n_heads)
     real = [np.flatnonzero(frame) for frame in pad_mask]
 
     blocks = []
@@ -456,7 +455,7 @@ def _padded_backward(params, cache, d_out):
     """Backward through `_padded_forward`, over all B * L slots."""
     p = params.tensors
     grads = {}
-    scale = 1.0 / math.sqrt(params.head_dim)
+    scale = 1.0 / math.sqrt(params.dim // params.n_heads)
 
     d_h, grads["ln_out_g"], grads["ln_out_b"] = dn._layer_norm_bwd(
         d_out, p["ln_out_g"], cache["ln_out"])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scanpath_diffusion import (ValidationError, embed, embed_parts,
+from scanpath_diffusion import (ValidationError, embed_parts,
                                 init_embedding, load_table, round_argmax,
                                 round_logits, save_table)
 from scanpath_diffusion.embedding import EmbeddingParams
@@ -30,7 +30,6 @@ def test_embed_parts_hand_case():
     # row 0: [0,1,0]@W = [3,4]; +b = [3.5,3.5]; +pos1 = [3.7,3.7]
     # row 1: [1,0,0]@W = [1,2]; +b = [1.5,1.5]; +pos0 = [1.6,1.6]
     assert np.allclose(emb_ctx, np.array([[3.7, 3.7], [1.6, 1.6]]))
-    assert np.allclose(embed(params, x_idx, x_bert, x_pos), emb_idx + emb_ctx)
 
 
 def test_embed_parts_batched():
@@ -46,11 +45,11 @@ def test_embed_parts_batched():
 def test_embed_rejects_out_of_range_ids():
     params = hand_params()
     with pytest.raises(ValidationError):
-        embed(params, np.array([3]), np.array([0]), np.array([0]))
+        embed_parts(params, np.array([3]), np.array([0]), np.array([0]))
     with pytest.raises(ValidationError):
-        embed(params, np.array([0]), np.array([2]), np.array([0]))
+        embed_parts(params, np.array([0]), np.array([2]), np.array([0]))
     with pytest.raises(ValidationError):
-        embed(params, np.array([0]), np.array([0]), np.array([-1]))
+        embed_parts(params, np.array([0]), np.array([0]), np.array([-1]))
 
 
 def test_init_embedding_shapes_and_frozen_adoption():

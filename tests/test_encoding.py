@@ -34,7 +34,7 @@ def test_training_frame_layout_exact():
     assert inst.x_pos.tolist() == [0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 0]
     assert inst.condition_mask.tolist() == [True] * 6 + [False] * 6
     assert inst.target_mask.tolist() == [False] * 6 + [True] * 5 + [False]
-    assert inst.seq_len == 11
+    assert inst.pad_mask.tolist() == [True] * 11 + [False]
     assert inst.word_count == 3
 
 
@@ -42,7 +42,7 @@ def test_masks_disjoint_and_union_is_pad():
     inst = enc(["the", "dog"], [1, 2, 1], max_len=16)
     assert not np.any(inst.condition_mask & inst.target_mask)
     assert np.array_equal(inst.condition_mask | inst.target_mask, inst.pad_mask)
-    assert inst.pad_mask.sum() == inst.seq_len
+    assert inst.pad_mask.tolist() == [True] * (2 + 3 + 4) + [False] * 7
 
 
 def test_generation_frame_default_budget():
@@ -61,7 +61,7 @@ def test_generation_frame_explicit_budget():
     tok = tokenize_sentence(["the", "dog"], VOCAB)
     inst = encode_instance(tok, None, 16, VOCAB, target_budget=5)
     assert inst.target_mask.sum() == 7
-    assert inst.seq_len == 2 + 5 + 4
+    assert inst.pad_mask.sum() == 2 + 5 + 4
 
 
 def test_generation_frame_budget_too_small():

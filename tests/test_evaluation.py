@@ -544,6 +544,14 @@ def test_non_integer_fixations_are_rejected(bad):
     # an integer numpy cannot hold is named too, not an OverflowError
     with pytest.raises(ValidationError, match=f"index {2**70} is outside the 64-bit"):
         levenshtein_many([((1, 2), (1, 2)), ((2**70, 1), (1,))])
+    # numpy integers whose sum leaves int64 are integers, checked without
+    # an overflow warning
+    big = np.int64(2**62)
+    assert levenshtein_many([((big, big), (1,))]) == [2]
+    with pytest.raises(ValidationError, match=f"fixation index {2**62} out of range 1..3"):
+        reading_measures([big, big], 3)
+    with pytest.raises(ValidationError, match=f"fixation index {2**62} out of range 1..3 for"):
+        Corpus(sentences={"s": ("a", "b", "c")}, records=[ScanpathRecord("r", "s", (big, big))])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from scanpath_diffusion import (Model, ValidationError, at_checkpoint_precision,
-                                dump_latent_trace, generate, generate_batch,
+                                dump_latent_trace, generate,
                                 init_model, load_checkpoint, save_checkpoint,
                                 tensor_shapes, tokenize_sentence)
 from scanpath_diffusion import container
@@ -30,7 +30,7 @@ def sentence_tok(tiny_vocab):
 def test_generate_basic_contract(tiny_vocab):
     model = small_model(tiny_vocab)
     tok = sentence_tok(tiny_vocab)
-    res = generate(model, tok, tiny_vocab, rng=np.random.default_rng(0))
+    res = generate(model, [tok], tiny_vocab, rngs=[np.random.default_rng(0)])[0]
     assert res.word_count == 4
     assert len(res.fixations) >= 1
     assert all(1 <= f <= 4 for f in res.fixations)
@@ -43,9 +43,9 @@ def test_generate_basic_contract(tiny_vocab):
 def test_generate_deterministic_under_rng_seed(tiny_vocab):
     model = small_model(tiny_vocab)
     tok = sentence_tok(tiny_vocab)
-    a = generate(model, tok, tiny_vocab, rng=np.random.default_rng(9))
-    b = generate(model, tok, tiny_vocab, rng=np.random.default_rng(9))
-    c = generate(model, tok, tiny_vocab, rng=np.random.default_rng(10))
+    a, = generate(model, [tok], tiny_vocab, rngs=[np.random.default_rng(9)])
+    b, = generate(model, [tok], tiny_vocab, rngs=[np.random.default_rng(9)])
+    c, = generate(model, [tok], tiny_vocab, rngs=[np.random.default_rng(10)])
     assert a.fixations == b.fixations
     assert np.array_equal(a.raw_target_ids, b.raw_target_ids)
     assert (a.fixations != c.fixations) or not np.array_equal(
@@ -55,16 +55,16 @@ def test_generate_deterministic_under_rng_seed(tiny_vocab):
 def test_generate_mean_only_removes_posterior_noise(tiny_vocab):
     model = small_model(tiny_vocab)
     tok = sentence_tok(tiny_vocab)
-    a = generate(model, tok, tiny_vocab, rng=np.random.default_rng(3), mean_only=True)
-    b = generate(model, tok, tiny_vocab, rng=np.random.default_rng(3), mean_only=True)
+    a, = generate(model, [tok], tiny_vocab, rngs=[np.random.default_rng(3)], mean_only=True)
+    b, = generate(model, [tok], tiny_vocab, rngs=[np.random.default_rng(3)], mean_only=True)
     assert a.fixations == b.fixations
 
 
 def test_generate_explicit_budget(tiny_vocab):
     model = small_model(tiny_vocab)
     tok = sentence_tok(tiny_vocab)
-    res = generate(model, tok, tiny_vocab, rng=np.random.default_rng(1),
-                   target_budget=5)
+    res, = generate(model, [tok], tiny_vocab, rngs=[np.random.default_rng(1)],
+                    target_budget=5)
     assert res.target_budget == 5
     # raw side spans budget + 2 marker slots; decode strips only markers the
     # model actually reconstructed, so that is the hard cap
@@ -91,11 +91,11 @@ def test_anchoring_invariants_every_step(tiny_vocab):
 
     def on_step(i, t_after, z, z0_anchored):
         steps.append((i, t_after))
-        assert np.array_equal(z[cond], emb_total[cond])
-        for row in z0_anchored[tgt]:
+        assert np.array_equal(z[0][cond], emb_total[cond])
+        for row in z0_anchored[0][tgt]:
             assert tuple(row) in rows
 
-    generate(model, tok, tiny_vocab, rng=np.random.default_rng(2), on_step=on_step)
+    generate(model, [tok], tiny_vocab, rngs=[np.random.default_rng(2)], on_step=on_step)
     t_max = model.config.t_max
     assert steps == [(i, t_max - i) for i in range(1, t_max + 1)]
 
@@ -109,13 +109,12 @@ def test_final_state_is_anchored_rows(tiny_vocab):
 
     def on_step(i, t_after, z, z0_anchored):
         if t_after == 0:
-            final["z"] = z.copy()
-            final["anchored"] = z0_anchored.copy()
+            final["z"] = z[0].copy()
+            final["anchored"] = z0_anchored[0].copy()
 
     from scanpath_diffusion.encoding import encode_instance
     inst = encode_instance(tok, None, model.config.max_len, tiny_vocab)
-    res = generate(model, tok, tiny_vocab, rng=np.random.default_rng(4),
-                   on_step=on_step)
+    generate(model, [tok], tiny_vocab, rngs=[np.random.default_rng(4)], on_step=on_step)
     tgt = inst.target_mask
     assert np.array_equal(final["z"][tgt], final["anchored"][tgt])
 
@@ -130,9 +129,9 @@ def test_anchored_prediction_is_zero_outside_the_scanpath_side(tiny_vocab):
     seen = []
 
     def on_step(i, t_after, z, z0_anchored):
-        seen.append(bool(np.all(z0_anchored[~tgt] == 0.0)))
+        seen.append(bool(np.all(z0_anchored[0][~tgt] == 0.0)))
 
-    generate(model, tok, tiny_vocab, rng=np.random.default_rng(3), on_step=on_step)
+    generate(model, [tok], tiny_vocab, rngs=[np.random.default_rng(3)], on_step=on_step)
     assert seen and all(seen)
 
 def test_generate_empty_decode_falls_back(tiny_vocab, monkeypatch, caplog):
@@ -140,7 +139,7 @@ def test_generate_empty_decode_falls_back(tiny_vocab, monkeypatch, caplog):
     tok = sentence_tok(tiny_vocab)
     monkeypatch.setattr(inf_mod, "decode_fixations", lambda vals, m: ([], 0))
     with caplog.at_level("WARNING"):
-        res = generate(model, tok, tiny_vocab, rng=np.random.default_rng(5))
+        res, = generate(model, [tok], tiny_vocab, rngs=[np.random.default_rng(5)])
     assert res.fixations == [1]
     assert any("empty scanpath" in r.message for r in caplog.records)
 
@@ -180,16 +179,16 @@ def test_generate_batch_matches_generate_per_sentence(tiny_vocab, dtype, target_
         model = at_checkpoint_precision(model)
     toks = [tokenize_sentence(words, tiny_vocab) for words in BATCH_SENTENCES]
     steps = []
-    results = generate_batch(model, toks, tiny_vocab,
-                             rngs=[np.random.default_rng([5, i]) for i in range(len(toks))],
-                             target_budget=target_budget, mean_only=mean_only,
-                             on_step=_record_steps(steps))
+    results = generate(model, toks, tiny_vocab,
+                       rngs=[np.random.default_rng([5, i]) for i in range(len(toks))],
+                       target_budget=target_budget, mean_only=mean_only,
+                       on_step=_record_steps(steps))
     assert len(steps) == model.config.t_max
     for k, tok in enumerate(toks):
         alone = []
-        res = generate(model, tok, tiny_vocab, rng=np.random.default_rng([5, k]),
-                       target_budget=target_budget, mean_only=mean_only,
-                       on_step=_record_steps(alone))
+        res, = generate(model, [tok], tiny_vocab, rngs=[np.random.default_rng([5, k])],
+                        target_budget=target_budget, mean_only=mean_only,
+                        on_step=_record_steps(alone))
         got = results[k]
         assert got.fixations == res.fixations
         assert np.array_equal(got.raw_target_ids, res.raw_target_ids)
@@ -199,18 +198,18 @@ def test_generate_batch_matches_generate_per_sentence(tiny_vocab, dtype, target_
         for (i, t, z, z0), (j, u, z_alone, z0_alone) in zip(steps, alone):
             assert (i, t) == (j, u)
             assert z.dtype == z_alone.dtype == np.dtype(dtype)
-            assert np.array_equal(z[k], z_alone), (k, i)
-            assert np.array_equal(z0[k], z0_alone), (k, i)
+            assert np.array_equal(z[k], z_alone[0]), (k, i)
+            assert np.array_equal(z0[k], z0_alone[0]), (k, i)
 
 
 def test_generate_batch_of_no_sentence_is_empty(tiny_vocab):
-    assert generate_batch(small_model(tiny_vocab), [], tiny_vocab, rngs=[]) == []
+    assert generate(small_model(tiny_vocab), [], tiny_vocab, rngs=[]) == []
 
 
 def test_generate_batch_needs_one_generator_per_sentence(tiny_vocab):
     with pytest.raises(ValidationError, match="one generator per sentence"):
-        generate_batch(small_model(tiny_vocab), [sentence_tok(tiny_vocab)] * 2, tiny_vocab,
-                       rngs=[np.random.default_rng(0)])
+        generate(small_model(tiny_vocab), [sentence_tok(tiny_vocab)] * 2, tiny_vocab,
+                 rngs=[np.random.default_rng(0)])
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +260,12 @@ def test_trace_values_round_trip(tiny_vocab):
     seen = {}
 
     def on_step(i, t_after, z, _a):
-        seen[t_after] = z.copy()
+        seen[t_after] = z[0].copy()
 
     buf = io.StringIO()
     dump_latent_trace(model, tok, tiny_vocab, buf,
                       rng=np.random.default_rng(8), stride=1)
-    generate(model, tok, tiny_vocab, rng=np.random.default_rng(8),
-             on_step=on_step)
+    generate(model, [tok], tiny_vocab, rngs=[np.random.default_rng(8)], on_step=on_step)
     buf.seek(0)
     reader = csv.reader(buf)
     next(reader)
@@ -314,9 +312,8 @@ def test_checkpoint_generation_agrees_after_reload(tiny_vocab, tmp_path):
     save_checkpoint(model, path)
     again = load_checkpoint(path)
     tok = sentence_tok(tiny_vocab)
-    a = generate(again, tok, tiny_vocab, rng=np.random.default_rng(6))
-    b = generate(load_checkpoint(path), tok, tiny_vocab,
-                 rng=np.random.default_rng(6))
+    a, = generate(again, [tok], tiny_vocab, rngs=[np.random.default_rng(6)])
+    b, = generate(load_checkpoint(path), [tok], tiny_vocab, rngs=[np.random.default_rng(6)])
     assert a.fixations == b.fixations
 
 

@@ -81,7 +81,7 @@ def test_each_step_forward_starts_with_no_array_of_the_step_before(monkeypatch, 
     monkeypatch.setattr(training, "loss_forward", measured)
     with traced(), caplog.at_level(logging.INFO, logger="scanpath_diffusion.training"):
         result = train(model, instances, steps=6, batch=4, lr=1e-3, seed=0)
-    assert result.steps_done == 6 and len(at_start) == 6
+    assert len(result.rows) == 6 and len(at_start) == 6
     assert min(held) > 10 * STEP_DRIFT
     assert [m - at_start[0] for m in at_start] == pytest.approx([0] * 6, abs=STEP_DRIFT)
     assert re.fullmatch(r"peak resident memory of this process: [1-9]\d* KiB",

@@ -17,6 +17,7 @@ from scanpath_diffusion import denoiser as dn
 from scanpath_diffusion import training
 from scanpath_diffusion.embedding import embed_parts
 from scanpath_diffusion.encoding import stack_instances
+from scanpath_diffusion.workers import WorkerError
 from scanpath_diffusion.training import (METRICS_HEADER, clip_global_norm,
                                          loss_backward, loss_forward)
 
@@ -354,7 +355,7 @@ def test_float32_model_never_upcasts(tiny_vocab, small_corpus):
 
     states = []
     tok = tokenize_sentence(["bala", "deon", "firi"], tiny_vocab)
-    generate(model, tok, tiny_vocab, rng=np.random.default_rng(1),
+    generate(model, [tok], tiny_vocab, rngs=[np.random.default_rng(1)],
              on_step=lambda i, t, z, z0: states.append((z.dtype, z0.dtype)))
     assert len(states) == model.config.t_max and set(states) == {(f32, f32)}
 
@@ -419,7 +420,7 @@ def run_tiny_train(tiny_vocab, corpus, tmp_path, tag, **over):
 def test_train_zero_steps_writes_checkpoint(tiny_vocab, small_corpus, tmp_path):
     model, result, metrics, ckpt = run_tiny_train(
         tiny_vocab, small_corpus, tmp_path, "zero", steps=0)
-    assert result.steps_done == 0 and not result.aborted
+    assert len(result.rows) == 0 and not result.aborted
     assert ckpt.exists()
     with open(metrics) as fh:
         rows = list(csv.reader(fh))
@@ -428,7 +429,7 @@ def test_train_zero_steps_writes_checkpoint(tiny_vocab, small_corpus, tmp_path):
 
 def test_train_metrics_rows(tiny_vocab, small_corpus, tmp_path):
     _, result, metrics, _ = run_tiny_train(tiny_vocab, small_corpus, tmp_path, "rows")
-    assert result.steps_done == 8
+    assert len(result.rows) == 8
     with open(metrics) as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -469,7 +470,7 @@ def test_train_aborts_on_nonfinite_loss(tiny_vocab, small_corpus, tmp_path):
     result = train(model, instances, steps=20, batch=2, lr=1e160, seed=1,
                    clip_norm=0.0)
     assert result.aborted
-    assert result.steps_done < 20
+    assert len(result.rows) < 20
     assert not math.isfinite(result.rows[-1]["total"])
     # the model keeps the parameters from before the poisoned step
     changed = sum(
@@ -769,7 +770,7 @@ def test_a_failing_shard_raises_naming_it(monkeypatch, small_corpus):
     ref = make_model(v_bert=model.config.v_bert)
     train(ref, instances, steps=2, batch=12, lr=1e-3, seed=0)
     failing_shard_step(monkeypatch, fail)
-    with pytest.raises(training.ShardError,
+    with pytest.raises(WorkerError,
                        match="training shard 1 failed in its worker process: "
                              "ArithmeticError: shard went wrong"):
         train(model, instances, steps=5, batch=12, lr=1e-3, seed=0)
@@ -781,7 +782,7 @@ def test_a_failing_shard_raises_naming_it(monkeypatch, small_corpus):
 def test_a_worker_that_exits_is_an_error_not_a_hang(monkeypatch, small_corpus):
     model, instances = split_run(monkeypatch, small_corpus)
     failing_shard_step(monkeypatch, lambda: os._exit(3))
-    with pytest.raises(training.ShardError,
+    with pytest.raises(WorkerError,
                        match="worker process running training shard 1 exited unexpectedly"):
         train(model, instances, steps=5, batch=12, lr=1e-3, seed=0)
     assert multiprocessing.active_children() == []

@@ -41,7 +41,17 @@ order. The shards run through the one forked runner, `workers.Forked`:
 shard 0 in the training process, the others in workers forked once per
 `train` call (`_Shards`); the process count changes no bit of a run.
 loss_backward returns a shard's gradients, and the shard copies them into
-its own slot of a shared mapping, where the training process sums them.
+its own slot of a shared mapping.
+
+The optimizer is split across the same processes, as stage 1 of ZeRO
+(Rajbhandari et al. 2020) splits it: the trainable manifest is cut into
+one contiguous group of tensors per process, and AdamW's moments sit in a
+shared mapping too. On a split step each process sums its groups' slots
+in shard order and returns their per-tensor squared norms; the training
+process adds those in manifest order, as `clip_global_norm` does, and
+decides whether to abort or clip (`clip_factor`); then each process
+clips and steps AdamW over its groups. Every piece of that arithmetic is
+per tensor, so the groups change no bit either.
 """
 
 from __future__ import annotations
@@ -68,7 +78,7 @@ from .workers import Forked
 
 __all__ = [
     "loss_forward", "loss_backward",
-    "AdamW", "clip_global_norm", "check_train_settings", "train", "TrainResult",
+    "AdamW", "clip_factor", "clip_global_norm", "check_train_settings", "train", "TrainResult",
     "METRICS_HEADER", "draw_noise", "frame_shards", "shard_processes",
 ]
 
@@ -243,14 +253,22 @@ def loss_backward(model: Model, cache, weights) -> dict[str, np.ndarray]:
             **{f"den.{name}": g for name, g in den_grads.items()}}
 
 
+def clip_factor(squares, max_norm: float) -> tuple[float, float | None]:
+    """The clip rule. The global norm of gradients whose per-tensor squared
+    norms are squares, in manifest order, summed in that order; and the
+    factor that scales the gradients to max_norm, None when they stay as
+    they are (max_norm 0, or a norm within it)."""
+    total = 0.0
+    for sq in squares:
+        total += sq
+    norm = math.sqrt(total)
+    return norm, max_norm / norm if max_norm > 0 and norm > max_norm else None
+
+
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place to a global norm cap; returns the raw norm."""
-    total = 0.0
-    for g in grads.values():
-        total += float((g * g).sum())
-    norm = math.sqrt(total)
-    if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
+    norm, scale = clip_factor([float((g * g).sum()) for g in grads.values()], max_norm)
+    if scale is not None:
         for g in grads.values():
             g *= scale
     return norm
@@ -262,6 +280,10 @@ class AdamW:
     theta <- theta - lr * mhat / (sqrt(vhat) + eps) - lr * wd * theta;
     the decay multiplies the parameter directly, never the moments, so
     lr = 0 is a strict no-op whatever the decay.
+
+    The moments live in an anonymous shared mapping: a process forked after
+    the optimizer was made can step any of its tensors, given the update's
+    bias-correction step, and the other processes see the new values.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -271,15 +293,18 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._m = {k: np.zeros(v.shape, v.dtype) for k, v in tensors.items()}
-        self._v = {k: np.zeros(v.shape, v.dtype) for k, v in tensors.items()}
+        self._m, self._v = _shared_copies(tensors, 2)
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        self.step_count += 1
-        c1 = 1.0 - self.BETA1 ** self.step_count
-        c2 = 1.0 - self.BETA2 ** self.step_count
-        for name, theta in self.tensors.items():
-            g = grads[name]
+    def step(self, grads: dict[str, np.ndarray], step: int | None = None) -> None:
+        """One update of the tensors that grads names, the update's count
+        step (bias correction), by default one past this optimizer's last."""
+        if step is None:
+            self.step_count += 1
+            step = self.step_count
+        c1 = 1.0 - self.BETA1 ** step
+        c2 = 1.0 - self.BETA2 ** step
+        for name, g in grads.items():
+            theta = self.tensors[name]
             m = self._m[name]
             v = self._v[name]
             m *= self.BETA1
@@ -331,6 +356,19 @@ def _shard_count(bsz: int) -> int:
     return max(1, min(-(-bsz // SHARD_FRAMES), bsz // dn.MIN_PRODUCT_ROWS))
 
 
+def _balanced_cut(weights, n: int, least: int) -> list[slice]:
+    """n contiguous runs of the weighted items, each of at least `least`
+    items: the k-th cut falls at the item boundary nearest k / n of the
+    total weight that the earlier cuts leave room for."""
+    before = np.concatenate([[0], np.cumsum(weights)])  # weight before item j
+    bounds = [0]
+    for k in range(1, n):
+        ends = np.arange(bounds[-1] + least, len(weights) - (n - k) * least + 1)
+        bounds.append(int(ends[np.argmin(np.abs(n * before[ends] - k * before[-1]))]))
+    bounds.append(len(weights))
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def frame_shards(pad_mask, read_mask, dim: int) -> list[slice]:
     """The runs of frames of a batch that training computes one by one.
 
@@ -343,14 +381,7 @@ def frame_shards(pad_mask, read_mask, dim: int) -> list[slice]:
     """
     bsz = len(pad_mask)
     n = _shard_count(bsz)
-    before = np.concatenate([[0], np.cumsum(pad_mask.sum(axis=1))])  # rows before frame j
-    bounds = [0]
-    for k in range(1, n):
-        ends = np.arange(bounds[-1] + dn.MIN_PRODUCT_ROWS,
-                         bsz - (n - k) * dn.MIN_PRODUCT_ROWS + 1)
-        bounds.append(int(ends[np.argmin(np.abs(n * before[ends] - k * before[-1]))]))
-    bounds.append(bsz)
-    shards = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    shards = _balanced_cut(pad_mask.sum(axis=1), n, dn.MIN_PRODUCT_ROWS)
     read = read_mask.sum(axis=1)
     if n > 1 and min(int(read[s].sum()) for s in shards) * dim < MIN_SHARD_WORK:
         return [slice(0, bsz)]
@@ -379,11 +410,11 @@ def shard_processes(n_shards: int) -> int:
     return max(1, min(cpus // blas, n_shards))
 
 
-def _shared_copies(tensors: dict[str, np.ndarray], copies: int):
+def _shared_copies(tensors: dict[str, np.ndarray], copies: int) -> list[dict[str, np.ndarray]]:
     """copies sets of zeroed arrays shaped like tensors, one dtype for all,
     laid out one set after another in one anonymous shared mapping, which
-    processes forked later see as their parent does. Returns the sets and
-    a (copies, n) view of the whole mapping, a set per row."""
+    processes forked later see as their parent does. A page of it counts
+    in the resident memory of the processes that touch it, no other."""
     dtype = np.result_type(*tensors.values())
     align = 64 // dtype.itemsize  # each array starts on a cache line
     offsets, size = {}, 0
@@ -392,49 +423,88 @@ def _shared_copies(tensors: dict[str, np.ndarray], copies: int):
         size += -(-arr.size // align) * align
     flat = np.ndarray((copies, size), dtype, mmap.mmap(-1, max(1, copies * size * dtype.itemsize)))
     return [{name: flat[c, offsets[name]:offsets[name] + arr.size].reshape(arr.shape)
-             for name, arr in tensors.items()} for c in range(copies)], flat
+             for name, arr in tensors.items()} for c in range(copies)]
 
 
 def _frames(batch: Batch, at: slice) -> Batch:
     return Batch(**{f.name: getattr(batch, f.name)[at] for f in fields(Batch)})
 
 
-def _shard_step(state, shard, frames, t_arr, weights, noise, batch_size):
-    """Shard number shard's part of a training step, state the (model,
-    gradient slots) of `_Shards`: its frames' loss forward and backward at
-    the batch's scale, the returned gradients copied into the shard's slot
-    by name. Returns its frames' per-frame (reconstruction, rounding)
-    losses."""
-    model, slots = state
-    breakdown, cache = loss_forward(model, frames, t_arr, need_cache=True, noise=noise,
+def _shard_step(shards, shard, frames, t_arr, weights, noise, batch_size):
+    """Shard number shard's part of a training step on shards.model: its
+    frames' loss forward and backward at the batch's scale, the returned
+    gradients copied into the shard's slot by name. Returns its frames'
+    per-frame (reconstruction, rounding) losses."""
+    breakdown, cache = loss_forward(shards.model, frames, t_arr, need_cache=True, noise=noise,
                                     batch_size=batch_size)
-    for name, g in loss_backward(model, cache, weights).items():
-        slots[shard][name][...] = g
+    for name, g in loss_backward(shards.model, cache, weights).items():
+        shards.slots[shard][name][...] = g
     return breakdown.per_sample_mse, breakdown.per_sample_round
 
 
+def _reduce_group(shards, names, n_shards):
+    """A group's part of a step's gradient sum: each of its tensors' first
+    n_shards slots summed into slot 0 in shard order. Returns each
+    tensor's squared norm, in order."""
+    squares = []
+    for name in names:
+        g = shards.slots[0][name]
+        for slot in shards.slots[1:n_shards]:
+            g += slot[name]
+        squares.append(float((g * g).sum()))
+    return squares
+
+
+def _update_group(shards, names, scale, step):
+    """A group's part of a step's update: its tensors' summed gradients
+    scaled by the clip factor (`clip_factor`, None for none) and the
+    optimizer's update number step over them."""
+    grads = {name: shards.slots[0][name] for name in names}
+    if scale is not None:
+        for g in grads.values():
+            g *= scale
+    shards.optimizer.step(grads, step)
+
+
+def _step_part(shards, part, *args):
+    """The job function of `_Shards`' runner: part names the step's part,
+    looked up when the job runs."""
+    return {"shard": _shard_step, "reduce": _reduce_group,
+            "update": _update_group}[part](shards, *args)
+
+
 class _Shards:
-    """The shards of `train`'s steps, and the processes that run them.
+    """The shards of `train`'s steps, the optimizer's groups, and the
+    processes that run them.
 
     `model` is the model training updates: a copy of the given model's
     trainable tensors in one shared mapping, its frozen ones shared with
     the given model. Every shard of a step has a gradient slot in a
-    second mapping. The shards run through a `workers.Forked` runner whose
-    state is (model, slots): its workers are forked at the first split
-    step and see the optimizer's in-place updates through the mapping.
-    The slots are summed in shard order into slot 0. On exit every
-    worker is joined and the trained values are copied into the given
-    model's own arrays, also when joining raises.
+    second mapping. `optimizer` is the AdamW over `model` that `train`
+    sets before its first step; its moments are shared too.
+    The trainable manifest is cut into `groups`, one contiguous run of
+    tensors per process, balanced by element count. The runner's state is
+    this object: its workers are forked at the first split step and
+    inherit the model, the slots and the optimizer. On a split step each
+    process runs its shards, then sums its groups' slots in shard order
+    (`reduce`), then clips and steps AdamW over its groups (`update`); on
+    an unsplit step this process does all of it. On exit every worker is
+    joined and the trained values are copied into the given model's own
+    arrays, also when joining raises, and the runner is dropped.
     """
 
     def __init__(self, model: Model, n_slots: int, processes: int):
         self.own = model.trainable_tensors()
-        (shared,), _ = _shared_copies(self.own, 1)
-        self.slots, self.flat = _shared_copies(self.own, n_slots)
+        (shared,) = _shared_copies(self.own, 1)
+        self.slots = _shared_copies(self.own, n_slots)
         for name, arr in self.own.items():
             shared[name][...] = arr
         self.model = Model.from_tensors(model.config, {**model.all_tensors(), **shared})
-        self.runner = Forked(_shard_step, (self.model, self.slots), processes, "training shard")
+        self.optimizer = None
+        self.runner = Forked(_step_part, self, processes, "training shard")
+        names = list(self.own)
+        self.groups = [names[at] for at in _balanced_cut(
+            [arr.size for arr in self.own.values()], min(self.runner.processes, len(names)), 1)]
 
     def __enter__(self):
         return self
@@ -445,24 +515,49 @@ class _Shards:
         finally:
             for arr, trained in zip(self.own.values(), self.model.trainable_tensors().values()):
                 arr[...] = trained
+            # the runner's state is this object: without the cycle, the
+            # mappings are freed when train returns, not at a later collection
+            del self.runner
+
+    def _map(self, what, part, jobs, split):
+        """part's jobs through the runner, named what, on a split step, else
+        here in turn."""
+        jobs = [(part, *job) for job in jobs]
+        if not split:
+            return [_step_part(self, *job) for job in jobs]
+        self.runner.what = what
+        return self.runner.map(jobs)
 
     def run(self, batch: Batch, cut: list[slice], t_arr, weights, noise):
-        """Every shard of a step; returns the batch's per-frame losses, and
-        leaves the summed gradients in slot 0."""
-        losses = self.runner.map([(i, _frames(batch, at), t_arr[at], weights[at],
-                                   tuple(eps[at] for eps in noise), batch.size)
-                                  for i, at in enumerate(cut)])
-        for row in self.flat[1:len(cut)]:
-            self.flat[0] += row
+        """Every shard of a step, each leaving its gradients in its slot;
+        returns the batch's per-frame losses."""
+        losses = self._map("training shard", "shard",
+                           [(i, _frames(batch, at), t_arr[at], weights[at],
+                             tuple(eps[at] for eps in noise), batch.size)
+                            for i, at in enumerate(cut)], len(cut) > 1)
         return tuple(np.concatenate([shard[k] for shard in losses]) for k in (0, 1))
 
+    def reduce(self, n_shards: int) -> list[float]:
+        """The gradients of a step's n_shards shards summed into slot 0;
+        returns each tensor's squared norm, in manifest order."""
+        squares = self._map("optimizer group", "reduce",
+                            [(names, n_shards) for names in self.groups], n_shards > 1)
+        return [sq for group in squares for sq in group]
 
-def _train_step(shards, frame_batch, t_arr, weights, rng, sampler, optimizer, clip_norm):
+    def update(self, scale, n_shards: int) -> None:
+        """Clip slot 0 by scale (`clip_factor`) and step the optimizer."""
+        self.optimizer.step_count += 1
+        self._map("optimizer group", "update",
+                  [(names, scale, self.optimizer.step_count) for names in self.groups],
+                  n_shards > 1)
+
+
+def _train_step(shards, frame_batch, t_arr, weights, rng, sampler, clip_norm):
     """One step of `train` on shards.model: the noise drawn, the batch cut
-    into shards and run (its gradients summed in shard order), the sampler
-    fed, the gradients clipped and, when the loss and their norm are
-    finite, the update. Returns ((l_vlb, l_emb, l_round, total,
-    grad_norm), whether it updated, how many shards it ran).
+    into shards and run, the sampler fed, the gradients summed in shard
+    order and, when the loss and their norm are finite, clipped and
+    applied. Returns ((l_vlb, l_emb, l_round, total, grad_norm), whether
+    it updated, how many shards it ran).
 
     A shard's arrays, its loss cache and its gradients, are locals of
     `_shard_step` and die when it returns, before the next shard's forward.
@@ -473,11 +568,10 @@ def _train_step(shards, frame_batch, t_arr, weights, rng, sampler, optimizer, cl
     breakdown = LossBreakdown.of(shards.model, t_arr, per_mse, per_round)
     for t_i, mse_i in zip(t_arr.tolist(), per_mse.tolist()):
         sampler.update(int(t_i), mse_i)
-    grads = shards.slots[0]
-    grad_norm = clip_global_norm(grads, clip_norm)
+    grad_norm, scale = clip_factor(shards.reduce(len(cut)), clip_norm)
     updated = math.isfinite(breakdown.total) and math.isfinite(grad_norm)
     if updated:
-        optimizer.step(grads)
+        shards.update(scale, len(cut))
     return (breakdown.l_vlb, breakdown.l_emb, breakdown.l_round, breakdown.total,
             grad_norm), updated, len(cut)
 
@@ -503,10 +597,11 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     Each step cuts its batch into shards (`frame_shards`) and runs them on
     `shard_processes` processes, this one and workers forked at the first
     split step (`_Shards`); the cut depends on the batch alone, so the
-    process count changes no bit of the run. A shard that fails in a
-    worker, or a worker that exits, raises `workers.WorkerError` naming the
-    shard, and every worker is joined before this returns or raises.
-    Workers write no file and no log.
+    process count changes no bit of the run. On a split step each process
+    also sums, clips and steps AdamW over its own group of tensors. A shard
+    that fails in a worker, or a worker that exits, raises
+    `workers.WorkerError` naming the shard, and every worker is joined
+    before this returns or raises. Workers write no file and no log.
 
     The steps update a model built over shared copies of the trainable
     tensors (`_Shards`), which the interval checkpoints save too; the
@@ -515,7 +610,8 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     at a time per process: its forward cache (used up by backward, block
     by block) and its gradients, which backward returns and the shard
     copies into its slot. The last log line gives this process's peak
-    resident memory.
+    resident memory, and that of the largest child process it has waited
+    for, the shard workers included.
     """
     check_train_settings(steps=steps, batch=batch, lr=lr, weight_decay=weight_decay,
                          clip_norm=clip_norm, sampler_history=sampler_history,
@@ -533,13 +629,14 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     started = time.perf_counter()
     metrics = table_writer(metrics_path, METRICS_HEADER) if metrics_path else nullcontext()
     with _Shards(model, n_shards, processes) as shards, metrics as write_rows:
-        optimizer = AdamW(shards.model.trainable_tensors(), lr=lr, weight_decay=weight_decay)
+        shards.optimizer = AdamW(shards.model.trainable_tensors(), lr=lr,
+                                 weight_decay=weight_decay)
         for step in range(1, steps + 1):
             picks = rng.integers(0, len(instances), size=batch)
             frame_batch = stack_instances([instances[int(i)] for i in picks])
             t_arr, weights = sampler.sample(rng, size=batch)
             losses, updated, ran = _train_step(shards, frame_batch, t_arr, weights, rng, sampler,
-                                               optimizer, clip_norm)
+                                               clip_norm)
             split_steps += ran > 1
             row = dict(zip(METRICS_HEADER, (step, float(np.mean(t_arr)), *losses)))
             rows.append(row)
@@ -559,7 +656,9 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
              len(rows), 1e3 * (time.perf_counter() - started) / max(1, len(rows)))
     if ckpt_path and not aborted:
         save_checkpoint(model, ckpt_path)
-    # ru_maxrss counts KiB on Linux
-    log.info("peak resident memory of this process: %d KiB",
-             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    # ru_maxrss counts KiB on Linux; RUSAGE_CHILDREN gives the largest child
+    # that this process has waited for, the shard workers joined above included
+    log.info("peak resident memory of this process: %d KiB; of its largest child process "
+             "waited for so far: %d KiB", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+             resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
     return TrainResult(aborted=aborted, rows=rows)

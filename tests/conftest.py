@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,22 @@ def tiny_config(**over):
     )
     base.update(over)
     return ModelConfig(**base)
+
+
+@contextmanager
+def within(seconds: int):
+    """Raise TimeoutError in the block once it has run `seconds` seconds, so
+    a process protocol that deadlocks fails the test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -27,6 +27,8 @@ from scanpath_diffusion import training
 from scanpath_diffusion import workers as workers_mod
 from scanpath_diffusion.cli import main
 
+from conftest import within
+
 
 def write_vocab(vocab, path):
     path.write_text("".join(tok + "\n" for tok in vocab.tokens))
@@ -382,6 +384,39 @@ def test_train_with_a_failing_shard_exits_two(tmp_path, monkeypatch, capsys):
         (tmp_path / "good" / "checkpoint.bin").read_bytes()
 
 
+def test_train_on_more_shard_processes_than_cores_writes_the_bytes_of_one(tmp_path,
+                                                                           monkeypatch):
+    """A stress run of the shared state: batches of 18 frames cut into 3
+    shards, and the optimizer into 3 groups, on 3 processes, more than
+    CI's 2 cores, with a clip norm that clips every step. It writes the
+    bytes of one process, the training process runs only its main thread
+    during its shards, and no worker is left; each run is bounded in time."""
+    _, _, paths = make_world(tmp_path)
+    (tmp_path / "clip.txt").write_text("clip_norm=0.001\n")
+    flags = [*TRAIN_FLAGS, "--config", str(tmp_path / "clip.txt")]
+    flags[flags.index("--steps") + 1], flags[flags.index("--batch") + 1] = "4", "18"
+    monkeypatch.setattr(training, "MIN_SHARD_WORK", 0)
+    shard_step, main_pid, threads = training._shard_step, os.getpid(), []
+
+    def counting(*args):
+        if os.getpid() == main_pid:
+            threads.append(threading.active_count())
+        return shard_step(*args)
+
+    monkeypatch.setattr(training, "_shard_step", counting)
+    before = threading.active_count()
+    for processes in (1, 3):
+        monkeypatch.setattr(training, "shard_processes", lambda n_shards, k=processes: k)
+        with within(120):
+            assert main(train_args(paths, tmp_path / f"run{processes}", flags)) == 0
+        assert multiprocessing.active_children() == []
+    rows = list(csv.DictReader((tmp_path / "run3" / "metrics.csv").read_text().splitlines()))
+    assert len(rows) == 4 and all(float(row["grad_norm"]) > 0.001 for row in rows)
+    assert threads == [before] * (3 * 4 + 4)
+    for name in ("metrics.csv", "checkpoint.bin"):
+        assert (tmp_path / "run1" / name).read_bytes() == (tmp_path / "run3" / name).read_bytes()
+
+
 def test_sharded_train_leaves_no_thread_before_a_forking_generate(tmp_path, monkeypatch):
     """train's shard workers end with it, and it starts no thread, so the
     process generate forks its workers from, right after, has neither."""
@@ -535,7 +570,7 @@ def test_generate_starts_no_pool_for_one_chunk(trained, tmp_path, monkeypatch):
     """The 4 fixture sentences are one chunk: --workers 2 runs it in process."""
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started for a single chunk")
-    monkeypatch.setattr(workers_mod, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(workers_mod.Forked, "_fork", no_pool)
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
     assert main(gen_args(trained, one)) == 0
     assert main(gen_args(trained, two, ["--workers", "2"])) == 0
@@ -558,20 +593,19 @@ def test_generate_on_two_processes_forks_one_worker(trained, tmp_path, monkeypat
     """Two chunks on --workers 2: the pool gets one worker, and chunk 0 runs
     in this process, on the model this process loaded."""
     monkeypatch.setattr(cli_mod, "GENERATE_CHUNK", 3)
-    pool_class, chunk, main_pid = workers_mod.ProcessPoolExecutor, cli_mod._generate_chunk, \
-        os.getpid()
+    fork, chunk, main_pid = workers_mod.Forked._fork, cli_mod._generate_chunk, os.getpid()
     pools, here = [], []
 
-    def recording_pool(max_workers, **kwargs):
-        pools.append(max_workers)
-        return pool_class(max_workers, **kwargs)
+    def recording_fork(runner):
+        fork(runner)
+        pools.append(runner.workers)
 
     def recording_chunk(state, jobs):
         if os.getpid() == main_pid:
             here.append(jobs[0][0])  # the chunk's first sentence index
         return chunk(state, jobs)
 
-    monkeypatch.setattr(workers_mod, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(workers_mod.Forked, "_fork", recording_fork)
     monkeypatch.setattr(cli_mod, "_generate_chunk", recording_chunk)
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
     assert main(gen_args(trained, one)) == 0
@@ -625,7 +659,7 @@ def test_without_fork_generate_and_train_start_no_process(trained, tmp_path, mon
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started without fork")
-    monkeypatch.setattr(workers_mod, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(workers_mod.Forked, "_fork", no_pool)
     monkeypatch.setattr(workers_mod.multiprocessing, "get_all_start_methods",
                         lambda: ["spawn"])
     monkeypatch.setattr(training, "shard_processes", lambda n_shards: 2)

@@ -2,6 +2,7 @@
 its backward, and each activation cached once. Measured with tracemalloc,
 which numpy reports its array buffers to."""
 
+import gc
 import logging
 import math
 import re
@@ -65,7 +66,8 @@ def test_each_step_forward_starts_with_no_array_of_the_step_before(monkeypatch, 
     """When a step's forward starts, no array of the step before is alive:
     the traced memory there is step 1's, within STEP_DRIFT, while each
     forward alone allocates more than ten times that. train's last log
-    line gives the process's peak resident memory."""
+    line gives the process's peak resident memory, and that of the
+    largest child process waited for so far."""
     vocab = build_vocab(small_corpus.sentences.values())
     model = init_model(tiny_config(dim=32, v_bert=len(vocab)), np.random.default_rng(13))
     instances = encode_corpus(small_corpus, vocab, model.config.max_len)
@@ -84,8 +86,31 @@ def test_each_step_forward_starts_with_no_array_of_the_step_before(monkeypatch, 
     assert len(result.rows) == 6 and len(at_start) == 6
     assert min(held) > 10 * STEP_DRIFT
     assert [m - at_start[0] for m in at_start] == pytest.approx([0] * 6, abs=STEP_DRIFT)
-    assert re.fullmatch(r"peak resident memory of this process: [1-9]\d* KiB",
+    assert re.fullmatch(r"peak resident memory of this process: [1-9]\d* KiB; of its largest "
+                        r"child process waited for so far: \d+ KiB",
                         caplog.records[-1].getMessage())
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_train_frees_its_shared_state_when_it_returns(monkeypatch, small_corpus, processes):
+    """With the collector off, nothing of a finished train call's shards or
+    optimizer is left, on one process or with a worker: its shared
+    mappings (the model copy, the gradient slots and the moments) go when
+    it returns, not at a later collection."""
+    vocab = build_vocab(small_corpus.sentences.values())
+    model = init_model(tiny_config(v_bert=len(vocab)), np.random.default_rng(14))
+    instances = encode_corpus(small_corpus, vocab, model.config.max_len)
+    monkeypatch.setattr(training, "MIN_SHARD_WORK", 0)
+    monkeypatch.setattr(training, "shard_processes", lambda n_shards: processes)
+    gc.collect()
+    gc.disable()
+    try:
+        train(model, instances, steps=2, batch=12, lr=1e-3, seed=0)
+        left = [obj for obj in gc.get_objects()
+                if isinstance(obj, (training._Shards, training.AdamW))]
+    finally:
+        gc.enable()
+    assert left == []
 
 
 @pytest.mark.parametrize("shards", [1, 2])

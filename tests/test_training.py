@@ -652,11 +652,13 @@ def desk_case(seed, dim=64, n_blocks=4, bsz=16, float64=False):
 
 
 def run_shards(model, batch, t, weights, noise, processes):
-    """The step's shards through the training runner: the per-frame losses
-    and a copy of the summed gradients."""
+    """The step's shards through the training runner, then the reduction
+    that sums their gradients: the per-frame losses and a copy of the
+    summed gradients."""
     cut = training.frame_shards(batch.pad_mask, batch.target_mask, model.den.dim)
     with training._Shards(model, len(cut), processes) as shards:
         losses = shards.run(batch, cut, t, weights, noise)
+        shards.reduce(len(cut))
         grads = {name: g.copy() for name, g in shards.slots[0].items()}
     return losses, grads, cut
 
@@ -731,6 +733,24 @@ def test_shard_process_count_changes_no_bit():
     assert all(model.trainable_tensors()[name] is arr for name, arr in own.items())
     assert all(np.array_equal(arr, before[name]) for name, arr in own.items())
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("dim, n_blocks", [(64, 4), (256, 2)], ids=["desk", "paper-width"])
+def test_optimizer_groups_cut_the_manifest_in_order(dim, n_blocks):
+    """The optimizer's groups: one per process, each a nonempty contiguous
+    run of the trainable manifest, together the whole manifest in order,
+    each within the largest tensor of an equal share of its elements; one
+    process, one group."""
+    model = desk_case(5, dim, n_blocks)[0]
+    sizes = {name: arr.size for name, arr in model.trainable_tensors().items()}
+    for processes in (1, 2, 3, 4):
+        with training._Shards(model, 1, processes) as shards:
+            groups = shards.groups
+        assert len(groups) == processes and all(groups)
+        assert [name for group in groups for name in group] == list(sizes)
+        share = sum(sizes.values()) / processes
+        for group in groups:
+            assert abs(sum(sizes[name] for name in group) - share) <= max(sizes.values())
 
 
 def failing_shard_step(monkeypatch, fail):

@@ -5,7 +5,12 @@ import os
 import signal
 import threading
 
-from scanpath_diffusion.workers import Forked
+import numpy as np
+import pytest
+
+from scanpath_diffusion.workers import Forked, WorkerError
+
+from conftest import within
 
 
 def where(state, i):
@@ -40,3 +45,35 @@ def test_the_first_call_with_two_jobs_forks():
         assert runner.workers == 1
     assert multiprocessing.active_children() == []
 
+
+
+def carried(state, i, payload):
+    """Job i of a payload: i, the payload's first and last values, and the
+    pid and thread count of the process that ran it."""
+    return i, payload[0], payload[-1], os.getpid(), threading.active_count()
+
+
+def fails_at_3(state, i):
+    if i == 3:
+        raise ValueError("job three went wrong")
+    return i
+
+
+def test_the_runner_starts_no_thread_and_carries_large_jobs():
+    """6 jobs of 4 MB each on 2 processes come back in job order, in time;
+    job 0 runs here and sees the thread count this process had before the
+    call, as the pipes to the worker need no thread. A worker that raises
+    at its second job names that job, 3, and the runner stays usable."""
+    payloads = [np.full(2 ** 19, float(i)) for i in range(6)]  # 4 MB of float64 each
+    before = threading.active_count()
+    with within(60), Forked(carried, None, 2, "job") as runner:
+        results = runner.map([(i, payload) for i, payload in enumerate(payloads)])
+    assert [r[:3] for r in results] == [(i, float(i), float(i)) for i in range(6)]
+    assert [r[3] == os.getpid() for r in results] == [True, False] * 3
+    assert results[0][4] == before
+    with within(60), Forked(fails_at_3, None, 2, "job") as runner:
+        with pytest.raises(WorkerError, match="^job 3 failed in its worker process: "
+                                              "ValueError: job three went wrong$"):
+            runner.map([(i,) for i in range(6)])
+        assert runner.map([(0,), (1,)]) == [0, 1]
+    assert multiprocessing.active_children() == []

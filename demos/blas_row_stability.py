@@ -13,12 +13,13 @@ a row the same bits whichever other rows share its product:
            reads (`denoiser.forward`'s read_mask). A read prediction
            matches the all-rows pass only when x[sel] @ w equals
            (x @ w)[sel] for a gathered subset sel of the rows.
-  shards   Training splits a batch into shards of frames
+  shards   Training cuts a batch into shards of frames
            (`training.frame_shards`), each a whole loss forward and
            backward, run in turn or in forked worker processes. A shard's
            predictions and input gradient match the one-shard pass only
            when its rows get the bits of the stacked product, forward and
-           backward.
+           backward; the backward probe covers the shards that the desk
+           and paper configs form.
 
 This script checks all three at the denoiser's three per-token product
 shapes, in float32 and float64, at the desk (dim 64, L 32) and paper
@@ -31,14 +32,15 @@ shard processes uses, the package installed or on PYTHONPATH:
 Every per-token product has at least 6 rows: a frame gives 6 (one
 sentence piece, four markers, one scanpath slot), and a read set of fewer
 rows runs the last block on every real row instead. So a block difference
-below 6 rows is never reached, and subsets are drawn from 6 rows up. The
-backward blocks are reached only in a split batch, and there only from
-MIN_SHARD_WORK / dim rows up: the gate splits a batch only when its
-smallest shard's read rows, its smallest backward product, times dim
-reach MIN_SHARD_WORK. Narrow products give blocks of a dozen or more
-rows other bits (up to 18 at dim 64), below the 32 rows the gate asks
-for at that width. Blocks the size of half a shard and a whole shard of
-full frames are probed too. A reached difference breaks an identity,
+below 6 rows is never reached, and subsets are drawn from 6 rows up. A
+shard's smallest backward product is its read rows, and a shard of the
+desk and paper configs carries at least SHARD_WORK, read rows times dim,
+so their backward blocks are reached from SHARD_WORK / dim rows up.
+Narrow products give blocks of a dozen or more rows other bits (up to 18
+at dim 64), below the 32 rows that leaves at that width; a smaller
+model's shards can reach them, and this probe does not cover those.
+Blocks the size of half a shard and a whole shard of full frames are
+probed too. A reached difference breaks an identity,
 and the script exits 1. The time MLP's products, (d, 4d) and (4d, d)
 over one row per frame, are blocks as well: a shard holds at least 6
 frames, so they fall under the forward check. The other products run one
@@ -57,8 +59,12 @@ import sys
 import numpy as np
 
 from scanpath_diffusion.denoiser import MIN_PRODUCT_ROWS
-from scanpath_diffusion.training import MIN_SHARD_WORK, SHARD_FRAMES
+from scanpath_diffusion.training import SHARD_FRAMES
 
+# the least shard work, read rows x dim, that the desk and paper configs
+# form: a shard holds at least 6 frames, and over the benchmark's inputs
+# at seeds 0-49 that gives at least 2,688 (desk) and 6,144 (paper)
+SHARD_WORK = 2048
 OFFSETS = (0, 5, 37)
 SIZES = {"desk": (64, 32), "paper": (256, 128)}  # dim, frame length
 SUBSET_FRAMES = 8
@@ -102,10 +108,10 @@ def main() -> int:
                     x = rng.standard_normal(
                         (max(OFFSETS) + 2 * shard_rows, m_op.shape[0])).astype(dtype)
                     bad = differing_blocks(x, m_op, sizes)
-                    # blocks forward reaches always, backward only in a split
-                    # batch, from MIN_SHARD_WORK / d rows up
+                    # blocks forward reaches always, backward from
+                    # SHARD_WORK / d rows up
                     reached = [m for m in bad if m >= MIN_PRODUCT_ROWS
-                               and (side == "fwd" or m * d >= MIN_SHARD_WORK)]
+                               and (side == "fwd" or m * d >= SHARD_WORK)]
                     found = [f"blocks differ at rows {bad or '-'}"]
                     subsets = 0
                     if side == "fwd":

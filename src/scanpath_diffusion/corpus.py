@@ -210,10 +210,10 @@ def save_sentences(sentences: dict[str, tuple[str, ...]], path) -> None:
 
 
 def _int_or_none(text: str) -> int | None:
-    try:
-        return int(text)
-    except ValueError:
-        return None
+    """text's integer when it is an optional "-" and ASCII digits, else None
+    (`int` would also read "1_0", " 3", "+3" and non-ASCII digits)."""
+    digits = text[1:] if text.startswith("-") else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
 
 
 def _add_scanpath_rows(path, groups, valid, line_nos, readers, sids, texts) -> None:
@@ -221,7 +221,7 @@ def _add_scanpath_rows(path, groups, valid, line_nos, readers, sids, texts) -> N
     fixations to `groups`; raise CorpusFormatError at the first bad row.
 
     The checks run one after the other: known sentences, integer fixations
-    (parsed by `int`, each distinct text once), fixations within 1..M
+    (`_int_or_none`, each distinct text once), fixations within 1..M
     (`valid` maps a sentence to its word indices; a run of rows with one key
     at a time, as the rows are grouped). Each looks only at the rows before
     the first bad row the checks before it found, so the error raised is
@@ -301,12 +301,9 @@ def load_predictors(path, sentences=None) -> dict[tuple[str, int], dict[str, str
     unlisted = 0
     for line_no, *row in _table_rows(chunks):
         sid = row[0]
-        try:
-            widx = int(row[1])
-        except ValueError:
-            raise CorpusFormatError(
-                path, line_no, f"word_index {row[1]!r} is not an integer"
-            ) from None
+        widx = _int_or_none(row[1])
+        if widx is None:
+            raise CorpusFormatError(path, line_no, f"word_index {row[1]!r} is not an integer")
         key = (sid, widx)
         if key in first_line:
             raise CorpusFormatError(

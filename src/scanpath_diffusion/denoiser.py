@@ -33,7 +33,8 @@ runs each through the whole loss. A shard's per-token products are row
 blocks of the whole batch's, so its frames get the batch's predictions
 bit for bit (blocks of at least MIN_PRODUCT_ROWS rows), and its input
 gradient too where its backward products are past the BLAS's small-block
-range, which the shard gate keeps (`demos/blas_row_stability.py`).
+range, as every desk and paper batch's shards are
+(`demos/blas_row_stability.py`).
 
 Forward and backward are written out by hand in numpy. Every layer
 computes in the dtype of the parameters (float64 for a fresh library
@@ -497,7 +498,7 @@ def backward(params: DenoiserParams, cache, d_out):
         d_t_hid, cache["t_code"], p["time_w1"])
 
     # the gradients above arrive in reverse layer order; hand them back in
-    # manifest order, because clip_global_norm sums the squares in dict order
-    # and another order moves the norm's last bits, and with them the run
+    # manifest order, the order training.loss_backward promises its callers,
+    # and the one clip_global_norm sums their squares in for a library caller
     order = denoiser_shapes(params.dim, params.n_blocks)
     return {name: grads[name] for name in order}, d_z

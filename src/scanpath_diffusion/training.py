@@ -32,21 +32,23 @@ model its config describes.
 
 The training process draws each step's batch, t, weights and both noise
 tensors, then cuts the batch into shards, contiguous runs of frames that
-depend on the batch alone (`frame_shards`). A shard computes its frames'
-whole loss forward and backward, every parameter gradient included, at
-the batch's width and scale, so each frame's prediction, input gradient
-and losses are bit-identical to a one-shard pass, and the shards'
-gradients, summed in shard order, differ from it only in summation
-order. The shards run through the one forked runner, `workers.Forked`:
-shard 0 in the training process, the others in workers forked once per
-`train` call (`_Shards`); the process count changes no bit of a run.
-loss_backward returns a shard's gradients, and the shard copies them into
-its own slot of a shared mapping.
+depend on its frame count and real lengths alone (`frame_shards`). A
+shard computes its frames' whole loss forward and backward, every
+parameter gradient included, at the batch's width and scale, so each
+frame's prediction and losses are bit-identical to a one-shard pass, its
+input gradient too where the shard's backward products are past the
+BLAS's small-block range (`denoiser`), and the shards' gradients, summed
+in shard order, differ from it only in summation order. The shards run
+through the one forked runner, `workers.Forked`: shard 0 in the training
+process, the others in workers forked once per `train` call (`_Shards`);
+the process count changes no bit of a run. loss_backward returns a
+shard's gradients, and the shard copies them into its own slot of a
+shared mapping.
 
 The optimizer is split across the same processes, as stage 1 of ZeRO
 (Rajbhandari et al. 2020) splits it: the trainable manifest is cut into
 one contiguous group of tensors per process, and AdamW's moments sit in a
-shared mapping too. On a split step each process sums its groups' slots
+shared mapping too. On each step each process sums its groups' slots
 in shard order and returns their per-tensor squared norms; the training
 process adds those in manifest order, as `clip_global_norm` does, and
 decides whether to abort or clip (`clip_factor`); then each process
@@ -338,15 +340,6 @@ def check_train_settings(*, steps: int, batch: int, lr: float, weight_decay: flo
 
 # the most frames in one shard of a batch (see frame_shards)
 SHARD_FRAMES = 8
-# the least work, read rows x dim, the smallest shard of a split batch
-# carries. Two shard processes beat one down to the smallest shards measured
-# at dims 16 to 256 (README, "Performance"), so the floor is the BLAS's: a
-# backward product d @ w.T gives a block of up to 75 rows (dim 16), 18 (dim
-# 64) or 4 (dim 256) other bits than the same rows stacked, about 1200 / dim
-# (`demos/blas_row_stability.py`), and a shard's smallest product is its read
-# rows. 2048 clears that with room, splits every desk batch (dim 64, 16
-# frames, about 80 read rows a shard) and no batch of tier-1's small models.
-MIN_SHARD_WORK = 2048
 
 
 def _shard_count(bsz: int) -> int:
@@ -369,23 +362,15 @@ def _balanced_cut(weights, n: int, least: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def frame_shards(pad_mask, read_mask, dim: int) -> list[slice]:
+def frame_shards(pad_mask) -> list[slice]:
     """The runs of frames of a batch that training computes one by one.
 
     A batch of B frames is cut into _shard_count(B) contiguous shards, each
     cut at the frame boundary that best balances the real rows on either
-    side of it. The batch splits only when its smallest shard carries at
-    least MIN_SHARD_WORK, its read rows times dim; otherwise it is one
-    shard. The cut depends on the batch alone, never on how many processes
-    run it.
+    side of it. The cut depends on the frames' count and real lengths
+    alone, never on the model or on how many processes run it.
     """
-    bsz = len(pad_mask)
-    n = _shard_count(bsz)
-    shards = _balanced_cut(pad_mask.sum(axis=1), n, dn.MIN_PRODUCT_ROWS)
-    read = read_mask.sum(axis=1)
-    if n > 1 and min(int(read[s].sum()) for s in shards) * dim < MIN_SHARD_WORK:
-        return [slice(0, bsz)]
-    return shards
+    return _balanced_cut(pad_mask.sum(axis=1), _shard_count(len(pad_mask)), dn.MIN_PRODUCT_ROWS)
 
 
 # the variables that set a BLAS call's thread count, in the order they are read
@@ -442,14 +427,14 @@ def _shard_step(shards, shard, frames, t_arr, weights, noise, batch_size):
     return breakdown.per_sample_mse, breakdown.per_sample_round
 
 
-def _reduce_group(shards, names, n_shards):
-    """A group's part of a step's gradient sum: each of its tensors' first
-    n_shards slots summed into slot 0 in shard order. Returns each
-    tensor's squared norm, in order."""
+def _reduce_group(shards, names):
+    """A group's part of a step's gradient sum: each of its tensors' slots
+    summed into slot 0 in shard order. Returns each tensor's squared norm,
+    in order."""
     squares = []
     for name in names:
         g = shards.slots[0][name]
-        for slot in shards.slots[1:n_shards]:
+        for slot in shards.slots[1:]:
             g += slot[name]
         squares.append(float((g * g).sum()))
     return squares
@@ -484,13 +469,14 @@ class _Shards:
     sets before its first step; its moments are shared too.
     The trainable manifest is cut into `groups`, one contiguous run of
     tensors per process, balanced by element count. The runner's state is
-    this object: its workers are forked at the first split step and
-    inherit the model, the slots and the optimizer. On a split step each
-    process runs its shards, then sums its groups' slots in shard order
-    (`reduce`), then clips and steps AdamW over its groups (`update`); on
-    an unsplit step this process does all of it. On exit every worker is
-    joined and the trained values are copied into the given model's own
-    arrays, also when joining raises, and the runner is dropped.
+    this object: its workers are forked at the first step and inherit the
+    model, the slots and the optimizer. On each step each process runs its
+    shards, then sums its groups' slots in shard order (`reduce`), then
+    clips and steps AdamW over its groups (`update`); with one process,
+    as for a batch of one shard, this process does all of it. On exit
+    every worker is joined and the trained values are copied into the
+    given model's own arrays, also when joining raises, and the runner is
+    dropped.
     """
 
     def __init__(self, model: Model, n_slots: int, processes: int):
@@ -519,14 +505,10 @@ class _Shards:
             # mappings are freed when train returns, not at a later collection
             del self.runner
 
-    def _map(self, what, part, jobs, split):
-        """part's jobs through the runner, named what, on a split step, else
-        here in turn."""
-        jobs = [(part, *job) for job in jobs]
-        if not split:
-            return [_step_part(self, *job) for job in jobs]
+    def _map(self, what, part, jobs):
+        """part's jobs through the runner, a job named what in errors."""
         self.runner.what = what
-        return self.runner.map(jobs)
+        return self.runner.map([(part, *job) for job in jobs])
 
     def run(self, batch: Batch, cut: list[slice], t_arr, weights, noise):
         """Every shard of a step, each leaving its gradients in its slot;
@@ -534,22 +516,20 @@ class _Shards:
         losses = self._map("training shard", "shard",
                            [(i, _frames(batch, at), t_arr[at], weights[at],
                              tuple(eps[at] for eps in noise), batch.size)
-                            for i, at in enumerate(cut)], len(cut) > 1)
+                            for i, at in enumerate(cut)])
         return tuple(np.concatenate([shard[k] for shard in losses]) for k in (0, 1))
 
-    def reduce(self, n_shards: int) -> list[float]:
-        """The gradients of a step's n_shards shards summed into slot 0;
-        returns each tensor's squared norm, in manifest order."""
-        squares = self._map("optimizer group", "reduce",
-                            [(names, n_shards) for names in self.groups], n_shards > 1)
+    def reduce(self) -> list[float]:
+        """The gradients of a step's shards summed into slot 0; returns each
+        tensor's squared norm, in manifest order."""
+        squares = self._map("optimizer group", "reduce", [(names,) for names in self.groups])
         return [sq for group in squares for sq in group]
 
-    def update(self, scale, n_shards: int) -> None:
+    def update(self, scale) -> None:
         """Clip slot 0 by scale (`clip_factor`) and step the optimizer."""
         self.optimizer.step_count += 1
         self._map("optimizer group", "update",
-                  [(names, scale, self.optimizer.step_count) for names in self.groups],
-                  n_shards > 1)
+                  [(names, scale, self.optimizer.step_count) for names in self.groups])
 
 
 def _train_step(shards, frame_batch, t_arr, weights, rng, sampler, clip_norm):
@@ -557,23 +537,23 @@ def _train_step(shards, frame_batch, t_arr, weights, rng, sampler, clip_norm):
     into shards and run, the sampler fed, the gradients summed in shard
     order and, when the loss and their norm are finite, clipped and
     applied. Returns ((l_vlb, l_emb, l_round, total, grad_norm), whether
-    it updated, how many shards it ran).
+    it updated).
 
     A shard's arrays, its loss cache and its gradients, are locals of
     `_shard_step` and die when it returns, before the next shard's forward.
     """
     noise = draw_noise(shards.model, frame_batch, rng)
-    cut = frame_shards(frame_batch.pad_mask, frame_batch.target_mask, shards.model.den.dim)
-    per_mse, per_round = shards.run(frame_batch, cut, t_arr, weights, noise)
+    per_mse, per_round = shards.run(frame_batch, frame_shards(frame_batch.pad_mask), t_arr,
+                                    weights, noise)
     breakdown = LossBreakdown.of(shards.model, t_arr, per_mse, per_round)
     for t_i, mse_i in zip(t_arr.tolist(), per_mse.tolist()):
         sampler.update(int(t_i), mse_i)
-    grad_norm, scale = clip_factor(shards.reduce(len(cut)), clip_norm)
+    grad_norm, scale = clip_factor(shards.reduce(), clip_norm)
     updated = math.isfinite(breakdown.total) and math.isfinite(grad_norm)
     if updated:
-        shards.update(scale, len(cut))
+        shards.update(scale)
     return (breakdown.l_vlb, breakdown.l_emb, breakdown.l_round, breakdown.total,
-            grad_norm), updated, len(cut)
+            grad_norm), updated
 
 
 @dataclass
@@ -594,14 +574,15 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     the in-memory model (and any checkpoint on disk) stays at the last
     good step. Metrics rows are flushed as they are produced.
 
-    Each step cuts its batch into shards (`frame_shards`) and runs them on
-    `shard_processes` processes, this one and workers forked at the first
-    split step (`_Shards`); the cut depends on the batch alone, so the
-    process count changes no bit of the run. On a split step each process
-    also sums, clips and steps AdamW over its own group of tensors. A shard
-    that fails in a worker, or a worker that exits, raises
-    `workers.WorkerError` naming the shard, and every worker is joined
-    before this returns or raises. Workers write no file and no log.
+    Each step cuts its batch into shards (`frame_shards`), as many for
+    every step of a call, and runs them on `shard_processes` processes,
+    this one and workers forked at the first step (`_Shards`); the cut
+    depends on the batch's frames alone, so the process count changes no
+    bit of the run. Each process also sums, clips and steps AdamW over its
+    own group of tensors. A shard that fails in a worker, or a worker that
+    exits, raises `workers.WorkerError` naming the shard, and every worker
+    is joined before this returns or raises. Workers write no file and no
+    log.
 
     The steps update a model built over shared copies of the trainable
     tensors (`_Shards`), which the interval checkpoints save too; the
@@ -625,7 +606,6 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     aborted = False
     n_shards = _shard_count(batch)
     processes = shard_processes(n_shards)
-    split_steps = 0
     started = time.perf_counter()
     metrics = table_writer(metrics_path, METRICS_HEADER) if metrics_path else nullcontext()
     with _Shards(model, n_shards, processes) as shards, metrics as write_rows:
@@ -635,9 +615,8 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
             picks = rng.integers(0, len(instances), size=batch)
             frame_batch = stack_instances([instances[int(i)] for i in picks])
             t_arr, weights = sampler.sample(rng, size=batch)
-            losses, updated, ran = _train_step(shards, frame_batch, t_arr, weights, rng, sampler,
-                                               clip_norm)
-            split_steps += ran > 1
+            losses, updated = _train_step(shards, frame_batch, t_arr, weights, rng, sampler,
+                                          clip_norm)
             row = dict(zip(METRICS_HEADER, (step, float(np.mean(t_arr)), *losses)))
             rows.append(row)
             if write_rows is not None:
@@ -651,9 +630,8 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
             if ckpt_path and ckpt_interval and step % ckpt_interval == 0 and step < steps:
                 save_checkpoint(shards.model, ckpt_path)
         workers = shards.runner.workers
-    log.info("batches of %d frames: up to %d shards, %d worker processes; the shard gate "
-             "split %d of %d steps; %.1f ms per step", batch, n_shards, workers, split_steps,
-             len(rows), 1e3 * (time.perf_counter() - started) / max(1, len(rows)))
+    log.info("batches of %d frames: %d shards, %d worker processes; %.1f ms per step",
+             batch, n_shards, workers, 1e3 * (time.perf_counter() - started) / max(1, len(rows)))
     if ckpt_path and not aborted:
         save_checkpoint(model, ckpt_path)
     # ru_maxrss counts KiB on Linux; RUSAGE_CHILDREN gives the largest child

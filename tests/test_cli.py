@@ -326,7 +326,7 @@ def test_train_progress_goes_to_stderr_through_logging(tmp_path):
         "INFO scanpath_diffusion.training: step 1/2",
         "INFO scanpath_diffusion.training: step 2/2"]
 
-# TRAIN_FLAGS at batch 12: two shards of 6 frames once the gate is opened
+# TRAIN_FLAGS at batch 12: two shards of 6 frames
 SHARD_FLAGS = [*TRAIN_FLAGS[:TRAIN_FLAGS.index("--batch")], "--batch", "12",
                *TRAIN_FLAGS[TRAIN_FLAGS.index("--batch") + 2:]]
 
@@ -337,18 +337,16 @@ def train_args(paths, out_dir, flags=TRAIN_FLAGS):
 
 
 def test_train_worker_count_does_not_change_output(tmp_path, monkeypatch, caplog):
-    """The shards depend on the batch alone: a split run on one process and
-    on two (one worker) writes the same bytes, and the log says the gate
-    split it."""
+    """The shards depend on the batch alone: a run of two shards on one
+    process and on two (one worker) writes the same bytes, and the log
+    says how it ran."""
     _, _, paths = make_world(tmp_path)
-    monkeypatch.setattr(training, "MIN_SHARD_WORK", 0)
     for processes in (1, 2):
         monkeypatch.setattr(training, "shard_processes", lambda n_shards, k=processes: k)
         with caplog.at_level(logging.INFO, logger="scanpath_diffusion.training"):
             assert main(train_args(paths, tmp_path / f"run{processes}", SHARD_FLAGS)) == 0
-        assert re.search(f"batches of 12 frames: up to 2 shards, {processes - 1} worker "
-                         r"processes; the shard gate split 2 of 2 steps; \d+\.\d ms per step",
-                         caplog.text)
+        assert re.search(f"batches of 12 frames: 2 shards, {processes - 1} worker "
+                         r"processes; \d+\.\d ms per step", caplog.text)
     for name in ("config.txt", "metrics.csv", "checkpoint.bin"):
         assert (tmp_path / "run1" / name).read_bytes() == (tmp_path / "run2" / name).read_bytes()
 
@@ -358,7 +356,6 @@ def test_train_with_a_failing_shard_exits_two(tmp_path, monkeypatch, capsys):
     worker left, and the checkpoint of the last good step, step 2, as a
     2-step run writes it."""
     _, _, paths = make_world(tmp_path)
-    monkeypatch.setattr(training, "MIN_SHARD_WORK", 0)
     monkeypatch.setattr(training, "shard_processes", lambda n_shards: 2)
     flags = [*SHARD_FLAGS[:SHARD_FLAGS.index("--steps")], "--steps", "2",
              *SHARD_FLAGS[SHARD_FLAGS.index("--steps") + 2:]]
@@ -395,7 +392,6 @@ def test_train_on_more_shard_processes_than_cores_writes_the_bytes_of_one(tmp_pa
     (tmp_path / "clip.txt").write_text("clip_norm=0.001\n")
     flags = [*TRAIN_FLAGS, "--config", str(tmp_path / "clip.txt")]
     flags[flags.index("--steps") + 1], flags[flags.index("--batch") + 1] = "4", "18"
-    monkeypatch.setattr(training, "MIN_SHARD_WORK", 0)
     shard_step, main_pid, threads = training._shard_step, os.getpid(), []
 
     def counting(*args):
@@ -427,7 +423,6 @@ def test_sharded_train_leaves_no_thread_before_a_forking_generate(tmp_path, monk
     save_sentences(corpus.sentences, paths["sentences"])
     save_corpus(corpus, paths["corpus"])
     write_vocab(vocab, paths["vocab"])
-    monkeypatch.setattr(training, "MIN_SHARD_WORK", 0)
     monkeypatch.setattr(training, "shard_processes", lambda n_shards: 2)
 
     before = threading.active_count()
@@ -648,11 +643,10 @@ def test_generate_with_a_failing_chunk_exits_two(trained, tmp_path, monkeypatch,
 def test_without_fork_generate_and_train_start_no_process(trained, tmp_path, monkeypatch,
                                                           caplog):
     """Where fork is unavailable, generate --workers 2 over two chunks and a
-    split train on two processes run every job in this process and write
-    the bytes of one process."""
+    two-shard train on two processes run every job in this process and
+    write the bytes of one process."""
     _, _, paths = make_world(tmp_path)
     monkeypatch.setattr(cli_mod, "GENERATE_CHUNK", 3)
-    monkeypatch.setattr(training, "MIN_SHARD_WORK", 0)
     monkeypatch.setattr(training, "shard_processes", lambda n_shards: 1)
     assert main(gen_args(trained, tmp_path / "one.csv")) == 0
     assert main(train_args(paths, tmp_path / "run1", SHARD_FLAGS)) == 0
@@ -666,8 +660,7 @@ def test_without_fork_generate_and_train_start_no_process(trained, tmp_path, mon
     assert main(gen_args(trained, tmp_path / "two.csv", ["--workers", "2"])) == 0
     with caplog.at_level(logging.INFO, logger="scanpath_diffusion.training"):
         assert main(train_args(paths, tmp_path / "run2", SHARD_FLAGS)) == 0
-    assert "up to 2 shards, 0 worker processes; the shard gate split 2 of 2 steps" in \
-        caplog.text
+    assert "batches of 12 frames: 2 shards, 0 worker processes;" in caplog.text
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
     for name in ("config.txt", "metrics.csv", "checkpoint.bin"):
         assert (tmp_path / "run1" / name).read_bytes() == (tmp_path / "run2" / name).read_bytes()

@@ -125,6 +125,17 @@ SCANPATH_HEADER_LINE = "reader_id,sentence_id,fixation_word_index\n"
     (SCANPATH_HEADER_LINE + "r1,s1,1\nr1,s1,1.0\n", 3,
      "fixation_word_index '1.0' is not an integer"),
     (SCANPATH_HEADER_LINE + "r1,s1,1\nr1,s1,\n", 3, "fixation_word_index '' is not an integer"),
+    # an optional "-" and ASCII digits, nothing else that int() reads
+    (SCANPATH_HEADER_LINE + "r1,s1,1\nr1,s1,1_0\n", 3,
+     "fixation_word_index '1_0' is not an integer"),
+    (SCANPATH_HEADER_LINE + "r1,s1, 2\n", 2, "fixation_word_index ' 2' is not an integer"),
+    (SCANPATH_HEADER_LINE + "r1,s1,2 \n", 2, "fixation_word_index '2 ' is not an integer"),
+    (SCANPATH_HEADER_LINE + "r1,s1,+2\n", 2, "fixation_word_index '+2' is not an integer"),
+    (SCANPATH_HEADER_LINE + "r1,s1,\u0662\n", 2,
+     "fixation_word_index '\u0662' is not an integer"),
+    (SCANPATH_HEADER_LINE + "r1,s1,-\n", 2, "fixation_word_index '-' is not an integer"),
+    (SCANPATH_HEADER_LINE + "r1,s1,--1\n", 2, "fixation_word_index '--1' is not an integer"),
+    (SCANPATH_HEADER_LINE + "r1,s1,-1\n", 2, "fixation_word_index -1 out of range 1..2"),
     (SCANPATH_HEADER_LINE + "r1,s1,1\nr1,s1,3\n", 3, "fixation_word_index 3 out of range 1..2"),
     (SCANPATH_HEADER_LINE + "r1,s1,0\n", 2, "fixation_word_index 0 out of range 1..2"),
     # the first bad row wins, whatever the checks that find the later ones
@@ -163,12 +174,14 @@ def test_corpus_read_error_comes_after_earlier_bad_rows(tmp_path):
 
 
 def test_corpus_reads_every_integer_form(tmp_path):
+    """ASCII digits, leading zeros included; the forms that int() reads
+    besides are rejected (test_corpus_errors_name_the_first_bad_row)."""
     spath = write(tmp_path / "s.csv", "sentence_id,text\ns1,a b c d\n")
     cpath = write(tmp_path / "c.csv", SCANPATH_HEADER_LINE +
-                  "r1,s1, 3\nr1,s1,+3\nr1,s1,03\nr1,s1,2 \nr1,s1,\u0664\n\nr2,s1,1\n")
+                  "r1,s1,3\nr1,s1,03\nr1,s1,0004\nr1,s1,2\n\nr2,s1,1\n")
     corpus = load_corpus(cpath, spath)
     assert [(r.reader_id, r.fixations) for r in corpus.records] == [
-        ("r1", (3, 3, 3, 2, 4)), ("r2", (1,))]
+        ("r1", (3, 3, 4, 2)), ("r2", (1,))]
     assert all(type(f) is int for r in corpus.records for f in r.fixations)
 
 
@@ -191,6 +204,9 @@ def test_sentence_and_predictor_errors_name_the_first_bad_row(tmp_path):
         load_sentences(path)
     path = write(tmp_path / "p.csv", "sentence_id,word_index,f\ns1,1,a\ns1,x,b\ns1\n")
     with pytest.raises(CorpusFormatError, match=r":3: word_index 'x' is not an integer$"):
+        load_predictors(path)
+    path = write(tmp_path / "p.csv", "sentence_id,word_index,f\ns1,1,a\ns1,1_0,b\n")
+    with pytest.raises(CorpusFormatError, match=r":3: word_index '1_0' is not an integer$"):
         load_predictors(path)
     path = write(tmp_path / "p.csv", "sentence_id,word_index,f\ns1,1,a\ns1\ns1,x,b\n")
     with pytest.raises(CorpusFormatError, match=r":3: expected 3 fields, got 1$"):

@@ -4,7 +4,6 @@ which numpy reports its array buffers to."""
 
 import gc
 import logging
-import math
 import re
 import tracemalloc
 from contextlib import contextmanager
@@ -100,7 +99,6 @@ def test_train_frees_its_shared_state_when_it_returns(monkeypatch, small_corpus,
     vocab = build_vocab(small_corpus.sentences.values())
     model = init_model(tiny_config(v_bert=len(vocab)), np.random.default_rng(14))
     instances = encode_corpus(small_corpus, vocab, model.config.max_len)
-    monkeypatch.setattr(training, "MIN_SHARD_WORK", 0)
     monkeypatch.setattr(training, "shard_processes", lambda n_shards: processes)
     gc.collect()
     gc.disable()
@@ -125,12 +123,12 @@ def test_backward_uses_the_cache_up(monkeypatch, small_corpus, shards):
     for arr in model.trainable_tensors().values():
         arr[...] = np.random.default_rng(81).normal(0, 0.5, size=arr.shape)
     instances = encode_corpus(small_corpus, vocab, model.config.max_len)
-    batch = stack_instances(instances[:12])
+    bsz = {1: 8, 2: 12}[shards]
+    batch = stack_instances(instances[:bsz])
     rng = np.random.default_rng(82)
-    t, weights = rng.integers(0, 11, size=12), np.ones(12)
+    t, weights = rng.integers(0, 11, size=bsz), np.ones(bsz)
     noise = training.draw_noise(model, batch, rng)
-    monkeypatch.setattr(training, "MIN_SHARD_WORK", 0 if shards > 1 else math.inf)
-    cut = training.frame_shards(batch.pad_mask, batch.target_mask, 8)
+    cut = training.frame_shards(batch.pad_mask)
     assert len(cut) == shards
     attention_bwd, backward = dn._attention_bwd, dn.backward
     at_block, used_up = [], []

@@ -568,66 +568,42 @@ def test_shard_processes_divides_the_cpus_by_blas_threads(monkeypatch):
 # ---------------------------------------------------------------------------
 # frame shards
 
-def frames(lens, read=None):
-    """pad and read masks of frames of the given real lengths; each frame
-    reads its last read[i] slots (default: half of them)."""
+def frames(lens):
+    """The pad mask of frames of the given real lengths."""
     lens = np.asarray(lens)
-    read = lens // 2 if read is None else np.asarray(read)
-    cols = np.arange(lens.max())[None, :]
-    return cols < lens[:, None], (cols < lens[:, None]) & (cols >= (lens - read)[:, None])
+    return np.arange(lens.max())[None, :] < lens[:, None]
 
 
 def sizes(cut):
     return [s.stop - s.start for s in cut]
 
 
-def test_frame_shards_cut_by_batch_size_alone(monkeypatch):
-    """ceil(B / SHARD_FRAMES) shards once the gate opens, but none of fewer
-    than MIN_PRODUCT_ROWS frames; below the gate one shard. The desk size
-    (dim 64, batch 16) splits, tier-1's small models (dim <= 16) do not."""
-    assert training.MIN_SHARD_WORK == 2048
-    pad, read = frames([12] * 16, [6] * 16)
-    assert training.frame_shards(pad, read, 64) == [slice(0, 8), slice(8, 16)]
-    # 48 read rows a shard: enough at dim 64, too few at dim 16
-    assert training.frame_shards(pad, read, 32) == [slice(0, 16)]
-    assert training.frame_shards(pad, read, 16) == [slice(0, 16)]
-    # a desk batch of short frames: 16 frames of 6 slots, 3 read each
-    pad, read = frames([6] * 16, [3] * 16)
-    assert training.frame_shards(pad, read, 64) == [slice(0, 16)]
-
-    monkeypatch.setattr(training, "MIN_SHARD_WORK", 0)
+def test_frame_shards_cut_by_batch_size_alone():
+    """ceil(B / SHARD_FRAMES) shards, but none of fewer than MIN_PRODUCT_ROWS
+    frames, whatever the frames' lengths: a batch of 16 short frames splits
+    like 16 long ones."""
+    for lens in ([30] * 16, [12] * 16, [6] * 16, [3] * 16):
+        assert training.frame_shards(frames(lens)) == [slice(0, 8), slice(8, 16)]
     for bsz, want in ((1, [1]), (8, [8]), (9, [9]), (11, [11]), (12, [6, 6]), (16, [8, 8]),
                       (17, [8, 9]), (24, [8, 8, 8]), (31, [8, 7, 8, 8])):
-        pad, read = frames([4] * bsz, [2] * bsz)
-        assert sizes(training.frame_shards(pad, read, 8)) == want, bsz
+        assert sizes(training.frame_shards(frames([4] * bsz))) == want, bsz
 
 
 def test_frame_shards_balance_real_rows():
     """Each cut falls at the frame boundary that best balances the real
-    rows, keeping MIN_PRODUCT_ROWS frames a shard; the gate reads the
-    smallest shard's read rows."""
+    rows, keeping MIN_PRODUCT_ROWS frames a shard."""
     # 16 frames: 4 long ones first, then 12 short ones
-    lens = [30] * 4 + [10] * 12
-    pad, read = frames(lens)
-    cut = training.frame_shards(pad, read, 64)
+    pad = frames([30] * 4 + [10] * 12)
+    cut = training.frame_shards(pad)
     assert sizes(cut) == [6, 10]  # 140 and 100 rows; equal counts would give 200 and 80
     assert [int(pad[s].sum()) for s in cut] == [140, 100]
     # the best balance would put 4 frames in shard 0: kept at 6
-    lens = [32] * 4 + [6] * 12
-    pad, read = frames(lens, [16] * 4 + [4] * 12)
-    assert sizes(training.frame_shards(pad, read, 64)) == [6, 10]
+    assert sizes(training.frame_shards(frames([32] * 4 + [6] * 12))) == [6, 10]
     # three shards of 24 frames, rows piled at the end
-    lens = [6] * 16 + [30] * 8
-    pad, read = frames(lens)
-    cut = training.frame_shards(pad, read, 64)
+    pad = frames([6] * 16 + [30] * 8)
+    cut = training.frame_shards(pad)
     assert sizes(cut) == [12, 6, 6]
     assert [int(pad[s].sum()) for s in cut] == [72, 84, 180]
-    # a smallest shard with 31 read rows at dim 64 is under the gate (2048)
-    lens = [10] * 16
-    pad, read = frames(lens, [4] * 15 + [3])
-    assert training.frame_shards(pad, read, 64) == [slice(0, 16)]
-    pad, read = frames(lens, [4] * 16)
-    assert len(training.frame_shards(pad, read, 64)) == 2
 
 
 def desk_case(seed, dim=64, n_blocks=4, bsz=16, float64=False):
@@ -655,10 +631,10 @@ def run_shards(model, batch, t, weights, noise, processes):
     """The step's shards through the training runner, then the reduction
     that sums their gradients: the per-frame losses and a copy of the
     summed gradients."""
-    cut = training.frame_shards(batch.pad_mask, batch.target_mask, model.den.dim)
+    cut = training.frame_shards(batch.pad_mask)
     with training._Shards(model, len(cut), processes) as shards:
         losses = shards.run(batch, cut, t, weights, noise)
-        shards.reduce(len(cut))
+        shards.reduce()
         grads = {name: g.copy() for name, g in shards.slots[0].items()}
     return losses, grads, cut
 
@@ -667,7 +643,7 @@ def run_shards(model, batch, t, weights, noise, processes):
 @pytest.mark.parametrize("bsz", [16, 17, 24, 31])
 @pytest.mark.parametrize("dim, n_blocks", [(64, 4), (256, 2)], ids=["desk", "paper-width"])
 def test_shards_match_one_shard_pass(monkeypatch, dim, n_blocks, bsz, float64):
-    """Batches the gate splits into 2, 3 and 4 shards, of equal and of
+    """Batches cut into 2, 3 and 4 shards, of equal and of
     uneven frame counts: each frame's prediction, d_z and per-frame losses
     are bit-identical to the one-shard pass, and the summed parameter
     gradients move only by summation order, to a relative 1e-12 in
@@ -699,7 +675,7 @@ def test_shards_match_one_shard_pass(monkeypatch, dim, n_blocks, bsz, float64):
 
     (mse, rnd), grads, cut = run_shards(model, batch, t, weights, noise, processes=1)
     assert len(cut) == {16: 2, 17: 2, 24: 3, 31: 4}[bsz]
-    assert min(batch.target_mask[s].sum() for s in cut) * dim >= training.MIN_SHARD_WORK
+    assert min(batch.target_mask[s].sum() for s in cut) * dim >= 2048
     assert np.array_equal(mse, ref.per_sample_mse)
     assert np.array_equal(rnd, ref.per_sample_round)
     assert np.array_equal(np.concatenate(preds), ref_pred)
@@ -771,11 +747,10 @@ def failing_shard_step(monkeypatch, fail):
 
 
 def split_run(monkeypatch, small_corpus):
-    """A tiny model, its instances, and the gate opened on two processes:
-    batches of 12 frames run as two shards, shard 1 in a worker."""
+    """A tiny model, its instances, and two processes: batches of 12 frames
+    run as two shards, shard 1 in a worker."""
     vocab = build_vocab(small_corpus.sentences.values())
     model = make_model(v_bert=len(vocab))
-    monkeypatch.setattr(training, "MIN_SHARD_WORK", 0)
     monkeypatch.setattr(training, "shard_processes", lambda n_shards: 2)
     return model, encode_corpus(small_corpus, vocab, model.config.max_len)
 

@@ -36,8 +36,8 @@ def test_jobs_run_in_order_the_multiples_of_processes_here():
 
 
 def test_the_first_call_with_two_jobs_forks():
-    """A call with one job runs it here and forks nothing, as a training
-    step the gate leaves whole does; the first call with two forks."""
+    """A call with one job runs it here and forks nothing, as a generate
+    call of one chunk does; the first call with two forks."""
     with Forked(where, threading.Lock(), 2, "job") as runner:
         assert runner.map([(0,)])[0][1] == os.getpid()
         assert runner.workers == 0 and multiprocessing.active_children() == []

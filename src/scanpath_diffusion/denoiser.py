@@ -54,8 +54,9 @@ GELU's normal CDF Phi(u) in place of its output u*Phi(u): backward
 rebuilds the output with the same product and reuses Phi in the
 derivative, so Phi is evaluated once per step and the results are
 bit-identical to evaluating it again. In float64, Phi is exact erf
-arithmetic; in float32 it is read from a constant table by linear
-interpolation, within 1.5e-7 of the exact value.
+arithmetic (scipy's, imported on the first float64 call, so a float32
+model never loads scipy); in float32 it is read from a constant table by
+linear interpolation, within 1.5e-7 of the exact value.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, ndtr
 
 from .errors import ValidationError
 
@@ -125,12 +125,15 @@ def _linear_bwd(d_out, x, w):
     return d_x, d_w, d_b
 
 
-# Phi on a grid of step 2**-10 over [-8, 8], from float64 ndtr rounded to
+# Phi on a grid of step 2**-10 over [-8, 8], from float64 erfc rounded to
 # float32: its value at each grid point and its rise over the cell above
-# (0 above the last point)
+# (0 above the last point). math.erfc's grid is off scipy's ndtr by up to
+# 102 ulps in the far tails, but rounded to float32 both tables are the
+# same, bit for bit (tested)
 _CDF_CELLS = 1024  # grid points per unit
 _CDF_HALF = 8 * _CDF_CELLS
-_cdf_grid = ndtr(np.arange(-_CDF_HALF, _CDF_HALF + 1) / _CDF_CELLS)
+_cdf_grid = np.array([0.5 * math.erfc(-(k / _CDF_CELLS) / math.sqrt(2.0))
+                      for k in range(-_CDF_HALF, _CDF_HALF + 1)])
 _CDF_VALUE = _cdf_grid.astype(np.float32)
 _CDF_SLOPE = np.append(np.diff(_cdf_grid), 0.0).astype(np.float32)
 del _cdf_grid
@@ -143,6 +146,8 @@ def _gelu_cdf(x):
     of the exact Phi (tested); any other dtype evaluates erf.
     """
     if x.dtype != np.float32:
+        # scipy's erf, not math.erf, which differs in the last bits
+        from scipy.special import erf
         return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
     # x * 1024 and its floor are exact; fmax/fmin, unlike clip, turn a NaN
     # into a bound, so it reaches no int cast, and x * Phi(x) is NaN again

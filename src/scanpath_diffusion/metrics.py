@@ -44,7 +44,6 @@ import math
 from itertools import chain
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import ValidationError
 from .measures import first_non_integer
@@ -229,7 +228,8 @@ def pearson(xs, ys) -> tuple[float, float]:
     if abs(r) == 1.0:
         return r, 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    # the t distribution's tail, as scipy.stats.t.sf computes it; scipy.stats
-    # itself is not imported, since it holds about 45 MB in every process
+    # the t distribution's tail, as scipy.stats.t.sf computes it; scipy is
+    # imported here, not with the package, since only evaluate calls it
+    from scipy.special import stdtr
     p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return r, p

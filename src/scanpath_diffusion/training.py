@@ -52,8 +52,9 @@ shared mapping too. On each step each process sums its groups' slots
 in shard order and returns their per-tensor squared norms; the training
 process adds those in manifest order, as `clip_global_norm` does, and
 decides whether to abort or clip (`clip_factor`); then each process
-clips and steps AdamW over its groups. Every piece of that arithmetic is
-per tensor, so the groups change no bit either.
+clips and steps AdamW over its groups, each one span of the shared
+mappings. Every piece of that arithmetic is per tensor or per element, so
+the groups change no bit either.
 """
 
 from __future__ import annotations
@@ -276,26 +277,36 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return norm
 
 
+# elements of a span that AdamW.step_span updates at a time: the chunks of
+# theta, m, v, g and the two scratch buffers stay in a core's cache
+_ADAMW_CHUNK = 1 << 16
+
+
 class AdamW:
     """Adam with decoupled weight decay, updating tensors in place.
 
     theta <- theta - lr * mhat / (sqrt(vhat) + eps) - lr * wd * theta;
     the decay multiplies the parameter directly, never the moments, so
-    lr = 0 is a strict no-op whatever the decay.
+    lr = 0 is a strict no-op whatever the decay. The tensors are
+    C-contiguous, so each one is stepped as a flat view.
 
-    The moments live in an anonymous shared mapping: a process forked after
-    the optimizer was made can step any of its tensors, given the update's
-    bias-correction step, and the other processes see the new values.
+    The moments live in an anonymous shared mapping, `moments`, laid out
+    as `_shared_copies` lays out the tensors: a process forked after the
+    optimizer was made can step any of its tensors, or a span of them
+    (`step_span`), given the update's bias-correction step, and the other
+    processes see the new values.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, tensors: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0):
+        if not all(arr.flags.c_contiguous for arr in tensors.values()):
+            raise ValidationError("AdamW updates C-contiguous arrays in place")
         self.tensors = tensors
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._m, self._v = _shared_copies(tensors, 2)
+        self.moments, _, (self._m, self._v) = _shared_copies(tensors, 2)
 
     def step(self, grads: dict[str, np.ndarray], step: int | None = None) -> None:
         """One update of the tensors that grads names, the update's count
@@ -303,19 +314,39 @@ class AdamW:
         if step is None:
             self.step_count += 1
             step = self.step_count
+        for name, g in grads.items():
+            self.step_span(*(arr.reshape(-1) for arr in
+                             (self.tensors[name], self._m[name], self._v[name], g)), step)
+
+    def step_span(self, theta, m, v, g, step: int) -> None:
+        """The update of a flat span of parameters theta, its moments m and
+        v and its gradient g, the update's count step, in chunks of
+        _ADAMW_CHUNK elements. Each element takes the ufuncs of the
+        per-tensor expression, in its order, so a span of many tensors
+        gets their per-tensor bits, and zeros between them (the alignment
+        gaps of `_shared_copies`) stay zero."""
         c1 = 1.0 - self.BETA1 ** step
         c2 = 1.0 - self.BETA2 ** step
-        for name, g in grads.items():
-            theta = self.tensors[name]
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.BETA1
-            m += (1.0 - self.BETA1) * g
-            v *= self.BETA2
-            v += (1.0 - self.BETA2) * g * g
+        decay = 1.0 - self.lr * self.weight_decay
+        scratch = np.empty((2, min(_ADAMW_CHUNK, theta.size)), theta.dtype)
+        for at in range(0, theta.size, _ADAMW_CHUNK):
+            part = slice(at, at + _ADAMW_CHUNK)
+            th, mc, vc, gc = theta[part], m[part], v[part], g[part]
+            t1, t2 = scratch[:, :th.size]
+            mc *= self.BETA1
+            mc += np.multiply(gc, 1.0 - self.BETA1, out=t1)
+            vc *= self.BETA2
+            np.multiply(gc, 1.0 - self.BETA2, out=t1)
+            vc += np.multiply(t1, gc, out=t1)
             if self.weight_decay != 0.0:
-                theta *= 1.0 - self.lr * self.weight_decay
-            theta -= self.lr * ((m / c1) / (np.sqrt(v / c2) + self.EPS))
+                th *= decay
+            np.divide(vc, c2, out=t1)
+            np.sqrt(t1, out=t1)
+            t1 += self.EPS
+            np.divide(mc, c1, out=t2)
+            t2 /= t1
+            t2 *= self.lr
+            th -= t2
 
 
 # check_train_settings' keywords, the loop settings train takes by the same names
@@ -395,20 +426,26 @@ def shard_processes(n_shards: int) -> int:
     return max(1, min(cpus // blas, n_shards))
 
 
-def _shared_copies(tensors: dict[str, np.ndarray], copies: int) -> list[dict[str, np.ndarray]]:
+def _shared_copies(tensors: dict[str, np.ndarray], copies: int):
     """copies sets of zeroed arrays shaped like tensors, one dtype for all,
     laid out one set after another in one anonymous shared mapping, which
     processes forked later see as their parent does. A page of it counts
-    in the resident memory of the processes that touch it, no other."""
+    in the resident memory of the processes that touch it, no other.
+
+    Returns the mapping as one (copies, size) array, a row per set; each
+    tensor's slice of a row, in manifest order, each starting on a cache
+    line, with zeros between them; and each set's arrays by name, views
+    of its row. Tensors of the same sizes and dtype get the same layout.
+    """
     dtype = np.result_type(*tensors.values())
     align = 64 // dtype.itemsize  # each array starts on a cache line
-    offsets, size = {}, 0
+    spans, size = {}, 0
     for name, arr in tensors.items():
-        offsets[name] = size
+        spans[name] = slice(size, size + arr.size)
         size += -(-arr.size // align) * align
     flat = np.ndarray((copies, size), dtype, mmap.mmap(-1, max(1, copies * size * dtype.itemsize)))
-    return [{name: flat[c, offsets[name]:offsets[name] + arr.size].reshape(arr.shape)
-             for name, arr in tensors.items()} for c in range(copies)]
+    return flat, spans, [{name: flat[c, spans[name]].reshape(arr.shape)
+                          for name, arr in tensors.items()} for c in range(copies)]
 
 
 def _frames(batch: Batch, at: slice) -> Batch:
@@ -440,15 +477,16 @@ def _reduce_group(shards, names):
     return squares
 
 
-def _update_group(shards, names, scale, step):
-    """A group's part of a step's update: its tensors' summed gradients
-    scaled by the clip factor (`clip_factor`, None for none) and the
-    optimizer's update number step over them."""
-    grads = {name: shards.slots[0][name] for name in names}
+def _update_group(shards, span, scale, step):
+    """A group's part of a step's update, over the group's span of the
+    shared mappings: its summed gradients scaled by the clip factor
+    (`clip_factor`, None for none), and the optimizer's update number step
+    over them, in one `AdamW.step_span`."""
+    g = shards.flat_slots[0, span]
     if scale is not None:
-        for g in grads.values():
-            g *= scale
-    shards.optimizer.step(grads, step)
+        g *= scale
+    m, v = shards.optimizer.moments[:, span]
+    shards.optimizer.step_span(shards.flat_model[0, span], m, v, g, step)
 
 
 def _step_part(shards, part, *args):
@@ -463,26 +501,28 @@ class _Shards:
     processes that run them.
 
     `model` is the model training updates: a copy of the given model's
-    trainable tensors in one shared mapping, its frozen ones shared with
-    the given model. Every shard of a step has a gradient slot in a
-    second mapping. `optimizer` is the AdamW over `model` that `train`
-    sets before its first step; its moments are shared too.
-    The trainable manifest is cut into `groups`, one contiguous run of
-    tensors per process, balanced by element count. The runner's state is
-    this object: its workers are forked at the first step and inherit the
-    model, the slots and the optimizer. On each step each process runs its
-    shards, then sums its groups' slots in shard order (`reduce`), then
-    clips and steps AdamW over its groups (`update`); with one process,
-    as for a batch of one shard, this process does all of it. On exit
-    every worker is joined and the trained values are copied into the
-    given model's own arrays, also when joining raises, and the runner is
-    dropped.
+    trainable tensors in one shared mapping, `flat_model`, its frozen ones
+    shared with the given model. Every shard of a step has a gradient
+    slot in a second mapping, a row of `flat_slots`. `optimizer` is the
+    AdamW over `model` that `train` sets before its first step; its
+    moments are shared too. All three mappings have one layout, each
+    tensor at its slice of a row (`spans`). The trainable manifest is cut
+    into `groups`, one contiguous run of tensors per process, balanced by
+    element count, so each group is one span of the mappings. The
+    runner's state is this object: its workers are forked at the first
+    step and inherit the model, the slots and the optimizer. On each step
+    each process runs its shards, then sums its groups' slots in shard
+    order (`reduce`), then clips and steps AdamW over its groups' spans
+    (`update`); with one process, as for a batch of one shard, this
+    process does all of it. On exit every worker is joined and the
+    trained values are copied into the given model's own arrays, also
+    when joining raises, and the runner is dropped.
     """
 
     def __init__(self, model: Model, n_slots: int, processes: int):
         self.own = model.trainable_tensors()
-        (shared,) = _shared_copies(self.own, 1)
-        self.slots = _shared_copies(self.own, n_slots)
+        self.flat_model, self.spans, (shared,) = _shared_copies(self.own, 1)
+        self.flat_slots, _, self.slots = _shared_copies(self.own, n_slots)
         for name, arr in self.own.items():
             shared[name][...] = arr
         self.model = Model.from_tensors(model.config, {**model.all_tensors(), **shared})
@@ -529,7 +569,8 @@ class _Shards:
         """Clip slot 0 by scale (`clip_factor`) and step the optimizer."""
         self.optimizer.step_count += 1
         self._map("optimizer group", "update",
-                  [(names, scale, self.optimizer.step_count) for names in self.groups])
+                  [(slice(self.spans[names[0]].start, self.spans[names[-1]].stop), scale,
+                    self.optimizer.step_count) for names in self.groups])
 
 
 def _train_step(shards, frame_batch, t_arr, weights, rng, sampler, clip_norm):

@@ -930,6 +930,45 @@ def test_baseline_human_rejects_seed_flag_before_loading(tmp_path, capsys):
     assert rc == 0
     assert "inter-reader mean NLD" in capsys.readouterr().out
 
+
+def test_only_evaluate_loads_scipy(tmp_path):
+    """A fresh process that imports the CLI and runs a float32 train,
+    generate and baseline human through main has loaded no scipy module;
+    evaluate loads scipy.special at its first correlation."""
+    _, _, paths = make_world(tmp_path)
+    run, pred = tmp_path / "run", tmp_path / "pred.csv"
+    commands = [
+        train_args(paths, run),
+        ["generate", "--checkpoint", str(run / "checkpoint.bin"),
+         "--sentences", str(paths["sentences"]), "--vocab", str(paths["vocab"]),
+         "--out", str(pred), "--seed", "9", "--workers", "1"],
+        ["baseline", "human", "--corpus", str(paths["corpus"]),
+         "--sentences", str(paths["sentences"])],
+        ["evaluate", "--true", str(paths["corpus"]), "--pred", str(pred),
+         "--sentences", str(paths["sentences"])],
+    ]
+    script = "\n".join([
+        "import sys",
+        "from scanpath_diffusion.cli import main",
+        "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        f"commands = {commands!r}",
+        "for args in commands[:3]:",
+        "    assert main(args) == 0, args",
+        "print('before evaluate:', scipy())",
+        "assert main(commands[3]) == 0",
+        "print('after evaluate:', 'scipy.special' in scipy())",
+    ])
+    src = Path(scanpath_diffusion.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "before evaluate: []" in lines
+    assert lines[-1] == "after evaluate: True"
+
+
 def test_each_command_tokenizes_each_sentence_once(trained, tmp_path, monkeypatch):
     # the fit rule's tokenization is the one that train, generate and trace use
     paths = trained["paths"]

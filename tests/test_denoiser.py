@@ -611,6 +611,16 @@ def test_float32_gelu_cdf_table_is_within_its_tolerance():
     assert np.abs(phi.astype(np.float64) - ndtr(x.astype(np.float64))).max() <= 1.5e-7
 
 
+def test_float32_gelu_cdf_table_is_the_ndtr_table():
+    """The table is built from math.erfc, so that the package loads no
+    scipy; rounded to float32, its values and slopes are those of float64
+    ndtr on the same grid, bit for bit."""
+    grid = ndtr(np.arange(-dn._CDF_HALF, dn._CDF_HALF + 1) / dn._CDF_CELLS)
+    assert np.array_equal(dn._CDF_VALUE, grid.astype(np.float32))
+    assert np.array_equal(dn._CDF_SLOPE, np.append(np.diff(grid), 0.0).astype(np.float32))
+    assert dn._CDF_VALUE.dtype == dn._CDF_SLOPE.dtype == np.float32
+
+
 def test_float32_gelu_cdf_lets_nan_through():
     """A NaN reaches no int cast (that would warn, then index out of the
     table), and the GELU output u * Phi(u) is NaN again."""

@@ -4,6 +4,7 @@ import csv
 import math
 import multiprocessing
 import os
+import types
 
 import numpy as np
 import pytest
@@ -318,6 +319,80 @@ def test_adamw_first_step_size_is_lr():
         opt = AdamW({"w": theta}, lr=0.01)
         opt.step({"w": np.array([g])})
         assert abs(theta[0]) == pytest.approx(0.01, rel=1e-4)
+
+
+def per_tensor_adamw(theta, m, v, g, lr, weight_decay, step):
+    """AdamW's update of one tensor, as one expression per moment and one
+    for the parameter: the ufuncs, and their order, that the span kernel
+    must keep."""
+    c1 = 1.0 - AdamW.BETA1 ** step
+    c2 = 1.0 - AdamW.BETA2 ** step
+    m *= AdamW.BETA1
+    m += (1.0 - AdamW.BETA1) * g
+    v *= AdamW.BETA2
+    v += (1.0 - AdamW.BETA2) * g * g
+    if weight_decay != 0.0:
+        theta *= 1.0 - lr * weight_decay
+    theta -= lr * ((m / c1) / (np.sqrt(v / c2) + AdamW.EPS))
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_span_kernel_matches_the_per_tensor_expression(dtype, weight_decay):
+    """Over 3 steps, one clipped, a group's update over its span of the
+    shared mappings (`_update_group`: the clip scale, then one
+    `AdamW.step_span`) and the library's `AdamW.step` over each tensor give
+    the per-tensor expression's bits. "b" is cut by a chunk boundary; the
+    tensor before the group is left as it is, and the alignment gaps
+    between tensors stay 0 in the parameters, the gradients and both
+    moments."""
+    rng = np.random.default_rng(31)
+    shapes = {"a": (3, 5), "b": (300, 250), "c": (7,), "d": (2, 3)}
+    assert 300 * 250 > training._ADAMW_CHUNK
+    init = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
+    flat_model, spans, (shared,) = training._shared_copies(init, 1)
+    flat_slots, _, (slot,) = training._shared_copies(init, 1)
+    for name, arr in init.items():
+        shared[name][...] = arr
+    group = ["b", "c", "d"]
+    span = slice(spans["b"].start, spans["d"].stop)
+    gaps = np.ones(flat_model.shape[1], bool)
+    for at in spans.values():
+        gaps[at] = False
+    assert gaps[span].any()
+    lr = 1e-2
+    shards = types.SimpleNamespace(flat_model=flat_model, flat_slots=flat_slots,
+                                   optimizer=AdamW(shared, lr=lr, weight_decay=weight_decay))
+    library = {name: init[name].copy() for name in group}
+    library_opt = AdamW(library, lr=lr, weight_decay=weight_decay)
+    ref = {name: init[name].copy() for name in group}
+    ref_m = {name: np.zeros_like(arr) for name, arr in ref.items()}
+    ref_v = {name: np.zeros_like(arr) for name, arr in ref.items()}
+    for step, scale in ((1, None), (2, 0.25), (3, None)):
+        grads = {name: rng.standard_normal(shapes[name]).astype(dtype) for name in group}
+        for name, g in grads.items():
+            slot[name][...] = g
+            if scale is not None:
+                g *= scale
+            per_tensor_adamw(ref[name], ref_m[name], ref_v[name], g, lr, weight_decay, step)
+        training._update_group(shards, span, scale, step)
+        library_opt.step(grads)
+        for name in group:
+            assert np.array_equal(slot[name], grads[name]), name
+            for opt, theta in ((shards.optimizer, shared), (library_opt, library)):
+                assert theta[name].dtype == dtype
+                assert np.array_equal(theta[name], ref[name]), name
+                assert np.array_equal(opt._m[name], ref_m[name]), name
+                assert np.array_equal(opt._v[name], ref_v[name]), name
+    assert np.array_equal(shared["a"], init["a"])
+    assert not shards.optimizer.moments[:, spans["a"]].any()
+    for flat in (flat_model, flat_slots, shards.optimizer.moments):
+        assert not flat[:, gaps].any()
+
+
+def test_adamw_rejects_a_tensor_it_cannot_step_as_a_flat_view():
+    with pytest.raises(ValidationError, match="C-contiguous"):
+        AdamW({"w": np.zeros((3, 4)).T}, lr=0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@
 A line counts when it holds a Python token other than a comment, a
 module, class or function docstring, or whitespace (line breaks and
 indentation included); a token that spans lines counts each of them.
-Prints one count per file and the total:
+Prints one count per file and the total; a directory stands for the
+`.py` files under it, in sorted order:
 
-    python3 tools/code_lines.py src/scanpath_diffusion/*.py
+    python3 tools/code_lines.py src/scanpath_diffusion
 """
 
 import ast
 import io
 import sys
 import tokenize
+from pathlib import Path
 
 # tokens that hold no code: comments, line breaks, indentation, file markers
 BLANK = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
@@ -40,9 +42,18 @@ def code_lines(source: bytes) -> int:
     return len(lines)
 
 
+def source_files(paths: list[str]):
+    """The files that paths name, each directory walked for its `.py` files."""
+    for path in paths:
+        if Path(path).is_dir():
+            yield from map(str, sorted(Path(path).rglob("*.py")))
+        else:
+            yield path
+
+
 def main(paths: list[str]) -> None:
     total = 0
-    for path in paths:
+    for path in source_files(paths):
         with open(path, "rb") as fh:
             count = code_lines(fh.read())
         print(f"{count:6,d}  {path}")

@@ -45,6 +45,21 @@ scanpath-diffusion train \
   --max-len 24 --steps 200 --batch 8 --lr 1e-3 --seed 5
 tail -2 "$work/run/metrics.csv"
 
+# ---- training's bytes do not depend on the process count: batches of 12 --
+# ---- frames are 2 shards, run on one process per core with BLAS on one ---
+# ---- thread, and in turn in one process with BLAS unpinned ---------------
+shard_train() {
+  scanpath-diffusion train \
+    --corpus "$work/corpus.csv" --sentences "$work/sentences.csv" \
+    --vocab "$work/vocab.txt" --out-dir "$1" \
+    --t-max 50 --hidden-dim 16 --d-bert 16 --blocks 2 --heads 2 \
+    --max-len 24 --steps 40 --batch 12 --lr 1e-3 --seed 5 2>&1 | grep "worker processes"
+}
+(export OPENBLAS_NUM_THREADS=1; shard_train "$work/run_pinned")
+(unset OPENBLAS_NUM_THREADS OMP_NUM_THREADS MKL_NUM_THREADS; shard_train "$work/run_unpinned")
+cmp "$work/run_pinned/checkpoint.bin" "$work/run_unpinned/checkpoint.bin"
+cmp "$work/run_pinned/metrics.csv" "$work/run_unpinned/metrics.csv"
+
 # ---- sample scanpaths for the same sentences ------------------------------
 scanpath-diffusion generate \
   --checkpoint "$work/run/checkpoint.bin" \

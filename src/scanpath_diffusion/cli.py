@@ -165,8 +165,8 @@ def _cmd_generate(args) -> int:
     # this process counts among the workers, and a worker without a chunk
     # is not started; the forked ones inherit the loaded model
     with Forked(_generate_chunk, (model, vocab, st["seed"], st["mean_only"]),
-                min(st["workers"], len(chunks)), "generation chunk") as runner:
-        per_chunk = runner.map([(chunk,) for chunk in chunks])
+                min(st["workers"], len(chunks))) as runner:
+        per_chunk = runner.map([(chunk,) for chunk in chunks], "generation chunk")
     results = [res for chunk in per_chunk for res in chunk]
 
     out = Corpus(

@@ -38,23 +38,25 @@ parameter gradient included, at the batch's width and scale, so each
 frame's prediction and losses are bit-identical to a one-shard pass, its
 input gradient too where the shard's backward products are past the
 BLAS's small-block range (`denoiser`), and the shards' gradients, summed
-in shard order, differ from it only in summation order. The shards run
-through the one forked runner, `workers.Forked`: shard 0 in the training
-process, the others in workers forked once per `train` call (`_Shards`);
-the process count changes no bit of a run. loss_backward returns a
-shard's gradients, and the shard copies them into its own slot of a
-shared mapping.
+in shard order, differ from it only in summation order. A `train` call
+runs its shards through one forked runner, `workers.Forked`, over one
+shared state, `_Run`: shard 0 in the training process, the others in
+workers forked at the first step; the process count changes no bit of a
+run. `_Run` holds one anonymous shared mapping in rows of one layout: row
+0 the trained tensors, rows 1 and 2 AdamW's moments, row 3 + k shard k's
+gradients, which loss_backward returns and the shard copies into its row.
 
 The optimizer is split across the same processes, as stage 1 of ZeRO
 (Rajbhandari et al. 2020) splits it: the trainable manifest is cut into
-one contiguous group of tensors per process, and AdamW's moments sit in a
-shared mapping too. On each step each process sums its groups' slots
-in shard order and returns their per-tensor squared norms; the training
-process adds those in manifest order, as `clip_global_norm` does, and
-decides whether to abort or clip (`clip_factor`); then each process
-clips and steps AdamW over its groups, each one span of the shared
-mappings. Every piece of that arithmetic is per tensor or per element, so
-the groups change no bit either.
+one contiguous group of tensors per process, so each group is one span
+of every row. On each step each process sums its groups' span of the
+shard rows into row 3 in shard order and returns their per-tensor
+squared norms; the training process adds those in manifest order, as
+`clip_global_norm` does, and decides whether to abort or clip
+(`clip_factor`); then each process clips and steps AdamW over its
+groups' span (`_adamw_span`, the kernel of the library's `AdamW` too).
+Every piece of that arithmetic is per tensor or per element, so the
+groups change no bit either.
 """
 
 from __future__ import annotations
@@ -277,7 +279,7 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return norm
 
 
-# elements of a span that AdamW.step_span updates at a time: the chunks of
+# elements of a span that _adamw_span updates at a time: the chunks of
 # theta, m, v, g and the two scratch buffers stay in a core's cache
 _ADAMW_CHUNK = 1 << 16
 
@@ -288,13 +290,8 @@ class AdamW:
     theta <- theta - lr * mhat / (sqrt(vhat) + eps) - lr * wd * theta;
     the decay multiplies the parameter directly, never the moments, so
     lr = 0 is a strict no-op whatever the decay. The tensors are
-    C-contiguous, so each one is stepped as a flat view.
-
-    The moments live in an anonymous shared mapping, `moments`, laid out
-    as `_shared_copies` lays out the tensors: a process forked after the
-    optimizer was made can step any of its tensors, or a span of them
-    (`step_span`), given the update's bias-correction step, and the other
-    processes see the new values.
+    C-contiguous, so each one is stepped as a flat view, by the kernel
+    (`_adamw_span`) that `train` steps its own moments with.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -306,47 +303,47 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.moments, _, (self._m, self._v) = _shared_copies(tensors, 2)
+        self._m = {name: np.zeros_like(arr) for name, arr in tensors.items()}
+        self._v = {name: np.zeros_like(arr) for name, arr in tensors.items()}
 
-    def step(self, grads: dict[str, np.ndarray], step: int | None = None) -> None:
-        """One update of the tensors that grads names, the update's count
-        step (bias correction), by default one past this optimizer's last."""
-        if step is None:
-            self.step_count += 1
-            step = self.step_count
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        """One update of the tensors that grads names."""
+        self.step_count += 1
         for name, g in grads.items():
-            self.step_span(*(arr.reshape(-1) for arr in
-                             (self.tensors[name], self._m[name], self._v[name], g)), step)
+            _adamw_span(*(arr.reshape(-1) for arr in
+                          (self.tensors[name], self._m[name], self._v[name], g)),
+                        self.step_count, self.lr, self.weight_decay)
 
-    def step_span(self, theta, m, v, g, step: int) -> None:
-        """The update of a flat span of parameters theta, its moments m and
-        v and its gradient g, the update's count step, in chunks of
-        _ADAMW_CHUNK elements. Each element takes the ufuncs of the
-        per-tensor expression, in its order, so a span of many tensors
-        gets their per-tensor bits, and zeros between them (the alignment
-        gaps of `_shared_copies`) stay zero."""
-        c1 = 1.0 - self.BETA1 ** step
-        c2 = 1.0 - self.BETA2 ** step
-        decay = 1.0 - self.lr * self.weight_decay
-        scratch = np.empty((2, min(_ADAMW_CHUNK, theta.size)), theta.dtype)
-        for at in range(0, theta.size, _ADAMW_CHUNK):
-            part = slice(at, at + _ADAMW_CHUNK)
-            th, mc, vc, gc = theta[part], m[part], v[part], g[part]
-            t1, t2 = scratch[:, :th.size]
-            mc *= self.BETA1
-            mc += np.multiply(gc, 1.0 - self.BETA1, out=t1)
-            vc *= self.BETA2
-            np.multiply(gc, 1.0 - self.BETA2, out=t1)
-            vc += np.multiply(t1, gc, out=t1)
-            if self.weight_decay != 0.0:
-                th *= decay
-            np.divide(vc, c2, out=t1)
-            np.sqrt(t1, out=t1)
-            t1 += self.EPS
-            np.divide(mc, c1, out=t2)
-            t2 /= t1
-            t2 *= self.lr
-            th -= t2
+
+def _adamw_span(theta, m, v, g, step: int, lr: float, weight_decay: float) -> None:
+    """AdamW's update number step (its bias correction) of a flat span of
+    parameters theta, its moments m and v and its gradient g, in chunks of
+    _ADAMW_CHUNK elements. Each element takes the ufuncs of the per-tensor
+    expression, in its order, so a span of many tensors gets their
+    per-tensor bits, and zeros between them (the alignment gaps of
+    `_shared_copies`) stay zero."""
+    c1 = 1.0 - AdamW.BETA1 ** step
+    c2 = 1.0 - AdamW.BETA2 ** step
+    decay = 1.0 - lr * weight_decay
+    scratch = np.empty((2, min(_ADAMW_CHUNK, theta.size)), theta.dtype)
+    for at in range(0, theta.size, _ADAMW_CHUNK):
+        part = slice(at, at + _ADAMW_CHUNK)
+        th, mc, vc, gc = theta[part], m[part], v[part], g[part]
+        t1, t2 = scratch[:, :th.size]
+        mc *= AdamW.BETA1
+        mc += np.multiply(gc, 1.0 - AdamW.BETA1, out=t1)
+        vc *= AdamW.BETA2
+        np.multiply(gc, 1.0 - AdamW.BETA2, out=t1)
+        vc += np.multiply(t1, gc, out=t1)
+        if weight_decay != 0.0:
+            th *= decay
+        np.divide(vc, c2, out=t1)
+        np.sqrt(t1, out=t1)
+        t1 += AdamW.EPS
+        np.divide(mc, c1, out=t2)
+        t2 /= t1
+        t2 *= lr
+        th -= t2
 
 
 # check_train_settings' keywords, the loop settings train takes by the same names
@@ -427,15 +424,15 @@ def shard_processes(n_shards: int) -> int:
 
 
 def _shared_copies(tensors: dict[str, np.ndarray], copies: int):
-    """copies sets of zeroed arrays shaped like tensors, one dtype for all,
-    laid out one set after another in one anonymous shared mapping, which
-    processes forked later see as their parent does. A page of it counts
-    in the resident memory of the processes that touch it, no other.
+    """copies rows of zeros that each hold arrays shaped like tensors, one
+    dtype for all, in one anonymous shared mapping, which processes forked
+    later see as their parent does. A page of it counts in the resident
+    memory of the processes that touch it, no other.
 
-    Returns the mapping as one (copies, size) array, a row per set; each
-    tensor's slice of a row, in manifest order, each starting on a cache
-    line, with zeros between them; and each set's arrays by name, views
-    of its row. Tensors of the same sizes and dtype get the same layout.
+    Returns the mapping as one (copies, size) array, and each tensor's
+    slice of a row, in manifest order, each starting on a cache line, with
+    zeros between them. Tensors of the same sizes and dtype get the same
+    layout.
     """
     dtype = np.result_type(*tensors.values())
     align = 64 // dtype.itemsize  # each array starts on a cache line
@@ -443,156 +440,126 @@ def _shared_copies(tensors: dict[str, np.ndarray], copies: int):
     for name, arr in tensors.items():
         spans[name] = slice(size, size + arr.size)
         size += -(-arr.size // align) * align
-    flat = np.ndarray((copies, size), dtype, mmap.mmap(-1, max(1, copies * size * dtype.itemsize)))
-    return flat, spans, [{name: flat[c, spans[name]].reshape(arr.shape)
-                          for name, arr in tensors.items()} for c in range(copies)]
+    return np.ndarray((copies, size), dtype,
+                      mmap.mmap(-1, max(1, copies * size * dtype.itemsize))), spans
+
+
+class _Run:
+    """The state that a `train` call's processes share, the job state of
+    its runner: one `_shared_copies` mapping, `flat`, of rows of one layout
+    (each trainable tensor at its slice of a row, `spans`). Row 0 holds
+    the trained tensors, rows 1 and 2 AdamW's first and second moments,
+    and row 3 + k the gradients of a step's shard k; row 3 also ends
+    holding the step's summed gradients. `model` is the model training
+    updates: its trainable tensors are views of row 0, set to the given
+    model's values, and its frozen ones are the given model's own.
+    """
+
+    def __init__(self, model: Model, n_shards: int):
+        own = model.trainable_tensors()
+        self.flat, self.spans = _shared_copies(own, 3 + n_shards)
+        trained = {name: self.flat[0, self.spans[name]].reshape(arr.shape)
+                   for name, arr in own.items()}
+        for name, arr in own.items():
+            trained[name][...] = arr
+        self.model = Model.from_tensors(model.config, {**model.all_tensors(), **trained})
+
+
+def _optimizer_groups(tensors: dict[str, np.ndarray], processes: int) -> list[list[str]]:
+    """The tensors' names cut into one contiguous run per process, balanced
+    by element count, no more runs than tensors: the optimizer's groups,
+    each one span of a `_Run`'s rows."""
+    names = list(tensors)
+    return [names[at] for at in _balanced_cut([arr.size for arr in tensors.values()],
+                                              min(processes, len(names)), 1)]
 
 
 def _frames(batch: Batch, at: slice) -> Batch:
     return Batch(**{f.name: getattr(batch, f.name)[at] for f in fields(Batch)})
 
 
-def _shard_step(shards, shard, frames, t_arr, weights, noise, batch_size):
-    """Shard number shard's part of a training step on shards.model: its
+def _shard_step(run, shard, frames, t_arr, weights, noise, batch_size):
+    """Shard number shard's part of a training step on run.model: its
     frames' loss forward and backward at the batch's scale, the returned
-    gradients copied into the shard's slot by name. Returns its frames'
-    per-frame (reconstruction, rounding) losses."""
-    breakdown, cache = loss_forward(shards.model, frames, t_arr, need_cache=True, noise=noise,
+    gradients copied into the shard's row. Returns its frames' per-frame
+    (reconstruction, rounding) losses."""
+    breakdown, cache = loss_forward(run.model, frames, t_arr, need_cache=True, noise=noise,
                                     batch_size=batch_size)
-    for name, g in loss_backward(shards.model, cache, weights).items():
-        shards.slots[shard][name][...] = g
+    row = run.flat[3 + shard]
+    for name, g in loss_backward(run.model, cache, weights).items():
+        row[run.spans[name]].reshape(g.shape)[...] = g
     return breakdown.per_sample_mse, breakdown.per_sample_round
 
 
-def _reduce_group(shards, names):
-    """A group's part of a step's gradient sum: each of its tensors' slots
-    summed into slot 0 in shard order. Returns each tensor's squared norm,
-    in order."""
-    squares = []
-    for name in names:
-        g = shards.slots[0][name]
-        for slot in shards.slots[1:]:
-            g += slot[name]
-        squares.append(float((g * g).sum()))
-    return squares
+def _group_span(run, names) -> slice:
+    """The span of run's rows that a group of contiguous tensors covers."""
+    return slice(run.spans[names[0]].start, run.spans[names[-1]].stop)
 
 
-def _update_group(shards, span, scale, step):
-    """A group's part of a step's update, over the group's span of the
-    shared mappings: its summed gradients scaled by the clip factor
-    (`clip_factor`, None for none), and the optimizer's update number step
-    over them, in one `AdamW.step_span`."""
-    g = shards.flat_slots[0, span]
+def _reduce_group(run, names):
+    """A group's part of a step's gradient sum: its span of each shard's
+    row summed into row 3 in shard order. Returns each of its tensors'
+    squared norms, in order."""
+    span = _group_span(run, names)
+    g = run.flat[3, span]
+    for row in run.flat[4:]:
+        g += row[span]
+    return [float((grad * grad).sum())
+            for grad in (run.flat[3, run.spans[name]] for name in names)]
+
+
+def _update_group(run, names, scale, step, lr, weight_decay):
+    """A group's part of a step's update, over its span of run's rows: its
+    summed gradients scaled by the clip factor (`clip_factor`, None for
+    none), and AdamW's update number step over them (`_adamw_span`)."""
+    theta, m, v, g = run.flat[:4, _group_span(run, names)]
     if scale is not None:
         g *= scale
-    m, v = shards.optimizer.moments[:, span]
-    shards.optimizer.step_span(shards.flat_model[0, span], m, v, g, step)
+    _adamw_span(theta, m, v, g, step, lr, weight_decay)
 
 
-def _step_part(shards, part, *args):
-    """The job function of `_Shards`' runner: part names the step's part,
+def _step_part(run, part, *args):
+    """The job function of `train`'s runner: part names the step's part,
     looked up when the job runs."""
     return {"shard": _shard_step, "reduce": _reduce_group,
-            "update": _update_group}[part](shards, *args)
+            "update": _update_group}[part](run, *args)
 
 
-class _Shards:
-    """The shards of `train`'s steps, the optimizer's groups, and the
-    processes that run them.
-
-    `model` is the model training updates: a copy of the given model's
-    trainable tensors in one shared mapping, `flat_model`, its frozen ones
-    shared with the given model. Every shard of a step has a gradient
-    slot in a second mapping, a row of `flat_slots`. `optimizer` is the
-    AdamW over `model` that `train` sets before its first step; its
-    moments are shared too. All three mappings have one layout, each
-    tensor at its slice of a row (`spans`). The trainable manifest is cut
-    into `groups`, one contiguous run of tensors per process, balanced by
-    element count, so each group is one span of the mappings. The
-    runner's state is this object: its workers are forked at the first
-    step and inherit the model, the slots and the optimizer. On each step
-    each process runs its shards, then sums its groups' slots in shard
-    order (`reduce`), then clips and steps AdamW over its groups' spans
-    (`update`); with one process, as for a batch of one shard, this
-    process does all of it. On exit every worker is joined and the
-    trained values are copied into the given model's own arrays, also
-    when joining raises, and the runner is dropped.
-    """
-
-    def __init__(self, model: Model, n_slots: int, processes: int):
-        self.own = model.trainable_tensors()
-        self.flat_model, self.spans, (shared,) = _shared_copies(self.own, 1)
-        self.flat_slots, _, self.slots = _shared_copies(self.own, n_slots)
-        for name, arr in self.own.items():
-            shared[name][...] = arr
-        self.model = Model.from_tensors(model.config, {**model.all_tensors(), **shared})
-        self.optimizer = None
-        self.runner = Forked(_step_part, self, processes, "training shard")
-        names = list(self.own)
-        self.groups = [names[at] for at in _balanced_cut(
-            [arr.size for arr in self.own.values()], min(self.runner.processes, len(names)), 1)]
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        try:
-            self.runner.__exit__(*exc)
-        finally:
-            for arr, trained in zip(self.own.values(), self.model.trainable_tensors().values()):
-                arr[...] = trained
-            # the runner's state is this object: without the cycle, the
-            # mappings are freed when train returns, not at a later collection
-            del self.runner
-
-    def _map(self, what, part, jobs):
-        """part's jobs through the runner, a job named what in errors."""
-        self.runner.what = what
-        return self.runner.map([(part, *job) for job in jobs])
-
-    def run(self, batch: Batch, cut: list[slice], t_arr, weights, noise):
-        """Every shard of a step, each leaving its gradients in its slot;
-        returns the batch's per-frame losses."""
-        losses = self._map("training shard", "shard",
-                           [(i, _frames(batch, at), t_arr[at], weights[at],
-                             tuple(eps[at] for eps in noise), batch.size)
-                            for i, at in enumerate(cut)])
-        return tuple(np.concatenate([shard[k] for shard in losses]) for k in (0, 1))
-
-    def reduce(self) -> list[float]:
-        """The gradients of a step's shards summed into slot 0; returns each
-        tensor's squared norm, in manifest order."""
-        squares = self._map("optimizer group", "reduce", [(names,) for names in self.groups])
-        return [sq for group in squares for sq in group]
-
-    def update(self, scale) -> None:
-        """Clip slot 0 by scale (`clip_factor`) and step the optimizer."""
-        self.optimizer.step_count += 1
-        self._map("optimizer group", "update",
-                  [(slice(self.spans[names[0]].start, self.spans[names[-1]].stop), scale,
-                    self.optimizer.step_count) for names in self.groups])
+def _run_shards(runner, batch: Batch, t_arr, weights, noise):
+    """Every shard of a step through runner, whose state is a `_Run`, each
+    leaving its gradients in its row; returns the batch's per-frame
+    (reconstruction, rounding) losses."""
+    losses = runner.map([("shard", i, _frames(batch, at), t_arr[at], weights[at],
+                          tuple(eps[at] for eps in noise), batch.size)
+                         for i, at in enumerate(frame_shards(batch.pad_mask))],
+                        "training shard")
+    return tuple(np.concatenate([shard[k] for shard in losses]) for k in (0, 1))
 
 
-def _train_step(shards, frame_batch, t_arr, weights, rng, sampler, clip_norm):
-    """One step of `train` on shards.model: the noise drawn, the batch cut
-    into shards and run, the sampler fed, the gradients summed in shard
-    order and, when the loss and their norm are finite, clipped and
-    applied. Returns ((l_vlb, l_emb, l_round, total, grad_norm), whether
-    it updated).
+def _train_step(runner, groups, frame_batch, t_arr, weights, rng, sampler, *, clip_norm,
+                step, lr, weight_decay):
+    """Step number step of `train` through runner, whose state is a `_Run`,
+    and its optimizer groups: the noise drawn, the batch cut into shards
+    and run, the sampler fed, the gradients summed in shard order and,
+    when the loss and their norm are finite, clipped and applied as
+    AdamW's update number step. Returns ((l_vlb, l_emb, l_round, total,
+    grad_norm), whether it updated).
 
     A shard's arrays, its loss cache and its gradients, are locals of
     `_shard_step` and die when it returns, before the next shard's forward.
     """
-    noise = draw_noise(shards.model, frame_batch, rng)
-    per_mse, per_round = shards.run(frame_batch, frame_shards(frame_batch.pad_mask), t_arr,
-                                    weights, noise)
-    breakdown = LossBreakdown.of(shards.model, t_arr, per_mse, per_round)
+    model = runner.state.model
+    noise = draw_noise(model, frame_batch, rng)
+    per_mse, per_round = _run_shards(runner, frame_batch, t_arr, weights, noise)
+    breakdown = LossBreakdown.of(model, t_arr, per_mse, per_round)
     for t_i, mse_i in zip(t_arr.tolist(), per_mse.tolist()):
         sampler.update(int(t_i), mse_i)
-    grad_norm, scale = clip_factor(shards.reduce(), clip_norm)
+    squares = runner.map([("reduce", names) for names in groups], "optimizer group")
+    grad_norm, scale = clip_factor([sq for group in squares for sq in group], clip_norm)
     updated = math.isfinite(breakdown.total) and math.isfinite(grad_norm)
     if updated:
-        shards.update(scale)
+        runner.map([("update", names, scale, step, lr, weight_decay) for names in groups],
+                   "optimizer group")
     return (breakdown.l_vlb, breakdown.l_emb, breakdown.l_round, breakdown.total,
             grad_norm), updated
 
@@ -616,24 +583,25 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     good step. Metrics rows are flushed as they are produced.
 
     Each step cuts its batch into shards (`frame_shards`), as many for
-    every step of a call, and runs them on `shard_processes` processes,
-    this one and workers forked at the first step (`_Shards`); the cut
-    depends on the batch's frames alone, so the process count changes no
-    bit of the run. Each process also sums, clips and steps AdamW over its
-    own group of tensors. A shard that fails in a worker, or a worker that
-    exits, raises `workers.WorkerError` naming the shard, and every worker
-    is joined before this returns or raises. Workers write no file and no
+    every step of a call, and runs them through one runner
+    (`workers.Forked`) on `shard_processes` processes, this one and
+    workers forked at the first step; the cut depends on the batch's
+    frames alone, so the process count changes no bit of the run. Each
+    process also sums, clips and steps AdamW over its own group of
+    tensors. A shard that fails in a worker, or a worker that exits,
+    raises `workers.WorkerError` naming the shard, and every worker is
+    joined before this returns or raises. Workers write no file and no
     log.
 
-    The steps update a model built over shared copies of the trainable
-    tensors (`_Shards`), which the interval checkpoints save too; the
-    given model's arrays stay its own and receive the trained values when
-    the loop ends, also when it raises. Training holds one shard's arrays
-    at a time per process: its forward cache (used up by backward, block
-    by block) and its gradients, which backward returns and the shard
-    copies into its slot. The last log line gives this process's peak
-    resident memory, and that of the largest child process it has waited
-    for, the shard workers included.
+    The steps update a model built over a shared copy of the trainable
+    tensors (`_Run`), which the interval checkpoints save too; the given
+    model's arrays stay its own and receive the trained values when the
+    loop ends, also when it raises. Training holds one shard's arrays at
+    a time per process: its forward cache (used up by backward, block by
+    block) and its gradients, which backward returns and the shard copies
+    into its row. The last log line gives this process's peak resident
+    memory, and that of the largest child process it has waited for, the
+    shard workers included.
     """
     check_train_settings(steps=steps, batch=batch, lr=lr, weight_decay=weight_decay,
                          clip_norm=clip_norm, sampler_history=sampler_history,
@@ -646,33 +614,39 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     rows: list[dict] = []
     aborted = False
     n_shards = _shard_count(batch)
-    processes = shard_processes(n_shards)
+    run = _Run(model, n_shards)
     started = time.perf_counter()
     metrics = table_writer(metrics_path, METRICS_HEADER) if metrics_path else nullcontext()
-    with _Shards(model, n_shards, processes) as shards, metrics as write_rows:
-        shards.optimizer = AdamW(shards.model.trainable_tensors(), lr=lr,
-                                 weight_decay=weight_decay)
-        for step in range(1, steps + 1):
-            picks = rng.integers(0, len(instances), size=batch)
-            frame_batch = stack_instances([instances[int(i)] for i in picks])
-            t_arr, weights = sampler.sample(rng, size=batch)
-            losses, updated = _train_step(shards, frame_batch, t_arr, weights, rng, sampler,
-                                          clip_norm)
-            row = dict(zip(METRICS_HEADER, (step, float(np.mean(t_arr)), *losses)))
-            rows.append(row)
-            if write_rows is not None:
-                write_rows([row.values()])
-            if not updated:
-                aborted = True
-                break
-            if log_every and step % log_every == 0:
-                log.info("step %d/%d total=%.5f grad_norm=%.3f",
-                         step, steps, row["total"], row["grad_norm"])
-            if ckpt_path and ckpt_interval and step % ckpt_interval == 0 and step < steps:
-                save_checkpoint(shards.model, ckpt_path)
-        workers = shards.runner.workers
+    try:
+        with Forked(_step_part, run, shard_processes(n_shards)) as runner, \
+                metrics as write_rows:
+            groups = _optimizer_groups(run.model.trainable_tensors(), runner.processes)
+            for step in range(1, steps + 1):
+                picks = rng.integers(0, len(instances), size=batch)
+                frame_batch = stack_instances([instances[int(i)] for i in picks])
+                t_arr, weights = sampler.sample(rng, size=batch)
+                losses, updated = _train_step(runner, groups, frame_batch, t_arr, weights, rng,
+                                              sampler, clip_norm=clip_norm, step=step, lr=lr,
+                                              weight_decay=weight_decay)
+                row = dict(zip(METRICS_HEADER, (step, float(np.mean(t_arr)), *losses)))
+                rows.append(row)
+                if write_rows is not None:
+                    write_rows([row.values()])
+                if not updated:
+                    aborted = True
+                    break
+                if log_every and step % log_every == 0:
+                    log.info("step %d/%d total=%.5f grad_norm=%.3f",
+                             step, steps, row["total"], row["grad_norm"])
+                if ckpt_path and ckpt_interval and step % ckpt_interval == 0 and step < steps:
+                    save_checkpoint(run.model, ckpt_path)
+    finally:
+        for arr, trained in zip(model.trainable_tensors().values(),
+                                run.model.trainable_tensors().values()):
+            arr[...] = trained
     log.info("batches of %d frames: %d shards, %d worker processes; %.1f ms per step",
-             batch, n_shards, workers, 1e3 * (time.perf_counter() - started) / max(1, len(rows)))
+             batch, n_shards, runner.workers,
+             1e3 * (time.perf_counter() - started) / max(1, len(rows)))
     if ckpt_path and not aborted:
         save_checkpoint(model, ckpt_path)
     # ru_maxrss counts KiB on Linux; RUSAGE_CHILDREN gives the largest child

@@ -8,11 +8,14 @@ call with more than one job. A worker inherits the function and the state
 through the fork, shared mappings included, so neither is pickled; only
 jobs and results are. Each worker talks to the calling process through
 one duplex pipe: `map` sends it all of its jobs as one message and reads
-one reply, so the calling process starts no thread. Workers ignore SIGINT,
-which the calling process handles, and exit when their pipe closes. Where
-fork is unavailable every job runs in the calling process.
+one reply, so the calling process starts no thread; a call names its jobs
+in the errors it raises, so one runner serves jobs of several kinds, as
+`train`'s shards and optimizer groups. Workers ignore SIGINT, which the
+calling process handles, and exit when their pipe closes. Where fork is
+unavailable every job runs in the calling process.
 """
 
+import contextlib
 import multiprocessing
 import signal
 import traceback
@@ -56,12 +59,11 @@ def _serve(fn, state, pipe, others) -> None:
 
 class Forked:
     """Runs fn(state, *job) for the jobs of each `map` call on up to
-    `processes` processes, this one counted. `what` names a job in errors:
-    job 1 of "training shard" is "training shard 1". On exit of its `with`
-    block every pipe is closed and every worker joined."""
+    `processes` processes, this one counted. On exit of its `with` block
+    every pipe is closed and every worker joined."""
 
-    def __init__(self, fn, state, processes: int, what: str):
-        self.fn, self.state, self.what = fn, state, what
+    def __init__(self, fn, state, processes: int):
+        self.fn, self.state = fn, state
         self.processes = processes if "fork" in multiprocessing.get_all_start_methods() else 1
         self.pipes, self.procs = [], []
 
@@ -95,40 +97,52 @@ class Forked:
             for _, theirs in pipes:
                 theirs.close()
 
-    def _exited(self, i: int) -> WorkerError:
-        return WorkerError(f"the worker process running {self.what} {i} exited unexpectedly")
+    def map(self, jobs: list, what: str) -> list:
+        """fn(state, *job) for each job, in job order; what names a job in
+        errors: job 1 of "training shard" is "training shard 1".
 
-    def map(self, jobs: list) -> list:
-        """fn(state, *job) for each job, in job order. Job i runs on worker
-        i % processes, 0 being this process. Each worker gets all of its
-        jobs as one message, which it reads whole before it computes, so no
-        send waits for a job to finish; then this process runs its own."""
+        Job i runs on worker i % processes, 0 being this process. Each
+        worker gets all of its jobs as one message, which it reads whole
+        before it computes, so no send waits for a job to finish; then this
+        process runs its own, up to the first that raises, and reads every
+        worker's reply, so the next call reads only its own. Of the jobs
+        that failed, the one of the lowest index is raised: this process's
+        exception as itself, a worker's as a `WorkerError`, which a worker
+        that exited raises too."""
         if len(jobs) > 1 and self.processes > 1 and not self.procs:
             self._fork()
         p = len(self.pipes) + 1
-        sent = []
         for w, pipe in zip(range(1, len(jobs)), self.pipes):
-            try:
+            # a worker that exited closed its end: its reply, read below, is EOF
+            with contextlib.suppress(ConnectionError):
                 pipe.send([(i, jobs[i]) for i in range(w, len(jobs), p)])
-            except ConnectionError as exc:
-                raise self._exited(w) from exc
-            sent.append((w, pipe))
         results = [None] * len(jobs)
-        results[::p] = [self.fn(self.state, *job) for job in jobs[::p]]
-        failures = {}  # the first job index a worker failed at -> (error, cause)
-        for w, pipe in sent:
+        failures = {}  # job index -> the exception raised for it
+        try:
+            for i in range(0, len(jobs), p):
+                results[i] = self.fn(self.state, *jobs[i])
+        except Exception as exc:  # raised once the workers' replies are read
+            failures[i] = exc
+        for w, pipe in zip(range(1, len(jobs)), self.pipes):
             try:
                 failed, *reply = pipe.recv()
             except (EOFError, ConnectionError) as exc:
-                failures[w] = self._exited(w), exc
+                failures[w] = _worker_error(
+                    f"the worker process running {what} {w} exited unexpectedly", exc)
                 continue
             if failed is None:
                 results[w::p] = reply[0]
             else:
                 message, remote = reply
-                failures[failed] = (WorkerError(f"{self.what} {failed} failed in its worker "
-                                                f"process: {message}"), _RemoteTraceback(remote))
+                failures[failed] = _worker_error(
+                    f"{what} {failed} failed in its worker process: {message}",
+                    _RemoteTraceback(remote))
         if failures:
-            error, cause = failures[min(failures)]
-            raise error from cause
+            raise failures[min(failures)]
         return results
+
+
+def _worker_error(message: str, cause: BaseException) -> WorkerError:
+    error = WorkerError(message)
+    error.__cause__ = cause
+    return error

@@ -4,8 +4,11 @@ which numpy reports its array buffers to."""
 
 import gc
 import logging
+import mmap
 import re
 import tracemalloc
+import types
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -15,6 +18,7 @@ from scanpath_diffusion import (ValidationError, build_vocab, init_model, stack_
                                 train)
 from scanpath_diffusion import denoiser as dn
 from scanpath_diffusion import training
+from scanpath_diffusion.workers import Forked
 
 from conftest import encode_corpus, tiny_config
 
@@ -92,23 +96,31 @@ def test_each_step_forward_starts_with_no_array_of_the_step_before(monkeypatch, 
 
 @pytest.mark.parametrize("processes", [1, 2])
 def test_train_frees_its_shared_state_when_it_returns(monkeypatch, small_corpus, processes):
-    """With the collector off, nothing of a finished train call's shards or
-    optimizer is left, on one process or with a worker: its shared
-    mappings (the model copy, the gradient slots and the moments) go when
+    """With the collector off, nothing of a finished train call's shared
+    state is left, on one process or with a worker: its one shared
+    mapping (the model copy, the moments and the gradient rows) goes when
     it returns, not at a later collection."""
     vocab = build_vocab(small_corpus.sentences.values())
     model = init_model(tiny_config(v_bert=len(vocab)), np.random.default_rng(14))
     instances = encode_corpus(small_corpus, vocab, model.config.max_len)
     monkeypatch.setattr(training, "shard_processes", lambda n_shards: processes)
+    make, mappings = mmap.mmap, []
+
+    def recorded(*args):  # every anonymous mapping training makes
+        mappings.append(make(*args))
+        return mappings[-1]
+
+    monkeypatch.setattr(training, "mmap", types.SimpleNamespace(mmap=recorded))
     gc.collect()
     gc.disable()
     try:
         train(model, instances, steps=2, batch=12, lr=1e-3, seed=0)
-        left = [obj for obj in gc.get_objects()
-                if isinstance(obj, (training._Shards, training.AdamW))]
+        (mapping,) = [weakref.ref(m) for m in mappings]
+        mappings.clear()
+        left = [obj for obj in gc.get_objects() if isinstance(obj, training._Run)]
     finally:
         gc.enable()
-    assert left == []
+    assert left == [] and mapping() is None
 
 
 @pytest.mark.parametrize("shards", [1, 2])
@@ -147,8 +159,9 @@ def test_backward_uses_the_cache_up(monkeypatch, small_corpus, shards):
 
     monkeypatch.setattr(dn, "_attention_bwd", measured)
     monkeypatch.setattr(dn, "backward", checked)
-    with traced(), training._Shards(model, shards, 1) as runner:
-        runner.run(batch, cut, t, weights, noise)
+    run = training._Run(model, shards)
+    with traced(), Forked(training._step_part, run, 1) as runner:
+        training._run_shards(runner, batch, t, weights, noise)
     assert used_up == [True] * shards
     assert len(at_block) == 4 * shards
     for shard in range(shards):

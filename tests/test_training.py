@@ -18,7 +18,7 @@ from scanpath_diffusion import denoiser as dn
 from scanpath_diffusion import training
 from scanpath_diffusion.embedding import embed_parts
 from scanpath_diffusion.encoding import stack_instances
-from scanpath_diffusion.workers import WorkerError
+from scanpath_diffusion.workers import Forked, WorkerError
 from scanpath_diffusion.training import (METRICS_HEADER, clip_global_norm,
                                          loss_backward, loss_forward)
 
@@ -340,29 +340,28 @@ def per_tensor_adamw(theta, m, v, g, lr, weight_decay, step):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adamw_span_kernel_matches_the_per_tensor_expression(dtype, weight_decay):
     """Over 3 steps, one clipped, a group's update over its span of the
-    shared mappings (`_update_group`: the clip scale, then one
-    `AdamW.step_span`) and the library's `AdamW.step` over each tensor give
-    the per-tensor expression's bits. "b" is cut by a chunk boundary; the
+    rows of a training run's mapping (`_update_group`: the clip scale,
+    then one `_adamw_span` over the parameter, moment and summed-gradient
+    rows) and the library's `AdamW.step` over each tensor give the
+    per-tensor expression's bits. "b" is cut by a chunk boundary; the
     tensor before the group is left as it is, and the alignment gaps
-    between tensors stay 0 in the parameters, the gradients and both
-    moments."""
+    between tensors stay 0 in all four rows."""
     rng = np.random.default_rng(31)
     shapes = {"a": (3, 5), "b": (300, 250), "c": (7,), "d": (2, 3)}
     assert 300 * 250 > training._ADAMW_CHUNK
     init = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
-    flat_model, spans, (shared,) = training._shared_copies(init, 1)
-    flat_slots, _, (slot,) = training._shared_copies(init, 1)
+    flat, spans = training._shared_copies(init, 4)
+    theta, m, v, g = ({name: row[at].reshape(shapes[name]) for name, at in spans.items()}
+                      for row in flat)
     for name, arr in init.items():
-        shared[name][...] = arr
+        theta[name][...] = arr
     group = ["b", "c", "d"]
-    span = slice(spans["b"].start, spans["d"].stop)
-    gaps = np.ones(flat_model.shape[1], bool)
+    gaps = np.ones(flat.shape[1], bool)
     for at in spans.values():
         gaps[at] = False
-    assert gaps[span].any()
+    assert gaps[spans["b"].start:spans["d"].stop].any()
     lr = 1e-2
-    shards = types.SimpleNamespace(flat_model=flat_model, flat_slots=flat_slots,
-                                   optimizer=AdamW(shared, lr=lr, weight_decay=weight_decay))
+    run = types.SimpleNamespace(flat=flat, spans=spans)
     library = {name: init[name].copy() for name in group}
     library_opt = AdamW(library, lr=lr, weight_decay=weight_decay)
     ref = {name: init[name].copy() for name in group}
@@ -370,24 +369,24 @@ def test_adamw_span_kernel_matches_the_per_tensor_expression(dtype, weight_decay
     ref_v = {name: np.zeros_like(arr) for name, arr in ref.items()}
     for step, scale in ((1, None), (2, 0.25), (3, None)):
         grads = {name: rng.standard_normal(shapes[name]).astype(dtype) for name in group}
-        for name, g in grads.items():
-            slot[name][...] = g
+        for name, grad in grads.items():
+            g[name][...] = grad
             if scale is not None:
-                g *= scale
-            per_tensor_adamw(ref[name], ref_m[name], ref_v[name], g, lr, weight_decay, step)
-        training._update_group(shards, span, scale, step)
+                grad *= scale
+            per_tensor_adamw(ref[name], ref_m[name], ref_v[name], grad, lr, weight_decay, step)
+        training._update_group(run, group, scale, step, lr, weight_decay)
         library_opt.step(grads)
         for name in group:
-            assert np.array_equal(slot[name], grads[name]), name
-            for opt, theta in ((shards.optimizer, shared), (library_opt, library)):
-                assert theta[name].dtype == dtype
-                assert np.array_equal(theta[name], ref[name]), name
-                assert np.array_equal(opt._m[name], ref_m[name]), name
-                assert np.array_equal(opt._v[name], ref_v[name]), name
-    assert np.array_equal(shared["a"], init["a"])
-    assert not shards.optimizer.moments[:, spans["a"]].any()
-    for flat in (flat_model, flat_slots, shards.optimizer.moments):
-        assert not flat[:, gaps].any()
+            assert np.array_equal(g[name], grads[name]), name
+            for params, m_now, v_now in ((theta, m, v),
+                                         (library, library_opt._m, library_opt._v)):
+                assert params[name].dtype == dtype
+                assert np.array_equal(params[name], ref[name]), name
+                assert np.array_equal(m_now[name], ref_m[name]), name
+                assert np.array_equal(v_now[name], ref_v[name]), name
+    assert np.array_equal(theta["a"], init["a"])
+    assert not flat[1:, spans["a"]].any()
+    assert not flat[:, gaps].any()
 
 
 def test_adamw_rejects_a_tensor_it_cannot_step_as_a_flat_view():
@@ -585,25 +584,25 @@ def test_train_keeps_the_callers_arrays(tiny_vocab, small_corpus, monkeypatch):
     instances = encode_corpus(small_corpus, tiny_vocab, model.config.max_len)
     own = model.all_tensors()
     before = {name: arr.copy() for name, arr in own.items()}
-    optimizers = []
+    runs = []
 
-    class Spy(AdamW):
-        def __init__(self, tensors, **kwargs):
-            super().__init__(tensors, **kwargs)
-            optimizers.append(self)
+    class Spy(training._Run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
 
-    monkeypatch.setattr(training, "AdamW", Spy)
+    monkeypatch.setattr(training, "_Run", Spy)
     train(model, instances, steps=3, batch=2, lr=1e-3, seed=0)
-    (optimizer,) = optimizers
+    (run,) = runs
     after = model.all_tensors()
     assert list(after) == list(own)
     assert all(after[name] is arr for name, arr in own.items())
-    assert list(optimizer.tensors) == list(model.trainable_tensors())
-    for name, trained in optimizer.tensors.items():
+    trained_tensors = run.model.trainable_tensors()
+    assert list(trained_tensors) == list(model.trainable_tensors())
+    for name, trained in trained_tensors.items():
         assert trained is not own[name] and np.array_equal(own[name], trained), name
-    assert any(not np.array_equal(own[name], before[name]) for name in optimizer.tensors)
-    with training._Shards(model, 1, 1) as shards:
-        assert shards.model.emb.e_bert is model.emb.e_bert
+    assert any(not np.array_equal(own[name], before[name]) for name in trained_tensors)
+    assert run.model.emb.e_bert is model.emb.e_bert
 
 
 def test_train_input_validation(tiny_vocab, small_corpus):
@@ -703,14 +702,17 @@ def desk_case(seed, dim=64, n_blocks=4, bsz=16, float64=False):
 
 
 def run_shards(model, batch, t, weights, noise, processes):
-    """The step's shards through the training runner, then the reduction
-    that sums their gradients: the per-frame losses and a copy of the
-    summed gradients."""
+    """The step's shards through a training runner, then the reduction by
+    optimizer group that sums their gradients: the per-frame losses and a
+    copy of the summed gradients."""
     cut = training.frame_shards(batch.pad_mask)
-    with training._Shards(model, len(cut), processes) as shards:
-        losses = shards.run(batch, cut, t, weights, noise)
-        shards.reduce()
-        grads = {name: g.copy() for name, g in shards.slots[0].items()}
+    run = training._Run(model, len(cut))
+    with Forked(training._step_part, run, processes) as runner:
+        losses = training._run_shards(runner, batch, t, weights, noise)
+        groups = training._optimizer_groups(model.trainable_tensors(), runner.processes)
+        runner.map([("reduce", names) for names in groups], "optimizer group")
+    grads = {name: run.flat[3, run.spans[name]].reshape(arr.shape).copy()
+             for name, arr in model.trainable_tensors().items()}
     return losses, grads, cut
 
 
@@ -795,8 +797,7 @@ def test_optimizer_groups_cut_the_manifest_in_order(dim, n_blocks):
     model = desk_case(5, dim, n_blocks)[0]
     sizes = {name: arr.size for name, arr in model.trainable_tensors().items()}
     for processes in (1, 2, 3, 4):
-        with training._Shards(model, 1, processes) as shards:
-            groups = shards.groups
+        groups = training._optimizer_groups(model.trainable_tensors(), processes)
         assert len(groups) == processes and all(groups)
         assert [name for group in groups for name in group] == list(sizes)
         share = sum(sizes.values()) / processes

@@ -100,7 +100,11 @@ def round_logits(z: np.ndarray, params: EmbeddingParams) -> np.ndarray:
 
 
 def round_argmax(z: np.ndarray, params: EmbeddingParams) -> np.ndarray:
-    """Nearest index-table row by inner product; ties take the lowest id."""
+    """The index-table row with the largest inner product with z, not the
+    nearest by L2 distance as DiffuSeq's clamp rounds; ties take the lowest
+    id. Inner products are what the rounding loss trains (`round_logits`),
+    and L2 rounding measured worse: new-sentence NLD 0.511 -> 0.618 on
+    one desk-size fold (ROADMAP)."""
     return np.argmax(round_logits(z, params), axis=-1)
 
 

@@ -5,8 +5,10 @@ channel (context and position channels stay intact); the sentence side
 starts, and stays, at its exact embedding. Each step t = t_max .. 1:
 
   1. predict the clean latent from the current state
-  2. rounding anchor: snap the prediction's scanpath slots to their
-     nearest index-table rows (bit-exact rows, ties to the lowest id)
+  2. rounding anchor: snap each of the prediction's scanpath slots to
+     the index-table row with the largest inner product with it
+     (`embedding.round_argmax`: bit-exact rows, ties to the lowest id;
+     not the nearest row by L2 distance, which measured worse)
   3. for t >= 2, sample the reverse posterior of the index channel given
      (current state, anchored prediction), or take its mean with
      mean_only; at t = 1 the anchored prediction is the final state

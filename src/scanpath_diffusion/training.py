@@ -45,6 +45,9 @@ workers forked at the first step; the process count changes no bit of a
 run. `_Run` holds one anonymous shared mapping in rows of one layout: row
 0 the trained tensors, rows 1 and 2 AdamW's moments, row 3 + k shard k's
 gradients, which loss_backward returns and the shard copies into its row.
+The model itself moves into row 0 for the call, so no process holds a
+second copy of its trainable tensors; it moves out, to fresh arrays of
+the last good values, when the call ends.
 
 The optimizer is split across the same processes, as stage 1 of ZeRO
 (Rajbhandari et al. 2020) splits it: the trainable manifest is cut into
@@ -452,7 +455,9 @@ class _Run:
     and row 3 + k the gradients of a step's shard k; row 3 also ends
     holding the step's summed gradients. `model` is the model training
     updates: its trainable tensors are views of row 0, set to the given
-    model's values, and its frozen ones are the given model's own.
+    model's values, and its frozen ones are the given model's own. `train`
+    rebinds the given model to these tensors for the call, so its own
+    trainable arrays go, and no second copy of them is held.
     """
 
     def __init__(self, model: Model, n_shards: int):
@@ -574,7 +579,8 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
           seed: int, weight_decay: float = 0.0, clip_norm: float = 1.0,
           sampler_history: int = 10, metrics_path=None, ckpt_path=None,
           ckpt_interval: int = 0, log_every: int = 0) -> TrainResult:
-    """Run the training loop, updating the model's arrays in place.
+    """Run the training loop on the model, which ends holding the trained
+    tensors, also when this raises.
 
     Frames are drawn with replacement; one t per frame comes from the
     loss-aware sampler, which is fed the per-frame reconstruction losses.
@@ -593,15 +599,22 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     joined before this returns or raises. Workers write no file and no
     log.
 
-    The steps update a model built over a shared copy of the trainable
-    tensors (`_Run`), which the interval checkpoints save too; the given
-    model's arrays stay its own and receive the trained values when the
-    loop ends, also when it raises. Training holds one shard's arrays at
-    a time per process: its forward cache (used up by backward, block by
-    block) and its gradients, which backward returns and the shard copies
-    into its row. The last log line gives this process's peak resident
-    memory, and that of the largest child process it has waited for, the
-    shard workers included.
+    Training holds one copy of the trainable tensors. The model moves
+    into the call's shared mapping (`_Run`): its trainable tensors are
+    rebound to views of the mapping, so the arrays it held are freed
+    before the first step forks a worker, unless the caller keeps them.
+    The steps update those views, which the interval checkpoints save.
+    When the loop ends, also when it raises, the model is rebound to fresh
+    copies of the last good values, and the mapping goes when this
+    returns. Arrays taken out of the model before the call are therefore
+    not updated: read the model after it. The frozen table stays the
+    model's own, never copied.
+
+    Per process, training holds one shard's arrays at a time: its forward
+    cache (used up by backward, block by block) and its gradients, which
+    backward returns and the shard copies into its row. The last log line
+    gives this process's peak resident memory, and that of the largest
+    child process it has waited for, the shard workers included.
     """
     check_train_settings(steps=steps, batch=batch, lr=lr, weight_decay=weight_decay,
                          clip_norm=clip_norm, sampler_history=sampler_history,
@@ -615,6 +628,9 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
     aborted = False
     n_shards = _shard_count(batch)
     run = _Run(model, n_shards)
+    # the model moves into the mapping: its own trainable arrays go here,
+    # before the first step forks a worker, unless the caller holds them
+    model.emb, model.den = run.model.emb, run.model.den
     started = time.perf_counter()
     metrics = table_writer(metrics_path, METRICS_HEADER) if metrics_path else nullcontext()
     try:
@@ -640,10 +656,11 @@ def train(model: Model, instances, *, steps: int, batch: int, lr: float,
                              step, steps, row["total"], row["grad_norm"])
                 if ckpt_path and ckpt_interval and step % ckpt_interval == 0 and step < steps:
                     save_checkpoint(run.model, ckpt_path)
-    finally:
-        for arr, trained in zip(model.trainable_tensors().values(),
-                                run.model.trainable_tensors().values()):
-            arr[...] = trained
+    finally:  # out of the mapping, to copies of the last good values
+        out = Model.from_tensors(model.config, {
+            **model.all_tensors(),
+            **{name: arr.copy() for name, arr in model.trainable_tensors().items()}})
+        model.emb, model.den = out.emb, out.den
     log.info("batches of %d frames: %d shards, %d worker processes; %.1f ms per step",
              batch, n_shards, runner.workers,
              1e3 * (time.perf_counter() - started) / max(1, len(rows)))

@@ -13,6 +13,9 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+# the float64 GELU imports scipy.special on its first call (denoiser); loaded
+# here, that import's memory is not counted as held by the first step traced
+import scipy.special  # noqa: F401
 
 from scanpath_diffusion import (ValidationError, build_vocab, init_model, stack_instances,
                                 train)

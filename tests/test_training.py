@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -576,14 +577,8 @@ def test_train_interval_checkpoints(tiny_vocab, small_corpus, tmp_path, monkeypa
     assert saved[0] == saved[3]
 
 
-def test_train_keeps_the_callers_arrays(tiny_vocab, small_corpus, monkeypatch):
-    """train updates a model over shared copies of the trainable tensors;
-    the caller's model keeps its own array objects, which end holding the
-    trained values, and its frozen table is shared, never copied."""
-    model = make_model(v_bert=len(tiny_vocab))
-    instances = encode_corpus(small_corpus, tiny_vocab, model.config.max_len)
-    own = model.all_tensors()
-    before = {name: arr.copy() for name, arr in own.items()}
+def spied_runs(monkeypatch):
+    """The `_Run` of each train call from here on, kept alive after it ends."""
     runs = []
 
     class Spy(training._Run):
@@ -592,17 +587,88 @@ def test_train_keeps_the_callers_arrays(tiny_vocab, small_corpus, monkeypatch):
             runs.append(self)
 
     monkeypatch.setattr(training, "_Run", Spy)
+    return runs
+
+
+def assert_out_of_the_mapping_at_row_0(model, run):
+    """No tensor of the model shares memory with run's mapping, and each
+    trainable one holds row 0's values."""
+    for name, arr in model.all_tensors().items():
+        assert not np.shares_memory(arr, run.flat), name
+    for name, arr in model.trainable_tensors().items():
+        row_0 = run.flat[0, run.spans[name]].reshape(arr.shape)
+        assert np.array_equal(arr, row_0), name
+
+
+def test_train_holds_one_copy_of_the_trained_tensors(tiny_vocab, small_corpus, monkeypatch):
+    """train moves the model into its shared mapping: by step 1's forward
+    the caller's trainable arrays are freed and the model's are views of
+    the mapping. When train returns, the model holds copies of the trained
+    values, in manifest order, and its frozen table is the one it had,
+    never copied."""
+    model = make_model(v_bert=len(tiny_vocab))
+    instances = encode_corpus(small_corpus, tiny_vocab, model.config.max_len)
+    before = {name: arr.copy() for name, arr in model.all_tensors().items()}
+    originals = {name: weakref.ref(arr) for name, arr in model.trainable_tensors().items()}
+    e_bert = model.emb.e_bert
+    runs = spied_runs(monkeypatch)
+    at_step_1 = []
+    forward = training.loss_forward
+
+    def watched(*args, **kwargs):
+        if not at_step_1:
+            (run,) = runs
+            at_step_1.append(
+                ([name for name, ref in originals.items() if ref() is not None],
+                 [name for name, arr in model.trainable_tensors().items()
+                  if not np.shares_memory(arr, run.flat)]))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "loss_forward", watched)
     train(model, instances, steps=3, batch=2, lr=1e-3, seed=0)
     (run,) = runs
-    after = model.all_tensors()
-    assert list(after) == list(own)
-    assert all(after[name] is arr for name, arr in own.items())
-    trained_tensors = run.model.trainable_tensors()
-    assert list(trained_tensors) == list(model.trainable_tensors())
-    for name, trained in trained_tensors.items():
-        assert trained is not own[name] and np.array_equal(own[name], trained), name
-    assert any(not np.array_equal(own[name], before[name]) for name in trained_tensors)
-    assert run.model.emb.e_bert is model.emb.e_bert
+    # no original array alive, no trainable tensor outside the mapping
+    assert at_step_1 == [([], [])]
+    assert list(model.all_tensors()) == list(before)
+    assert_out_of_the_mapping_at_row_0(model, run)
+    assert any(not np.array_equal(arr, before[name])
+               for name, arr in model.trainable_tensors().items())
+    assert run.model.emb.e_bert is model.emb.e_bert is e_bert
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("ending", ["non-finite loss", "failing shard"])
+def test_train_that_stops_early_leaves_the_model_at_its_last_good_step(
+        tiny_vocab, small_corpus, monkeypatch, ending):
+    """A run that aborts on a non-finite loss, or whose worker shard
+    raises, moves the model out of the mapping too, holding the values a
+    run of its good steps alone ends with."""
+    def fail():
+        raise ArithmeticError("shard went wrong")
+
+    if ending == "non-finite loss":  # as in test_train_aborts_on_nonfinite_loss
+        model = make_model(v_bert=len(tiny_vocab))
+        instances = encode_corpus(small_corpus, tiny_vocab, model.config.max_len)
+        settings = dict(batch=2, lr=1e160, seed=1, clip_norm=0.0)
+        runs = spied_runs(monkeypatch)
+        result = train(model, instances, steps=20, **settings)
+        assert result.aborted
+        good = len(result.rows) - 1
+    else:  # as in test_a_failing_shard_raises_naming_it: step 3 fails
+        model, instances = split_run(monkeypatch, small_corpus)
+        settings = dict(batch=12, lr=1e-3, seed=0)
+        runs = spied_runs(monkeypatch)
+        failing_shard_step(monkeypatch, fail)
+        with pytest.raises(WorkerError, match="training shard 1 failed"):
+            train(model, instances, steps=5, **settings)
+        good = 2
+    (run,) = runs
+    assert_out_of_the_mapping_at_row_0(model, run)
+    monkeypatch.undo()  # the reference runs unpatched; the process count changes no bit
+    ref = make_model(v_bert=model.config.v_bert)
+    assert good > 0 and not train(ref, instances, steps=good, **settings).aborted
+    for name, arr in ref.all_tensors().items():
+        assert np.array_equal(model.all_tensors()[name], arr), name
 
 
 def test_train_input_validation(tiny_vocab, small_corpus):
